@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -215,11 +216,25 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
 # serialization
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write through a uniquely named temporary file in the target
+    directory, then rename it into place, so concurrent runs writing to
+    one directory never share a temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        # mkstemp creates the file private (0600); give it the mode a plain
+        # open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _csv_text(columns: tuple[str, ...], rows: list[list]) -> str:
@@ -314,7 +329,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     manifest = RunManifest.for_config(config, timestamp=False)
     payload = layout_dict(deployment, grid, manifest)
     out = Path(args.out) / "layout.json"
-    _write_atomic(out, json.dumps(payload, indent=2) + "\n")
+    _write_atomic(out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print("wrote %s" % out)
     return 0
 
@@ -342,7 +357,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     manifest = RunManifest.for_config(config, timestamp=True)
     _write_atomic(
         Path(args.out) / "metrics.manifest.json",
-        json.dumps(manifest.as_dict(), indent=2) + "\n",
+        json.dumps(manifest.as_dict(), indent=2, allow_nan=False) + "\n",
     )
     print("wrote %s" % out)
     return 0
@@ -393,7 +408,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _write_atomic(out, _csv_text(SWEEP_COLUMNS, rows))
     manifest = RunManifest.for_config(config, timestamp=True)
     _write_atomic(
-        out_dir / "sweep.manifest.json", json.dumps(manifest.as_dict(), indent=2) + "\n"
+        out_dir / "sweep.manifest.json",
+        json.dumps(manifest.as_dict(), indent=2, allow_nan=False) + "\n",
     )
     written = [str(out)]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -43,6 +44,10 @@ class SimulationConfig:
 
     def validate(self) -> "SimulationConfig":
         """Check every bound; raise ConfigError naming the offending field."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float):
+                _require(math.isfinite(value), f.name, "finite", value)
         _require(self.side_m > 0, "side_m", "> 0", self.side_m)
         _require(self.cell_area_m2 > 0, "cell_area_m2", "> 0", self.cell_area_m2)
         _require(self.density >= 0, "density", ">= 0", self.density)

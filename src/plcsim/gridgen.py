@@ -12,6 +12,20 @@ under one of three wiring disciplines:
 
 Wire distance to the hub, not Euclidean distance, decides whether a cell
 can be served.
+
+The ``tree`` and ``chain`` feeders of all sectors are grown in lockstep:
+sector ``s`` is row ``s`` of ``(n_sectors, max_cells)`` arrays, and each
+step wires one more cell in every sector that still has one, so one numpy
+call serves every sector.  The sectors do not interact, so the result is
+bit-identical to growing them one at a time, provided that
+
+* unused cell slots hold ``+inf`` coordinates, never NaN (``argmin``
+  would pick a NaN), so a padded slot is never the nearest cell, and
+  unused edge slots hold NaN, whose comparisons are all False, so a
+  padded edge never crosses or touches a wire;
+* chain hop lengths come from ``math.hypot`` on scalars, which defines
+  them (``np.hypot`` can differ from it in the last ulp); tree hop
+  lengths are the ``np.hypot`` distances its nearest-node search holds.
 """
 
 from __future__ import annotations
@@ -26,7 +40,6 @@ from .deployment import Cell, CellDeployment
 from .errors import GeometryError
 
 Point = tuple[float, float]
-
 
 @dataclass
 class GridNode:
@@ -58,84 +71,28 @@ class PowerGrid:
 
 
 # ---------------------------------------------------------------------------
-# segment intersection
+# segment crossing
 
-def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
-    """Signed area cross product of (b - a) x (c - a)."""
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _in_box(px, py, ax, ay, bx, by) -> bool:
-    """Point within the bounding box of segment ab (caller knows collinear)."""
-    return (
-        min(ax, bx) <= px <= max(ax, bx)
-        and min(ay, by) <= py <= max(ay, by)
-    )
-
-
-def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """True iff the closed segments share a point that is not a common endpoint.
-
-    Two wires that merely meet at a shared junction endpoint do not count
-    as crossing; any other contact (proper crossing, T-contact, collinear
-    overlap) does.  Zero-length segments are rejected.
-    """
-    if p1 == p2 or q1 == q2:
-        raise GeometryError("degenerate segment: endpoints coincide")
-
-    p1x, p1y = p1
-    p2x, p2y = p2
-    q1x, q1y = q1
-    q2x, q2y = q2
-
-    d1 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
-    d2 = _orient(q1x, q1y, q2x, q2y, p2x, p2y)
-    d3 = _orient(p1x, p1y, p2x, p2y, q1x, q1y)
-    d4 = _orient(p1x, p1y, p2x, p2y, q2x, q2y)
-
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-
-    if {p1, p2} == {q1, q2}:
-        return True  # identical segments overlap everywhere
-
-    p_ends = (p1, p2)
-    q_ends = (q1, q2)
-    contacts = set()
-    if d1 == 0 and _in_box(p1x, p1y, q1x, q1y, q2x, q2y):
-        contacts.add(p1)
-    if d2 == 0 and _in_box(p2x, p2y, q1x, q1y, q2x, q2y):
-        contacts.add(p2)
-    if d3 == 0 and _in_box(q1x, q1y, p1x, p1y, p2x, p2y):
-        contacts.add(q1)
-    if d4 == 0 and _in_box(q2x, q2y, p1x, p1y, p2x, p2y):
-        contacts.add(q2)
-
-    for pt in contacts:
-        if not (pt in p_ends and pt in q_ends):
-            return True
-    return False
+def _in_box(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
+    """Point p within the bounding box of segment ab."""
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
 def _crosses_any(
-    sx: float,
-    sy: float,
-    tx: float,
-    ty: float,
-    ea: np.ndarray,
-    eb: np.ndarray,
-) -> bool:
-    """Vectorised segments_intersect of segment (s, t) against edge arrays.
+    s: np.ndarray, t: np.ndarray, ea: np.ndarray, eb: np.ndarray
+) -> np.ndarray:
+    """Row-wise crossing test: does wire s[i]-t[i] cross any wire ea[i, j]-eb[i, j]?
 
-    Matches the scalar semantics exactly, including the shared-endpoint
-    exemption; used on the chain-construction hot path.
+    ``s`` and ``t`` are ``(rows, 2)``, ``ea`` and ``eb`` ``(rows, edges, 2)``;
+    returns one bool per row.  Two closed segments cross when they share a
+    point that is not an endpoint of both: a proper crossing, a T-contact
+    or a collinear overlap.  Wires that only meet at a common endpoint do
+    not cross.  NaN edge slots never cross.
     """
-    ax = ea[:, 0]
-    ay = ea[:, 1]
-    bx = eb[:, 0]
-    by = eb[:, 1]
+    sx, sy = s[:, 0:1], s[:, 1:2]
+    tx, ty = t[:, 0:1], t[:, 1:2]
+    ax, ay = ea[..., 0], ea[..., 1]
+    bx, by = eb[..., 0], eb[..., 1]
 
     abx = bx - ax
     aby = by - ay
@@ -146,41 +103,50 @@ def _crosses_any(
     d3 = stx * (ay - sy) - sty * (ax - sx)
     d4 = stx * (by - sy) - sty * (bx - sx)
 
-    proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
-        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
-    )
-    if proper.any():
-        return True
-
-    s_is_a = (sx == ax) & (sy == ay)
-    s_is_b = (sx == bx) & (sy == by)
-    t_is_a = (tx == ax) & (ty == ay)
-    t_is_b = (tx == bx) & (ty == by)
-
-    lo_x = np.minimum(ax, bx)
-    hi_x = np.maximum(ax, bx)
-    lo_y = np.minimum(ay, by)
-    hi_y = np.maximum(ay, by)
-    touch = (d1 == 0) & (lo_x <= sx) & (sx <= hi_x) & (lo_y <= sy) & (sy <= hi_y) & ~(
-        s_is_a | s_is_b
-    )
-    touch |= (d2 == 0) & (lo_x <= tx) & (tx <= hi_x) & (lo_y <= ty) & (ty <= hi_y) & ~(
-        t_is_a | t_is_b
-    )
-
-    st_lo_x = min(sx, tx)
-    st_hi_x = max(sx, tx)
-    st_lo_y = min(sy, ty)
-    st_hi_y = max(sy, ty)
-    touch |= (d3 == 0) & (st_lo_x <= ax) & (ax <= st_hi_x) & (st_lo_y <= ay) & (
-        ay <= st_hi_y
-    ) & ~(s_is_a | t_is_a)
-    touch |= (d4 == 0) & (st_lo_x <= bx) & (bx <= st_hi_x) & (st_lo_y <= by) & (
-        by <= st_hi_y
-    ) & ~(s_is_b | t_is_b)
-
-    touch |= (s_is_a & t_is_b) | (s_is_b & t_is_a)
-    return bool(touch.any())
+    proper = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0)
+    hit = proper.any(axis=1)
+    # Every contact other than a proper crossing has a zero orientation.
+    # Those pairs are rare apart from wires sharing an endpoint, so the
+    # endpoint rules run on them one by one.
+    zero = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
+    r, j = np.nonzero(zero & ~hit[:, None])
+    if r.size:
+        s_rows, t_rows = s.tolist(), t.tolist()
+        for i, e in zip(r.tolist(), j.tolist()):
+            px, py = s_rows[i]
+            qx, qy = t_rows[i]
+            ax, ay = ea[i, e].tolist()
+            bx, by = eb[i, e].tolist()
+            p_is_a = px == ax and py == ay
+            p_is_b = px == bx and py == by
+            q_is_a = qx == ax and qy == ay
+            q_is_b = qx == bx and qy == by
+            if (
+                (p_is_a and q_is_b)
+                or (p_is_b and q_is_a)
+                or (
+                    d1[i, e] == 0
+                    and not (p_is_a or p_is_b)
+                    and _in_box(px, py, ax, ay, bx, by)
+                )
+                or (
+                    d2[i, e] == 0
+                    and not (q_is_a or q_is_b)
+                    and _in_box(qx, qy, ax, ay, bx, by)
+                )
+                or (
+                    d3[i, e] == 0
+                    and not (p_is_a or q_is_a)
+                    and _in_box(ax, ay, px, py, qx, qy)
+                )
+                or (
+                    d4[i, e] == 0
+                    and not (p_is_b or q_is_b)
+                    and _in_box(bx, by, px, py, qx, qy)
+                )
+            ):
+                hit[i] = True
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -262,36 +228,7 @@ def build_tree(sector_cells: list[Cell], hub: Point) -> PowerGrid:
     """Accretion tree: repeatedly wire the unconnected cell closest to any
     already-connected node (ties: lower cell id; equidistant targets:
     earliest-connected node)."""
-    cells = sorted(sector_cells, key=lambda c: c.id)
-    grid = _empty_sector_grid(hub)
-    if not cells:
-        return grid
-
-    xy = _cell_xy(cells)
-    n = len(cells)
-    dist = np.hypot(xy[:, 0] - hub[0], xy[:, 1] - hub[1])
-    nearest_node = np.zeros(n, dtype=int)
-    connected = np.zeros(n, dtype=bool)
-    wire_by_node = np.zeros(n + 1)
-
-    nodes = grid.nodes
-    for c in cells:
-        nodes.append(GridNode(len(nodes), c.x_m, c.y_m, "cell", cell_id=c.id))
-
-    for _ in range(n):
-        c = int(np.argmin(np.where(connected, np.inf, dist)))
-        attach = int(nearest_node[c])
-        hop = float(dist[c])
-        grid.edges.append(GridEdge(attach, c + 1, hop))
-        wire_by_node[c + 1] = wire_by_node[attach] + hop
-        grid.wire_distance_m[cells[c].id] = float(wire_by_node[c + 1])
-        connected[c] = True
-        newd = np.hypot(xy[:, 0] - xy[c, 0], xy[:, 1] - xy[c, 1])
-        closer = ~connected & (newd < dist)
-        dist[closer] = newd[closer]
-        nearest_node[closer] = c + 1
-
-    return grid
+    return _sector_grid(sector_cells, hub, _grow_trees)
 
 
 def build_chain(sector_cells: list[Cell], hub: Point) -> PowerGrid:
@@ -303,62 +240,178 @@ def build_chain(sector_cells: list[Cell], hub: Point) -> PowerGrid:
     layouts), the nearest node is used anyway and the grid's
     forced_crossings counter is bumped.
     """
-    cells = sorted(sector_cells, key=lambda c: c.id)
+    return _sector_grid(sector_cells, hub, _grow_chains)
+
+
+# ---------------------------------------------------------------------------
+# lockstep growth
+#
+# A grower takes node_xy, (rows, slots + 1, 2): the hub in slot 0, then the
+# row's cells in id order, then +inf padding, with rows sorted by cell count
+# (descending) so the rows still growing at step k are a prefix; and lives,
+# that prefix length per step.  Node i is the hub for i == 0, else cell
+# slot i - 1.  Hop k of row r wires node child[r, k] to node parent[r, k]
+# with a wire of length[r, k]; wire[r, i] is node i's wire distance and
+# forced[r] the row's forced crossings.
+
+def _add_feeders(
+    grid: PowerGrid, sectors: list[list[Cell]], hub: Point, grow, labels: bool
+) -> None:
+    """Grow every sector's feeder with `grow` in lockstep and append them
+    to `grid`, sector by sector; nodes get their sector number as label
+    when `labels` is set."""
+    cells = [sorted(s, key=lambda c: c.id) for s in sectors]
+    sizes = np.array([len(c) for c in cells], dtype=np.intp)
+    order = np.argsort(-sizes, kind="stable")
+    slots = int(sizes.max(initial=0))
+    node_xy = np.full((len(cells), slots + 1, 2), np.inf)
+    node_xy[:, 0] = hub
+    for row, k in enumerate(order.tolist()):
+        if cells[k]:
+            node_xy[row, 1 : sizes[k] + 1] = _cell_xy(cells[k])
+    lives = (sizes[order] > np.arange(slots)[:, None]).sum(axis=1).tolist()
+    parent, child, length, wire, forced = grow(node_xy, lives)
+
+    for k, row in enumerate(np.argsort(order).tolist()):
+        n = int(sizes[k])
+        offset = len(grid.nodes) - 1
+        sector = k if labels else None
+        for c in cells[k]:
+            node = GridNode(len(grid.nodes), c.x_m, c.y_m, "cell", c.id, sector)
+            grid.nodes.append(node)
+        hops = zip(
+            parent[row, :n].tolist(),
+            child[row, :n].tolist(),
+            length[row, :n].tolist(),
+            wire[row, child[row, :n]].tolist(),
+        )
+        for a, b, hop, dist in hops:
+            grid.edges.append(GridEdge(a + offset if a else 0, b + offset, hop))
+            grid.wire_distance_m[cells[k][b - 1].id] = dist
+        grid.forced_crossings += int(forced[row])
+
+
+def _sector_grid(sector_cells: list[Cell], hub: Point, grow) -> PowerGrid:
     grid = _empty_sector_grid(hub)
-    if not cells:
-        return grid
-
-    xy = _cell_xy(cells)
-    n = len(cells)
-    node_xy = np.vstack([np.array(hub, dtype=float)[None, :], xy])
-    nodes = grid.nodes
-    for c in cells:
-        nodes.append(GridNode(len(nodes), c.x_m, c.y_m, "cell", cell_id=c.id))
-
-    edge_a = np.empty((n, 2))
-    edge_b = np.empty((n, 2))
-    n_edges = 0
-    connected = np.zeros(n, dtype=bool)
-    wire_by_node = np.zeros(n + 1)
-    tip = 0
-
-    for _ in range(n):
-        d_tip = np.hypot(xy[:, 0] - node_xy[tip, 0], xy[:, 1] - node_xy[tip, 1])
-        c = int(np.argmin(np.where(connected, np.inf, d_tip)))
-        cx, cy = xy[c]
-
-        attach = tip
-        if d_tip[c] > 0.0 and n_edges and _crosses_any(
-            node_xy[tip, 0], node_xy[tip, 1], cx, cy, edge_a[:n_edges], edge_b[:n_edges]
-        ):
-            node_ids = np.concatenate(([0], np.flatnonzero(connected) + 1))
-            nd = np.hypot(node_xy[node_ids, 0] - cx, node_xy[node_ids, 1] - cy)
-            order = node_ids[np.lexsort((node_ids, nd))]
-            attach = -1
-            for nid in order:
-                if nid == tip:
-                    continue  # already known to cross
-                nx, ny = node_xy[nid]
-                if (nx == cx and ny == cy) or not _crosses_any(
-                    nx, ny, cx, cy, edge_a[:n_edges], edge_b[:n_edges]
-                ):
-                    attach = int(nid)
-                    break
-            if attach < 0:
-                attach = int(order[0])
-                grid.forced_crossings += 1
-
-        hop = math.hypot(cx - node_xy[attach, 0], cy - node_xy[attach, 1])
-        grid.edges.append(GridEdge(attach, c + 1, hop))
-        wire_by_node[c + 1] = wire_by_node[attach] + hop
-        grid.wire_distance_m[cells[c].id] = float(wire_by_node[c + 1])
-        edge_a[n_edges] = node_xy[attach]
-        edge_b[n_edges] = xy[c]
-        n_edges += 1
-        connected[c] = True
-        tip = c + 1
-
+    _add_feeders(grid, [sector_cells], hub, grow, labels=False)
     return grid
+
+
+def _grow_trees(node_xy: np.ndarray, lives: list[int]):
+    rows, slots = node_xy.shape[0], node_xy.shape[1] - 1
+    xy = node_xy[:, 1:]
+    hub = node_xy[:, 0]
+    dist = np.hypot(xy[..., 0] - hub[:, 0:1], xy[..., 1] - hub[:, 1:2])
+    nearest = np.zeros((rows, slots), dtype=np.intp)
+    connected = np.zeros((rows, slots), dtype=bool)
+    wire = np.zeros((rows, slots + 1))
+    parent = np.zeros((rows, slots), dtype=np.intp)
+    child = np.zeros((rows, slots), dtype=np.intp)
+    length = np.zeros((rows, slots))
+    all_rows = np.arange(rows)
+
+    for k, live in enumerate(lives):
+        r = all_rows[:live]
+        d = dist[:live]
+        c = np.argmin(np.where(connected[:live], np.inf, d), axis=1)
+        node = c + 1
+        attach = nearest[r, c]
+        hop = d[r, c]
+        wire[r, node] = wire[r, attach] + hop
+        connected[r, c] = True
+        c_xy = xy[r, c]
+        newd = np.hypot(
+            xy[:live, :, 0] - c_xy[:, 0:1], xy[:live, :, 1] - c_xy[:, 1:2]
+        )
+        closer = ~connected[:live] & (newd < d)
+        np.copyto(d, newd, where=closer)
+        np.copyto(nearest[:live], node[:, None], where=closer)
+        parent[:live, k] = attach
+        child[:live, k] = node
+        length[:live, k] = hop
+
+    return parent, child, length, wire, np.zeros(rows, dtype=np.intp)
+
+
+def _grow_chains(node_xy: np.ndarray, lives: list[int]):
+    rows, slots = node_xy.shape[0], node_xy.shape[1] - 1
+    xy = node_xy[:, 1:]
+    connected = np.zeros((rows, slots), dtype=bool)
+    wire = np.zeros((rows, slots + 1))
+    edge_a = np.full((rows, slots, 2), np.nan)
+    edge_b = np.full((rows, slots, 2), np.nan)
+    tip = np.zeros(rows, dtype=np.intp)
+    parent = np.zeros((rows, slots), dtype=np.intp)
+    child = np.zeros((rows, slots), dtype=np.intp)
+    length = np.zeros((rows, slots))
+    forced = np.zeros(rows, dtype=np.intp)
+    all_rows = np.arange(rows)
+
+    for k, live in enumerate(lives):
+        r = all_rows[:live]
+        tip_xy = node_xy[r, tip[:live]]
+        d_tip = np.hypot(
+            xy[:live, :, 0] - tip_xy[:, 0:1], xy[:live, :, 1] - tip_xy[:, 1:2]
+        )
+        c = np.argmin(np.where(connected[:live], np.inf, d_tip), axis=1)
+        c_xy = xy[r, c]
+
+        attach = tip[:live].copy()
+        if k:
+            blocked = (d_tip[r, c] > 0.0) & _crosses_any(
+                tip_xy, c_xy, edge_a[:live, :k], edge_b[:live, :k]
+            )
+            for i in np.flatnonzero(blocked).tolist():
+                attach[i], was_forced = _branch_point(
+                    node_xy[i],
+                    connected[i],
+                    int(tip[i]),
+                    c_xy[i],
+                    edge_a[i, :k],
+                    edge_b[i, :k],
+                )
+                forced[i] += was_forced
+
+        node = c + 1
+        a_xy = node_xy[r, attach]
+        hop = np.array([math.hypot(dx, dy) for dx, dy in (c_xy - a_xy).tolist()])
+        wire[r, node] = wire[r, attach] + hop
+        edge_a[:live, k] = a_xy
+        edge_b[:live, k] = c_xy
+        connected[r, c] = True
+        tip[:live] = node
+        parent[:live, k] = attach
+        child[:live, k] = node
+        length[:live, k] = hop
+
+    return parent, child, length, wire, forced
+
+
+def _branch_point(
+    node_xy: np.ndarray,
+    connected: np.ndarray,
+    tip: int,
+    c_xy: np.ndarray,
+    ea: np.ndarray,
+    eb: np.ndarray,
+) -> tuple[int, bool]:
+    """Attachment node for a chain hop to c_xy that is blocked from the tip.
+
+    Returns the nearest connected node (ties: lower node id) whose wire to
+    c_xy crosses none of the wires ea-eb, or, failing that, the nearest
+    node with a forced-crossing flag.
+    """
+    ids = np.concatenate(([0], np.flatnonzero(connected) + 1))
+    nd = np.hypot(node_xy[ids, 0] - c_xy[0], node_xy[ids, 1] - c_xy[1])
+    order = ids[np.lexsort((ids, nd))]
+    t, wires_a, wires_b = c_xy[None], ea[None], eb[None]
+    for nid in order.tolist():
+        if nid == tip:
+            continue  # already known to cross
+        s = node_xy[nid : nid + 1]
+        if (s == t).all() or not _crosses_any(s, t, wires_a, wires_b)[0]:
+            return nid, False
+    return int(order[0]), True
 
 
 # ---------------------------------------------------------------------------
@@ -386,38 +439,37 @@ def build_grid(deployment: CellDeployment, config: SimulationConfig) -> PowerGri
         edges=[],
         n_branches=nb,
     )
-    width = 2.0 * math.pi / nb
-    for k in range(nb):
-        sector_cells = [c for c in deployment.cells if c.sector == k]
-        if config.topology == "bus":
+    sectors = [[c for c in deployment.cells if c.sector == k] for k in range(nb)]
+    if config.topology == "bus":
+        width = 2.0 * math.pi / nb
+        for k, sector_cells in enumerate(sectors):
             bisector = config.sector_anchor_rad + (k + 0.5) * width
             sub = build_bus(sector_cells, hub, bisector, config.max_wire_m)
-        elif config.topology == "tree":
-            sub = build_tree(sector_cells, hub)
-        else:
-            sub = build_chain(sector_cells, hub)
-
-        offset = len(grid.nodes) - 1
-        for node in sub.nodes[1:]:
-            grid.nodes.append(
-                GridNode(
-                    node.id + offset,
-                    node.x_m,
-                    node.y_m,
-                    node.kind,
-                    cell_id=node.cell_id,
-                    sector=k,
+            offset = len(grid.nodes) - 1
+            for node in sub.nodes[1:]:
+                grid.nodes.append(
+                    GridNode(
+                        node.id + offset,
+                        node.x_m,
+                        node.y_m,
+                        node.kind,
+                        cell_id=node.cell_id,
+                        sector=k,
+                    )
                 )
-            )
-        for e in sub.edges:
-            a = e.a + offset if e.a else 0
-            b = e.b + offset if e.b else 0
-            grid.edges.append(GridEdge(a, b, e.length_m))
-        grid.wire_distance_m.update(sub.wire_distance_m)
+            for e in sub.edges:
+                a = e.a + offset if e.a else 0
+                b = e.b + offset if e.b else 0
+                grid.edges.append(GridEdge(a, b, e.length_m))
+            grid.wire_distance_m.update(sub.wire_distance_m)
+            grid.forced_crossings += sub.forced_crossings
+    else:
+        grow = _grow_trees if config.topology == "tree" else _grow_chains
+        _add_feeders(grid, sectors, hub, grow, labels=True)
+
+    for k, sector_cells in enumerate(sectors):
         for c in sector_cells:
             grid.branch_of[c.id] = k
-        grid.forced_crossings += sub.forced_crossings
-
     return grid
 
 

@@ -164,18 +164,14 @@ def test_criterion_5_graph_invariants():
                 assert abs(dist[node.id] - want) <= 1e-6 * max(1.0, want)
 
         if topology == "chain" and grid.forced_crossings == 0:
-            pts = [(nd.x_m, nd.y_m) for nd in grid.nodes]
-            ea = np.array([pts[e.a] for e in grid.edges])
-            eb = np.array([pts[e.b] for e in grid.edges])
-            for i, e in enumerate(grid.edges[:-1]):
-                assert not _crosses_any(
-                    pts[e.a][0],
-                    pts[e.a][1],
-                    pts[e.b][0],
-                    pts[e.b][1],
-                    ea[i + 1:],
-                    eb[i + 1:],
-                )
+            pts = np.array([(nd.x_m, nd.y_m) for nd in grid.nodes])
+            ea = pts[[e.a for e in grid.edges]]
+            eb = pts[[e.b for e in grid.edges]]
+            # row i tests edge i against every later edge; earlier slots are NaN
+            later = np.arange(len(ea))[None, :] > np.arange(len(ea))[:, None]
+            rows_a = np.where(later[..., None], ea[None], np.nan)
+            rows_b = np.where(later[..., None], eb[None], np.nan)
+            assert not _crosses_any(ea, eb, rows_a, rows_b).any()
             chains_checked += 1
     assert chains_checked > 0
 

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -112,6 +114,17 @@ def test_exit_one_on_unknown_flag(capsys):
 def test_exit_one_on_missing_command(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", ["side_m", "volume_cap_bits"])
+def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"%s": Infinity}' % field)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not out.exists()
 
 
 def test_exit_two_on_missing_config_file(tmp_path, capsys):
@@ -227,6 +240,25 @@ def test_simulate_rerun_byte_identical(tmp_path, capsys):
     assert main(args + ["--out", str(b_dir)]) == 0
     capsys.readouterr()
     assert (a_dir / "metrics.csv").read_bytes() == (b_dir / "metrics.csv").read_bytes()
+
+
+def test_simulate_ignores_stale_tmp_entry(tmp_path, capsys):
+    """Outputs go through unique temporary files, so a leftover entry
+    named like a fixed temporary file is neither used nor disturbed."""
+    (tmp_path / "metrics.csv.tmp").mkdir()
+    args = ["simulate", "--out", str(tmp_path), "--horizon", "20", "--density", "0.02"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert (tmp_path / "metrics.csv").is_file()
+    assert (tmp_path / "metrics.csv.tmp").is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "metrics.csv",
+        "metrics.csv.tmp",
+        "metrics.manifest.json",
+    ]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "metrics.csv").stat().st_mode) == 0o666 & ~umask
 
 
 def test_simulate_manifest_sibling(tmp_path, capsys):

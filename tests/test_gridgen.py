@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dijkstra_from_hub
+from oracles import (
+    dijkstra_from_hub,
+    mst_length,
+    reference_chain,
+    reference_feeders,
+    reference_tree,
+    segments_intersect,
+)
 from plcsim.config import SimulationConfig
-from plcsim.deployment import Cell, deploy, place_cells
+from plcsim.deployment import Cell, CellDeployment, assign_sectors, deploy, place_cells
 from plcsim.errors import GeometryError
 from plcsim.gridgen import (
     PowerGrid,
@@ -16,9 +25,9 @@ from plcsim.gridgen import (
     build_tree,
     mark_served,
     reachability_fraction,
-    segments_intersect,
     wire_distance,
 )
+from plcsim.simulator import derive_seed
 
 
 def _cells(points):
@@ -80,26 +89,51 @@ def test_segments_degenerate_rejected():
         segments_intersect((1, 1), (1, 1), (0, 0), (2, 2))
 
 
+def _padded_rows(rows):
+    """(s, t, ea, eb) arrays for rows of (query, [edges]), NaN-padded."""
+    width = max(len(edges) for _, edges in rows)
+    ea = np.full((len(rows), width, 2), np.nan)
+    eb = np.full((len(rows), width, 2), np.nan)
+    for i, (_, edges) in enumerate(rows):
+        for j, (a, b) in enumerate(edges):
+            ea[i, j] = a
+            eb[i, j] = b
+    s = np.array([q[0] for q, _ in rows], dtype=float)
+    t = np.array([q[1] for q, _ in rows], dtype=float)
+    return s, t, ea, eb
+
+
 def test_crosses_any_matches_scalar_on_random_layouts():
-    """The vectorised edge-array check must agree with the scalar predicate."""
+    """The row-wise edge-array check must agree with the scalar predicate."""
     rng = np.random.default_rng(3)
-    checked = 0
+    rows = []
     for _ in range(400):
         raw = rng.integers(0, 5, size=(9, 4)).astype(float)
-        segs = [tuple(r) for r in raw if (r[0], r[1]) != (r[2], r[3])]
+        segs = [((a, b), (c, d)) for a, b, c, d in raw if (a, b) != (c, d)]
         if len(segs) < 2:
             continue
-        sx, sy, tx, ty = segs[0]
-        rest = segs[1:]
-        ea = np.array([[s[0], s[1]] for s in rest])
-        eb = np.array([[s[2], s[3]] for s in rest])
-        expected = any(
-            segments_intersect((sx, sy), (tx, ty), (a, b), (c, d))
-            for a, b, c, d in rest
-        )
-        assert _crosses_any(sx, sy, tx, ty, ea, eb) == expected
-        checked += 1
-    assert checked > 300
+        rows.append((segs[0], segs[1:]))
+    got = _crosses_any(*_padded_rows(rows))
+    for (query, edges), hit in zip(rows, got):
+        assert hit == any(segments_intersect(*query, a, b) for a, b in edges)
+    assert len(rows) > 300
+
+
+_coord = st.integers(min_value=-3, max_value=3)
+_segment = st.tuples(st.tuples(_coord, _coord), st.tuples(_coord, _coord)).filter(
+    lambda seg: seg[0] != seg[1]
+)
+_row = st.tuples(_segment, st.lists(_segment, max_size=8))
+
+
+@given(st.lists(_row, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_crosses_any_rows_match_scalar_property(rows):
+    """Small integer grids give many collinear and shared-endpoint cases;
+    rows have unequal edge counts, so the NaN padding is exercised too."""
+    got = _crosses_any(*_padded_rows(rows))
+    for (query, edges), hit in zip(rows, got):
+        assert hit == any(segments_intersect(*query, a, b) for a, b in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +342,112 @@ def test_wire_distance_unknown_cell():
     assert wire_distance(grid, 0) == pytest.approx(10.0)
     with pytest.raises(KeyError, match="not part of this grid"):
         wire_distance(grid, 99)
+
+
+# ---------------------------------------------------------------------------
+# lockstep builders against the per-sector reference
+
+def _assert_matches_reference(deployment, topology, n_branches=6):
+    """build_grid must reproduce the per-sector builders bit for bit."""
+    cfg = SimulationConfig(topology=topology, n_branches=n_branches)
+    grid = build_grid(deployment, cfg)
+    edges, wire, forced = reference_feeders(deployment, topology, n_branches)
+    assert [(e.a, e.b, e.length_m) for e in grid.edges] == edges
+    assert list(grid.wire_distance_m.items()) == list(wire.items())
+    assert grid.forced_crossings == forced
+
+
+def _deployment(points, hub=(0.0, 0.0), n_branches=6):
+    dep = CellDeployment(cells=_cells(points), hub_x_m=hub[0], hub_y_m=hub[1])
+    return assign_sectors(dep, n_branches)
+
+
+def test_lockstep_matches_reference_on_criterion_5_corpus():
+    # the corpus's own topology, with chain in place of bus
+    densities = [0.02, 0.05, 0.1, 0.2]
+    for rep in range(1000):
+        cfg = SimulationConfig(density=densities[(rep // 3) % 4])
+        deployment = deploy(cfg, np.random.default_rng(derive_seed(31337, rep, 0, 0)))
+        _assert_matches_reference(deployment, "tree" if rep % 3 == 1 else "chain")
+
+
+@pytest.mark.parametrize("topology", ["tree", "chain"])
+def test_lockstep_matches_reference_at_full_density(topology):
+    cfg = SimulationConfig(density=1.0)
+    for seed in range(3):
+        _assert_matches_reference(deploy(cfg, np.random.default_rng(seed)), topology)
+
+
+def _uneven_sectors(rng):
+    """150 cells in sector 0, one in sector 3, 20 in sector 5, none elsewhere."""
+    r = rng.uniform(1.0, 300.0, size=171)
+    theta = np.concatenate(
+        [rng.uniform(0.01, 1.0, 150), [math.pi + 0.5], rng.uniform(5.3, 6.2, 20)]
+    )
+    return list(zip(r * np.cos(theta), r * np.sin(theta)))
+
+
+@pytest.mark.parametrize("topology", ["tree", "chain"])
+def test_lockstep_matches_reference_on_edge_cases(topology):
+    rng = np.random.default_rng(5)
+    _assert_matches_reference(
+        deploy(SimulationConfig(density=0.0), np.random.default_rng(0)), topology
+    )
+    # one occupied sector, five empty ones
+    _assert_matches_reference(_deployment([(10, 1), (20, 3), (15, 9)]), topology)
+    # duplicate coordinates, including cells on the hub itself
+    _assert_matches_reference(
+        _deployment([(3, 4), (3, 4), (0, 0), (0, 0), (5, 5), (3, 4), (-2, 7), (-2, 7)]),
+        topology,
+    )
+    _assert_matches_reference(_deployment(_uneven_sectors(rng)), topology)
+    # the forced-crossing layout of test_chain_forced_crossing_counted
+    _assert_matches_reference(
+        _deployment([(0, 2), (0, 3), (1, 0), (3, 0), (4, 3), (5, 3)], n_branches=1),
+        topology,
+        n_branches=1,
+    )
+    # integer grids: collinear hops, shared endpoints, forced crossings
+    for _ in range(20):
+        points = rng.integers(-6, 7, size=(int(rng.integers(1, 150)), 2)).tolist()
+        _assert_matches_reference(_deployment(points), topology)
+        _assert_matches_reference(_deployment(points, n_branches=1), topology, 1)
+
+
+def test_single_sector_builders_match_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        for cells in (
+            place_cells(60, 200.0, rng).cells,
+            _cells(rng.integers(0, 9, size=(60, 2)).tolist()),
+        ):
+            for build, reference in (
+                (build_tree, reference_tree),
+                (build_chain, reference_chain),
+            ):
+                grid = build(cells, (4.0, 4.0))
+                edges, wire, forced = reference(cells, (4.0, 4.0))
+                assert [(e.a, e.b, e.length_m) for e in grid.edges] == edges
+                assert grid.wire_distance_m == wire
+                assert grid.forced_crossings == forced
+
+
+def test_tree_is_minimum_spanning_tree():
+    """Each sector's tree is as long as the Euclidean MST over the hub and
+    that sector's cells."""
+    for seed in range(30):
+        hub_mode = "uniform" if seed % 2 else "center"
+        cfg = SimulationConfig(topology="tree", hub_mode=hub_mode)
+        dep = deploy(cfg, np.random.default_rng(seed))
+        grid = build_grid(dep, cfg)
+        total = [0.0] * cfg.n_branches
+        for e in grid.edges:
+            total[grid.nodes[e.b].sector] += e.length_m
+        hub = (dep.hub_x_m, dep.hub_y_m)
+        for k in range(cfg.n_branches):
+            cells = [(c.x_m, c.y_m) for c in dep.cells if c.sector == k]
+            points = np.array([hub] + cells)
+            assert total[k] == pytest.approx(mst_length(points), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
