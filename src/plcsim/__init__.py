@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import SimulationConfig
-from .deployment import Cell, CellDeployment, deploy
+from .deployment import CellDeployment, deploy
 from .errors import ConfigError, FitError, GeometryError
 from .gridgen import PowerGrid, build_grid, mark_served, reachability_fraction
 from .simulator import (
@@ -15,10 +15,9 @@ from .simulator import (
     run_replication,
     run_sweep,
 )
-from .traffic import Session, TrafficModel
+from .traffic import TrafficModel
 
 __all__ = [
-    "Cell",
     "CellDeployment",
     "ConfigError",
     "FitError",
@@ -26,7 +25,6 @@ __all__ = [
     "MetricsReport",
     "PowerGrid",
     "RateSeries",
-    "Session",
     "SessionSet",
     "SimulationConfig",
     "SweepResult",

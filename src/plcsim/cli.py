@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,10 +29,10 @@ import numpy as np
 
 from . import __version__
 from .config import TOPOLOGIES, SimulationConfig, config_fields
-from .deployment import Cell, CellDeployment, deploy
+from .deployment import CellDeployment, deploy
 from .errors import ConfigError
-from .gridgen import GridEdge, GridNode, PowerGrid, build_grid, mark_served
-from .simulator import derive_seed, run_replication, run_sweep
+from .gridgen import PowerGrid, build_grid, mark_served
+from .simulator import SweepRow, derive_seed, run_replication, run_sweep
 from .svgplot import PlotSeries, line_plot
 from .traffic import TrafficModel
 
@@ -48,21 +49,7 @@ SIMULATE_COLUMNS = (
     "forced_crossings",
 )
 
-SWEEP_COLUMNS = (
-    "density",
-    "topology",
-    "replications",
-    "reachability_mean",
-    "reachability_stderr",
-    "avg_rate_bps_mean",
-    "avg_rate_bps_stderr",
-    "max_rate_bps_mean",
-    "max_rate_bps_stderr",
-    "mean_wait_s_mean",
-    "mean_wait_s_stderr",
-    "forced_crossings_mean",
-    "forced_crossings_stderr",
-)
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 # command-line destination -> config field
 _FLAG_FIELDS = {
@@ -93,18 +80,7 @@ class RunManifest:
 
     @classmethod
     def for_config(cls, config: SimulationConfig, timestamp: bool = True) -> "RunManifest":
-        model = TrafficModel.from_config(config)
-        traffic = {
-            "pareto_alpha": model.pareto_alpha,
-            "pareto_xm_bits": model.pareto_xm_bits,
-            "lognorm_mu": model.lognorm_mu,
-            "lognorm_sigma": model.lognorm_sigma,
-            "data_fraction": model.data_fraction,
-            "voice_rate_bps": model.voice_rate_bps,
-            "voice_mean_duration_s": model.voice_mean_duration_s,
-            "mean_interarrival_s": model.mean_interarrival_s,
-            "volume_cap_bits": model.volume_cap_bits,
-        }
+        traffic = dataclasses.asdict(TrafficModel.from_config(config))
         created = (
             datetime.now(timezone.utc).isoformat(timespec="seconds")
             if timestamp
@@ -248,6 +224,8 @@ def _csv_text(columns: tuple[str, ...], rows: list[list]) -> str:
 def _num(value) -> str:
     if value is None:
         return "nan"
+    if isinstance(value, str):
+        return value
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
@@ -256,65 +234,51 @@ def _num(value) -> str:
 def layout_dict(
     deployment: CellDeployment, grid: PowerGrid, manifest: RunManifest
 ) -> dict:
+    hub_x, hub_y = deployment.hub
+    cells = zip(
+        deployment.xy.tolist(),
+        deployment.sector.tolist(),
+        grid.wire_m.tolist(),
+        grid.served.tolist(),
+    )
+    nodes = zip(
+        grid.node_xy.tolist(),
+        grid.node_kind.tolist(),
+        grid.node_cell.tolist(),
+        grid.node_sector.tolist(),
+    )
     return {
         "manifest": manifest.as_dict(),
-        "hub": {"x_m": deployment.hub_x_m, "y_m": deployment.hub_y_m},
+        "hub": {"x_m": hub_x, "y_m": hub_y},
         "forced_crossings": grid.forced_crossings,
         "cells": [
             {
-                "id": c.id,
-                "x_m": c.x_m,
-                "y_m": c.y_m,
-                "radius_m": c.radius_m,
-                "sector": c.sector,
-                "wire_distance_m": grid.wire_distance_m[c.id],
-                "served": grid.served[c.id],
+                "id": i,
+                "x_m": x,
+                "y_m": y,
+                "radius_m": deployment.radius_m,
+                "sector": sector,
+                "wire_distance_m": wire,
+                "served": served,
             }
-            for c in deployment.cells
+            for i, ((x, y), sector, wire, served) in enumerate(cells)
         ],
         "nodes": [
             {
-                "id": n.id,
-                "x_m": n.x_m,
-                "y_m": n.y_m,
-                "kind": n.kind,
-                "cell_id": n.cell_id,
-                "sector": n.sector,
+                "id": i,
+                "x_m": x,
+                "y_m": y,
+                "kind": kind,
+                "cell_id": None if cell < 0 else cell,
+                "sector": None if sector < 0 else sector,
             }
-            for n in grid.nodes
+            for i, ((x, y), kind, cell, sector) in enumerate(nodes)
         ],
-        "edges": [{"a": e.a, "b": e.b, "length_m": e.length_m} for e in grid.edges],
+        "edges": [
+            {"a": a, "b": b, "length_m": length}
+            for (a, b), length in zip(grid.edges.tolist(), grid.length_m.tolist())
+        ],
     }
-
-
-def load_layout(path: str | Path) -> tuple[CellDeployment, PowerGrid]:
-    """Re-parse a layout file written by `generate` into live objects."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    config = SimulationConfig(**data["manifest"]["config"])
-    cells = [
-        Cell(c["id"], c["x_m"], c["y_m"], c["radius_m"], c["sector"])
-        for c in data["cells"]
-    ]
-    deployment = CellDeployment(
-        cells=cells,
-        hub_x_m=data["hub"]["x_m"],
-        hub_y_m=data["hub"]["y_m"],
-        config=config,
-    )
-    grid = PowerGrid(
-        nodes=[
-            GridNode(n["id"], n["x_m"], n["y_m"], n["kind"], n["cell_id"], n["sector"])
-            for n in data["nodes"]
-        ],
-        edges=[GridEdge(e["a"], e["b"], e["length_m"]) for e in data["edges"]],
-        hub_node=0,
-        n_branches=config.n_branches,
-        wire_distance_m={c["id"]: c["wire_distance_m"] for c in data["cells"]},
-        branch_of={c["id"]: c["sector"] for c in data["cells"]},
-        served={c["id"]: c["served"] for c in data["cells"]},
-        forced_crossings=data["forced_crossings"],
-    )
-    return deployment, grid
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +348,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     topologies = [args.topology] if args.topology else list(TOPOLOGIES)
     result = run_sweep(config, densities, topologies, config.replications)
 
-    rows = []
-    for r in result.rows:
-        rows.append(
-            [
-                _num(r.density),
-                r.topology,
-                str(r.replications),
-                _num(r.reachability_mean),
-                _num(r.reachability_stderr),
-                _num(r.avg_rate_bps_mean),
-                _num(r.avg_rate_bps_stderr),
-                _num(r.max_rate_bps_mean),
-                _num(r.max_rate_bps_stderr),
-                _num(r.mean_wait_s_mean),
-                _num(r.mean_wait_s_stderr),
-                _num(r.forced_crossings_mean),
-                _num(r.forced_crossings_stderr),
-            ]
-        )
+    rows = [[_num(getattr(r, c)) for c in SWEEP_COLUMNS] for r in result.rows]
     out_dir = Path(args.out)
     out = out_dir / "sweep.csv"
     _write_atomic(out, _csv_text(SWEEP_COLUMNS, rows))

@@ -6,10 +6,15 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 
 TOPOLOGIES = ("bus", "tree", "chain")
 HUB_MODES = ("center", "uniform")
+
+# largest element count numpy can give one array
+_MAX_ARRAY_SIZE = np.iinfo(np.intp).max
 
 
 @dataclass
@@ -104,10 +109,32 @@ class SimulationConfig:
         _require(self.kb_bits > 0, "kb_bits", "> 0", self.kb_bits)
         _require(self.replications >= 1, "replications", ">= 1", self.replications)
         _require(self.master_seed >= 0, "master_seed", ">= 0", self.master_seed)
+        # array sizes a run asks for, so that huge finite values fail here
+        # rather than overflowing later
+        for fields, size in (
+            (
+                "density * side_m**2 / cell_area_m2 (cell count)",
+                self.density * self.side_m * self.side_m / self.cell_area_m2,
+            ),
+            ("horizon_s / dt_s (step count)", self.horizon_s / self.dt_s),
+            (
+                "horizon_s / mean_interarrival_s (arrival batch)",
+                arrival_chunk(self.horizon_s, self.mean_interarrival_s),
+            ),
+        ):
+            _require(size <= _MAX_ARRAY_SIZE, fields, "<= %d" % _MAX_ARRAY_SIZE, size)
         return self
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def arrival_chunk(horizon_s: float, mean_interarrival_s: float) -> float:
+    """Arrivals drawn per batch for one cell: the expected count plus six
+    standard deviations, so that one batch almost always covers the
+    horizon."""
+    expect = horizon_s / mean_interarrival_s
+    return max(16.0, expect + 6.0 * math.sqrt(expect) + 8.0)
 
 
 def _require(ok: bool, field: str, bound: str, value) -> None:

@@ -4,12 +4,24 @@ Cell sites form a binomial point process: the number of cells is fixed by
 the requested density and the per-cell coverage footprint, positions are
 drawn uniformly over the square.  Each cell is then binned into one of
 ``n_branches`` equal angular sectors around the hub.
+
+A deployment is a set of arrays indexed by cell id: ``xy[n, 2]`` holds the
+positions and ``sector[n]`` the sector labels; ``hub`` is one ``(x, y)``
+pair and ``radius_m`` the footprint radius every cell shares.  Two rules
+keep every layout identical to the one the seed has always produced:
+
+* the draws come in a fixed order: the hub first (``uniform`` hub mode
+  only), then all x coordinates, then all y coordinates.  Drawing one
+  ``(n, 2)`` array instead would interleave x and y;
+* sector angles come from ``math.atan2`` on Python floats, not
+  ``np.arctan2``, which can differ from it in the last ulp and so move a
+  cell that sits on a sector boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +33,16 @@ _COUNT_EPS = 1e-9
 
 _TWO_PI = 2.0 * math.pi
 
-# footprint radius for the documented default 400 m2 coverage area
-_DEFAULT_RADIUS_M = math.sqrt(400.0 / math.pi)
-
-
-@dataclass
-class Cell:
-    id: int
-    x_m: float
-    y_m: float
-    radius_m: float
-    sector: int = -1  # -1 until assign_sectors runs
-
 
 @dataclass
 class CellDeployment:
-    cells: list[Cell] = field(default_factory=list)
-    hub_x_m: float = math.nan
-    hub_y_m: float = math.nan
-    config: SimulationConfig | None = None
+    """Hub position, cell positions ``xy[n, 2]`` and sector labels
+    ``sector[n]``; cell ``i`` is row ``i``."""
+
+    hub: tuple[float, float]
+    xy: np.ndarray
+    sector: np.ndarray
+    radius_m: float
 
 
 def cell_count(density: float, side_m: float, cell_area_m2: float) -> int:
@@ -48,20 +51,12 @@ def cell_count(density: float, side_m: float, cell_area_m2: float) -> int:
     return int(math.floor(raw + _COUNT_EPS))
 
 
-def place_cells(
-    count: int,
-    side_m: float,
-    rng: np.random.Generator,
-    radius_m: float = _DEFAULT_RADIUS_M,
-) -> CellDeployment:
-    """Scatter `count` cells uniformly on [0, side_m]^2 (sectors unassigned)."""
+def place_cells(count: int, side_m: float, rng: np.random.Generator) -> np.ndarray:
+    """Positions ``(count, 2)`` drawn uniformly on [0, side_m]^2: all x
+    coordinates first, then all y coordinates."""
     xs = rng.uniform(0.0, side_m, size=count)
     ys = rng.uniform(0.0, side_m, size=count)
-    cells = [
-        Cell(id=i, x_m=float(xs[i]), y_m=float(ys[i]), radius_m=radius_m)
-        for i in range(count)
-    ]
-    return CellDeployment(cells=cells)
+    return np.column_stack((xs, ys))
 
 
 def place_hub(config: SimulationConfig, rng: np.random.Generator) -> tuple[float, float]:
@@ -74,38 +69,36 @@ def place_hub(config: SimulationConfig, rng: np.random.Generator) -> tuple[float
 
 
 def assign_sectors(
-    deployment: CellDeployment,
+    xy: np.ndarray,
+    hub: tuple[float, float],
     n_branches: int,
     anchor_rad: float = 0.0,
-) -> CellDeployment:
-    """Bin every cell into a half-open angular sector about the hub.
+) -> np.ndarray:
+    """Sector label of every cell: a half-open angular sector about the hub.
 
     Sector k covers angles [anchor + k*w, anchor + (k+1)*w) with
     w = 2*pi/n_branches; a cell exactly on the hub gets sector 0.
     """
     width = _TWO_PI / n_branches
-    for cell in deployment.cells:
-        dx = cell.x_m - deployment.hub_x_m
-        dy = cell.y_m - deployment.hub_y_m
+    hx, hy = hub
+    labels = []
+    for x, y in xy.tolist():
+        dx = x - hx
+        dy = y - hy
         if dx == 0.0 and dy == 0.0:
-            cell.sector = 0
+            labels.append(0)
             continue
         theta = (math.atan2(dy, dx) - anchor_rad) % _TWO_PI
-        k = int(theta / width)
         # float division can round exactly up to n_branches when theta
         # sits one ulp below 2*pi
-        cell.sector = min(k, n_branches - 1)
-    return deployment
+        labels.append(min(int(theta / width), n_branches - 1))
+    return np.array(labels, dtype=np.intp)
 
 
 def deploy(config: SimulationConfig, rng: np.random.Generator) -> CellDeployment:
     """Full deployment pipeline: hub, cells, sector assignment."""
-    hub_x, hub_y = place_hub(config, rng)
+    hub = place_hub(config, rng)
     n = cell_count(config.density, config.side_m, config.cell_area_m2)
-    radius = math.sqrt(config.cell_area_m2 / math.pi)
-    deployment = place_cells(n, config.side_m, rng, radius_m=radius)
-    deployment.hub_x_m = hub_x
-    deployment.hub_y_m = hub_y
-    deployment.config = config
-    assign_sectors(deployment, config.n_branches, config.sector_anchor_rad)
-    return deployment
+    xy = place_cells(n, config.side_m, rng)
+    sector = assign_sectors(xy, hub, config.n_branches, config.sector_anchor_rad)
+    return CellDeployment(hub, xy, sector, math.sqrt(config.cell_area_m2 / math.pi))

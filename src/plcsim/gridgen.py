@@ -13,6 +13,17 @@ under one of three wiring disciplines:
 Wire distance to the hub, not Euclidean distance, decides whether a cell
 can be served.
 
+A grid is a set of arrays.  Node ``i`` has position ``node_xy[i]``, kind
+``node_kind[i]`` (``"hub"``, ``"cell"`` or ``"junction"``), cell id
+``node_cell[i]`` (-1 for the hub and junctions) and sector
+``node_sector[i]`` (-1 for the hub).  Node 0 is the hub; then come, sector
+by sector, the sector's cells in id order and then its bus junctions.
+Edge ``e`` wires node ``edges[e, 0]`` to node ``edges[e, 1]`` with
+``length_m[e]`` of cable, edges listed sector by sector in the order they
+were laid.  Per cell (indexed by cell id) the grid holds ``wire_m``, the
+hub-to-cell path length, ``branch``, the cell's sector, and ``served``,
+set by `mark_served`.
+
 The ``tree`` and ``chain`` feeders of all sectors are grown in lockstep:
 sector ``s`` is row ``s`` of ``(n_sectors, max_cells)`` arrays, and each
 step wires one more cell in every sector that still has one, so one numpy
@@ -23,50 +34,40 @@ bit-identical to growing them one at a time, provided that
   would pick a NaN), so a padded slot is never the nearest cell, and
   unused edge slots hold NaN, whose comparisons are all False, so a
   padded edge never crosses or touches a wire;
-* chain hop lengths come from ``math.hypot`` on scalars, which defines
-  them (``np.hypot`` can differ from it in the last ulp); tree hop
-  lengths are the ``np.hypot`` distances its nearest-node search holds.
+* chain hop lengths and bus spine lengths come from ``math.hypot`` on
+  scalars, which defines them (``np.hypot`` can differ from it in the last
+  ulp); tree hop lengths are the ``np.hypot`` distances its nearest-node
+  search holds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SimulationConfig
-from .deployment import Cell, CellDeployment
+from .deployment import CellDeployment
 from .errors import GeometryError
-
-Point = tuple[float, float]
-
-@dataclass
-class GridNode:
-    id: int
-    x_m: float
-    y_m: float
-    kind: str  # "hub" | "cell" | "junction"
-    cell_id: int | None = None
-    sector: int | None = None
-
-
-@dataclass
-class GridEdge:
-    a: int
-    b: int
-    length_m: float
 
 
 @dataclass
 class PowerGrid:
-    nodes: list[GridNode] = field(default_factory=list)
-    edges: list[GridEdge] = field(default_factory=list)
-    hub_node: int = 0
-    n_branches: int = 1
-    wire_distance_m: dict[int, float] = field(default_factory=dict)
-    branch_of: dict[int, int] = field(default_factory=dict)
-    served: dict[int, bool] = field(default_factory=dict)
+    """Feeder grid as node, edge and per-cell arrays (see the module
+    docstring)."""
+
+    node_xy: np.ndarray
+    node_kind: np.ndarray
+    node_cell: np.ndarray
+    node_sector: np.ndarray
+    edges: np.ndarray
+    length_m: np.ndarray
+    wire_m: np.ndarray
+    branch: np.ndarray
+    served: np.ndarray
+    n_branches: int
     forced_crossings: int = 0
 
 
@@ -150,97 +151,95 @@ def _crosses_any(
 
 
 # ---------------------------------------------------------------------------
-# per-sector builders
+# feeder builders
 
-def _empty_sector_grid(hub: Point) -> PowerGrid:
-    return PowerGrid(nodes=[GridNode(0, hub[0], hub[1], "hub")], edges=[])
-
-
-def _cell_xy(cells: list[Cell]) -> np.ndarray:
-    return np.array([[c.x_m, c.y_m] for c in cells], dtype=float)
-
-
-def build_bus(
-    sector_cells: list[Cell],
-    hub: Point,
-    bisector_rad: float,
-    max_wire_m: float,
-) -> PowerGrid:
-    """Straight spine from the hub along the sector bisector.
+def build_bus(deployment: CellDeployment, config: SimulationConfig) -> PowerGrid:
+    """Straight spine from the hub along each sector's bisector.
 
     Spine length is min(max_wire_m, furthest positive projection); every
     cell drops perpendicularly onto its (clamped) projection point, and
-    cells projecting at or behind the hub wire straight to the hub.
+    cells projecting at or behind the hub wire straight to the hub.  Cells
+    sharing a projection point share one junction, which is the first of
+    them lying on the spine, or else a new junction node.
     """
-    cells = sorted(sector_cells, key=lambda c: c.id)
-    grid = _empty_sector_grid(hub)
-    if not cells:
-        return grid
+    xy, sector = deployment.xy, deployment.sector
+    hx, hy = deployment.hub
+    nb = config.n_branches
+    width = 2.0 * math.pi / nb
+    bisectors = [config.sector_anchor_rad + (k + 0.5) * width for k in range(nb)]
+    ux = [math.cos(b) for b in bisectors]
+    uy = [math.sin(b) for b in bisectors]
+    cell_ux = np.array(ux)[sector]
+    cell_uy = np.array(uy)[sector]
+    proj = (xy[:, 0] - hx) * cell_ux + (xy[:, 1] - hy) * cell_uy
+    furthest = np.zeros(nb)
+    np.maximum.at(furthest, sector, proj)
+    t = np.clip(proj, 0.0, np.minimum(config.max_wire_m, furthest)[sector])
+    drop = np.hypot(xy[:, 0] - (hx + t * cell_ux), xy[:, 1] - (hy + t * cell_uy))
 
-    hx, hy = hub
-    ux = math.cos(bisector_rad)
-    uy = math.sin(bisector_rad)
-    xy = _cell_xy(cells)
-    proj = (xy[:, 0] - hx) * ux + (xy[:, 1] - hy) * uy
-    positive = proj[proj > 0.0]
-    spine_len = min(max_wire_m, float(positive.max())) if positive.size else 0.0
-    t = np.clip(proj, 0.0, spine_len)
-    attach_x = hx + t * ux
-    attach_y = hy + t * uy
-    drop = np.hypot(xy[:, 0] - attach_x, xy[:, 1] - attach_y)
+    xy_l, t_l, drop_l = xy.tolist(), t.tolist(), drop.tolist()
+    node_xy, node_cell, node_sector = [[hx, hy]], [-1], [-1]
+    edges: list[tuple[int, int]] = []
+    length: list[float] = []
+    node_of = {}
+    cells_by_sector, sizes = _by_sector(sector, nb)
+    for k, cells in enumerate(np.split(cells_by_sector, np.cumsum(sizes)[:-1])):
+        cells = cells.tolist()
+        for c in cells:
+            node_of[c] = len(node_xy)
+            node_xy.append(xy_l[c])
+        node_cell += cells
+        prev, px, py = 0, hx, hy
+        by_t = sorted(cells, key=t_l.__getitem__)  # stable: ties keep id order
+        for tv, group in itertools.groupby(by_t, t_l.__getitem__):
+            group = list(group)
+            if tv == 0.0:
+                junction = 0  # at or behind the hub: drop straight to it
+            else:
+                on_spine = [c for c in group if drop_l[c] == 0.0]
+                if on_spine:
+                    junction = node_of[on_spine[0]]
+                    jx, jy = xy_l[on_spine[0]]
+                else:
+                    junction = len(node_xy)
+                    jx, jy = hx + tv * ux[k], hy + tv * uy[k]
+                    node_xy.append([jx, jy])
+                    node_cell.append(-1)
+                edges.append((prev, junction))
+                length.append(math.hypot(jx - px, jy - py))
+                prev, px, py = junction, jx, jy
+            for c in group:
+                if node_of[c] != junction:
+                    edges.append((junction, node_of[c]))
+                    length.append(drop_l[c])
+        # the sector's cells and junctions
+        node_sector += [k] * (len(node_xy) - len(node_sector))
 
-    nodes = grid.nodes
-    edges = grid.edges
-    cell_node = {}
-    for i, c in enumerate(cells):
-        node = GridNode(len(nodes), c.x_m, c.y_m, "cell", cell_id=c.id)
-        nodes.append(node)
-        cell_node[i] = node.id
-        grid.wire_distance_m[c.id] = float(t[i] + drop[i])
-
-    for i in np.flatnonzero(t == 0.0):
-        edges.append(GridEdge(0, cell_node[int(i)], float(drop[i])))
-
-    prev = 0
-    for tv in np.unique(t[t > 0.0]):
-        group = np.flatnonzero(t == tv)
-        on_spine = [int(i) for i in group if drop[i] == 0.0]
-        if on_spine:
-            junction = cell_node[on_spine[0]]
-            hang = [int(i) for i in group if int(i) != on_spine[0]]
-        else:
-            junction = len(nodes)
-            nodes.append(
-                GridNode(junction, float(hx + tv * ux), float(hy + tv * uy), "junction")
-            )
-            hang = [int(i) for i in group]
-        jx, jy = nodes[junction].x_m, nodes[junction].y_m
-        px, py = nodes[prev].x_m, nodes[prev].y_m
-        edges.append(GridEdge(prev, junction, math.hypot(jx - px, jy - py)))
-        for i in hang:
-            edges.append(GridEdge(junction, cell_node[i], float(drop[i])))
-        prev = junction
-
-    return grid
+    node_cell = np.array(node_cell, dtype=np.intp)
+    return PowerGrid(
+        node_xy=np.array(node_xy),
+        node_kind=_node_kinds(node_cell),
+        node_cell=node_cell,
+        node_sector=np.array(node_sector, dtype=np.intp),
+        edges=np.array(edges, dtype=np.intp).reshape(-1, 2),
+        length_m=np.array(length),
+        wire_m=t + drop,
+        branch=sector,
+        served=np.zeros(len(xy), dtype=bool),
+        n_branches=nb,
+    )
 
 
-def build_tree(sector_cells: list[Cell], hub: Point) -> PowerGrid:
-    """Accretion tree: repeatedly wire the unconnected cell closest to any
-    already-connected node (ties: lower cell id; equidistant targets:
-    earliest-connected node)."""
-    return _sector_grid(sector_cells, hub, _grow_trees)
+def _by_sector(sector: np.ndarray, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell ids sector by sector (id order within a sector), and the number
+    of cells in each sector."""
+    return np.argsort(sector, kind="stable"), np.bincount(sector, minlength=nb)
 
 
-def build_chain(sector_cells: list[Cell], hub: Point) -> PowerGrid:
-    """Serpentine chain: keep extending from the last-wired cell to the
-    nearest unconnected cell; when that hop would cross an existing wire,
-    branch from the candidate's nearest crossing-free node instead.
-
-    If every attachment would cross (possible only in pathological
-    layouts), the nearest node is used anyway and the grid's
-    forced_crossings counter is bumped.
-    """
-    return _sector_grid(sector_cells, hub, _grow_chains)
+def _node_kinds(node_cell: np.ndarray) -> np.ndarray:
+    kind = np.where(node_cell >= 0, "cell", "junction")
+    kind[0] = "hub"
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -254,50 +253,46 @@ def build_chain(sector_cells: list[Cell], hub: Point) -> PowerGrid:
 # with a wire of length[r, k]; wire[r, i] is node i's wire distance and
 # forced[r] the row's forced crossings.
 
-def _add_feeders(
-    grid: PowerGrid, sectors: list[list[Cell]], hub: Point, grow, labels: bool
-) -> None:
-    """Grow every sector's feeder with `grow` in lockstep and append them
-    to `grid`, sector by sector; nodes get their sector number as label
-    when `labels` is set."""
-    cells = [sorted(s, key=lambda c: c.id) for s in sectors]
-    sizes = np.array([len(c) for c in cells], dtype=np.intp)
-    order = np.argsort(-sizes, kind="stable")
+def _build_feeders(deployment: CellDeployment, nb: int, grow) -> PowerGrid:
+    """Grow every sector's feeder with `grow` in lockstep."""
+    sector = deployment.sector
+    cells, sizes = _by_sector(sector, nb)
     slots = int(sizes.max(initial=0))
-    node_xy = np.full((len(cells), slots + 1, 2), np.inf)
-    node_xy[:, 0] = hub
-    for row, k in enumerate(order.tolist()):
-        if cells[k]:
-            node_xy[row, 1 : sizes[k] + 1] = _cell_xy(cells[k])
-    lives = (sizes[order] > np.arange(slots)[:, None]).sum(axis=1).tolist()
-    parent, child, length, wire, forced = grow(node_xy, lives)
+    filled = np.arange(slots) < sizes[:, None]  # (sector, slot)
+    node_xy = np.full((nb, slots + 1, 2), np.inf)
+    node_xy[:, 0] = deployment.hub
+    node_xy[:, 1:][filled] = deployment.xy[cells]
 
-    for k, row in enumerate(np.argsort(order).tolist()):
-        n = int(sizes[k])
-        offset = len(grid.nodes) - 1
-        sector = k if labels else None
-        for c in cells[k]:
-            node = GridNode(len(grid.nodes), c.x_m, c.y_m, "cell", c.id, sector)
-            grid.nodes.append(node)
-        hops = zip(
-            parent[row, :n].tolist(),
-            child[row, :n].tolist(),
-            length[row, :n].tolist(),
-            wire[row, child[row, :n]].tolist(),
-        )
-        for a, b, hop, dist in hops:
-            grid.edges.append(GridEdge(a + offset if a else 0, b + offset, hop))
-            grid.wire_distance_m[cells[k][b - 1].id] = dist
-        grid.forced_crossings += int(forced[row])
+    rows = np.argsort(-sizes, kind="stable")
+    unsort = np.argsort(rows)
+    grown = grow(node_xy[rows], filled.sum(axis=0).tolist())
+    parent, child, length, wire, forced = (a[unsort] for a in grown)
 
-
-def _sector_grid(sector_cells: list[Cell], hub: Point, grow) -> PowerGrid:
-    grid = _empty_sector_grid(hub)
-    _add_feeders(grid, [sector_cells], hub, grow, labels=False)
-    return grid
+    # a sector's node i is global node i + (cells in earlier sectors)
+    offset = (np.cumsum(sizes) - sizes)[:, None]
+    parent = np.where(parent == 0, 0, parent + offset)
+    wire_m = np.empty(len(cells))
+    wire_m[cells] = wire[:, 1:][filled]
+    node_cell = np.concatenate(([-1], cells))
+    return PowerGrid(
+        node_xy=np.concatenate(([deployment.hub], deployment.xy[cells])),
+        node_kind=_node_kinds(node_cell),
+        node_cell=node_cell,
+        node_sector=np.concatenate(([-1], sector[cells])),
+        edges=np.column_stack((parent[filled], (child + offset)[filled])),
+        length_m=length[filled],
+        wire_m=wire_m,
+        branch=sector,
+        served=np.zeros(len(cells), dtype=bool),
+        n_branches=nb,
+        forced_crossings=int(forced.sum()),
+    )
 
 
 def _grow_trees(node_xy: np.ndarray, lives: list[int]):
+    """Accretion trees: repeatedly wire the unconnected cell closest to any
+    already-connected node (ties: lower cell id; equidistant targets:
+    earliest-connected node)."""
     rows, slots = node_xy.shape[0], node_xy.shape[1] - 1
     xy = node_xy[:, 1:]
     hub = node_xy[:, 0]
@@ -334,6 +329,14 @@ def _grow_trees(node_xy: np.ndarray, lives: list[int]):
 
 
 def _grow_chains(node_xy: np.ndarray, lives: list[int]):
+    """Serpentine chains: keep extending from the last-wired cell to the
+    nearest unconnected cell; when that hop would cross an existing wire,
+    branch from the candidate's nearest crossing-free node instead.
+
+    If every attachment would cross (possible only in pathological
+    layouts), the nearest node is used anyway and the row's forced
+    crossing count is bumped.
+    """
     rows, slots = node_xy.shape[0], node_xy.shape[1] - 1
     xy = node_xy[:, 1:]
     connected = np.zeros((rows, slots), dtype=bool)
@@ -418,67 +421,24 @@ def _branch_point(
 # whole-grid assembly
 
 def build_grid(deployment: CellDeployment, config: SimulationConfig) -> PowerGrid:
-    """Build every sector's feeder under config.topology and merge them.
+    """Build every sector's feeder under config.topology.
 
     Sectors are convex for n_branches >= 2, so wires from different
     sectors cannot cross; the merged graph stays a tree rooted at the hub.
     """
-    if math.isnan(deployment.hub_x_m) or math.isnan(deployment.hub_y_m):
+    if any(math.isnan(v) for v in deployment.hub):
         raise GeometryError("deployment has no hub position")
-    hub = (deployment.hub_x_m, deployment.hub_y_m)
-    nb = config.n_branches
-    for cell in deployment.cells:
-        if not 0 <= cell.sector < nb:
-            raise GeometryError(
-                "cell %d has no valid sector label (run assign_sectors first)"
-                % cell.id
-            )
-
-    grid = PowerGrid(
-        nodes=[GridNode(0, hub[0], hub[1], "hub")],
-        edges=[],
-        n_branches=nb,
-    )
-    sectors = [[c for c in deployment.cells if c.sector == k] for k in range(nb)]
+    sector = deployment.sector
+    unlabelled = np.flatnonzero((sector < 0) | (sector >= config.n_branches))
+    if unlabelled.size:
+        raise GeometryError(
+            "cell %d has no valid sector label (run assign_sectors first)"
+            % unlabelled[0]
+        )
     if config.topology == "bus":
-        width = 2.0 * math.pi / nb
-        for k, sector_cells in enumerate(sectors):
-            bisector = config.sector_anchor_rad + (k + 0.5) * width
-            sub = build_bus(sector_cells, hub, bisector, config.max_wire_m)
-            offset = len(grid.nodes) - 1
-            for node in sub.nodes[1:]:
-                grid.nodes.append(
-                    GridNode(
-                        node.id + offset,
-                        node.x_m,
-                        node.y_m,
-                        node.kind,
-                        cell_id=node.cell_id,
-                        sector=k,
-                    )
-                )
-            for e in sub.edges:
-                a = e.a + offset if e.a else 0
-                b = e.b + offset if e.b else 0
-                grid.edges.append(GridEdge(a, b, e.length_m))
-            grid.wire_distance_m.update(sub.wire_distance_m)
-            grid.forced_crossings += sub.forced_crossings
-    else:
-        grow = _grow_trees if config.topology == "tree" else _grow_chains
-        _add_feeders(grid, sectors, hub, grow, labels=True)
-
-    for k, sector_cells in enumerate(sectors):
-        for c in sector_cells:
-            grid.branch_of[c.id] = k
-    return grid
-
-
-def wire_distance(grid: PowerGrid, cell_id: int) -> float:
-    """Hub-to-cell path length along the feeder, in meters."""
-    try:
-        return grid.wire_distance_m[cell_id]
-    except KeyError:
-        raise KeyError("cell %d is not part of this grid" % cell_id) from None
+        return build_bus(deployment, config)
+    grow = _grow_trees if config.topology == "tree" else _grow_chains
+    return _build_feeders(deployment, config.n_branches, grow)
 
 
 def mark_served(
@@ -486,21 +446,19 @@ def mark_served(
 ) -> PowerGrid:
     """Flag the served cells: wire distance within reach, and within the
     per-branch fan-out cap (nearest first, ties by cell id)."""
-    per_branch: dict[int, list[tuple[float, int]]] = {}
-    for cid, branch in grid.branch_of.items():
-        grid.served[cid] = False
-        dist = grid.wire_distance_m[cid]
-        if dist <= max_wire_m:
-            per_branch.setdefault(branch, []).append((dist, cid))
-    for ranked in per_branch.values():
-        ranked.sort()
-        for _, cid in ranked[:max_cells_per_branch]:
-            grid.served[cid] = True
+    # lexsort is stable, so equal (branch, wire) keys stay in cell id order
+    ranked = np.lexsort((grid.wire_m, grid.branch))
+    ranked = ranked[grid.wire_m[ranked] <= max_wire_m]
+    branch = grid.branch[ranked]
+    rank = np.arange(ranked.size) - np.searchsorted(branch, branch)
+    grid.served = np.zeros(grid.wire_m.size, dtype=bool)
+    grid.served[ranked[rank < max_cells_per_branch]] = True
     return grid
 
 
 def reachability_fraction(grid: PowerGrid) -> float | None:
     """Served fraction of all cells; None for an empty deployment."""
-    if not grid.served:
+    n = grid.served.size
+    if n == 0:
         return None
-    return sum(grid.served.values()) / len(grid.served)
+    return int(np.count_nonzero(grid.served)) / n

@@ -22,7 +22,7 @@ import numpy as np
 from .config import SimulationConfig
 from .deployment import deploy
 from .gridgen import PowerGrid, build_grid, mark_served, reachability_fraction
-from .traffic import Session, TrafficModel, _cell_stream
+from .traffic import TrafficModel, _cell_stream
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,29 +46,6 @@ class SessionSet:
             np.empty(0),
             np.empty(0),
         )
-
-    @classmethod
-    def from_sessions(cls, sessions: list[Session]) -> "SessionSet":
-        ordered = sorted(sessions, key=lambda s: (s.cell_id, s.start_s))
-        return cls(
-            np.array([s.cell_id for s in ordered], dtype=int),
-            np.array([s.kind == "data" for s in ordered], dtype=bool),
-            np.array([s.start_s for s in ordered]),
-            np.array([s.duration_s for s in ordered]),
-            np.array([s.rate_bps for s in ordered]),
-        )
-
-    def to_sessions(self) -> list[Session]:
-        return [
-            Session(
-                int(self.cell_id[i]),
-                "data" if self.is_data[i] else "voice",
-                float(self.start_s[i]),
-                float(self.duration_s[i]),
-                float(self.rate_bps[i]),
-            )
-            for i in range(self.cell_id.size)
-        ]
 
     def subset(self, mask: np.ndarray) -> "SessionSet":
         return SessionSet(
@@ -156,12 +133,13 @@ def derive_seed(
 def generate_traffic(
     rng: np.random.Generator,
     model: TrafficModel,
-    cell_ids: list[int],
+    n_cells: int,
     horizon_s: float,
 ) -> SessionSet:
-    """Sessions for every cell (served or not), cells drawn in id order."""
+    """Sessions for every cell 0..n_cells-1 (served or not), drawn cell by
+    cell in id order."""
     cols: list[tuple[np.ndarray, ...]] = []
-    for cid in sorted(cell_ids):
+    for cid in range(n_cells):
         starts, is_data, durations, rates = _cell_stream(rng, model, horizon_s)
         if starts.size:
             cols.append((np.full(starts.size, cid), is_data, starts, durations, rates))
@@ -183,14 +161,8 @@ def _step_count(horizon_s: float, dt_s: float) -> int:
     return max(int(math.ceil(ratio)), 1)
 
 
-def _coerce(sessions) -> SessionSet:
-    if isinstance(sessions, SessionSet):
-        return sessions
-    return SessionSet.from_sessions(list(sessions))
-
-
 def aggregate_rate_series(
-    sessions,
+    sessions: SessionSet,
     grid: PowerGrid,
     dt_s: float,
     horizon_s: float,
@@ -203,30 +175,15 @@ def aggregate_rate_series(
     Sessions of unserved cells contribute nothing unless include_unserved
     is set (the offered-load view).
     """
-    ss = _coerce(sessions)
     steps = _step_count(horizon_s, dt_s)
     nb = grid.n_branches
     width = steps + 2
 
-    if ss.cell_id.size:
-        n_cells = max(grid.branch_of, default=-1) + 1
-        branch_lut = np.zeros(n_cells + 1, dtype=int)
-        served_lut = np.zeros(n_cells + 1, dtype=bool)
-        for cid, b in grid.branch_of.items():
-            branch_lut[cid] = b
-        for cid, s in grid.served.items():
-            served_lut[cid] = s
-        keep = (
-            np.ones(ss.cell_id.size, dtype=bool)
-            if include_unserved
-            else served_lut[ss.cell_id]
-        )
-        # sessions must start inside the observation window
-        keep &= (ss.start_s >= 0.0) & (ss.start_s < horizon_s)
-        kept = ss.subset(keep)
-    else:
-        kept = ss
-
+    # sessions must start inside the observation window
+    keep = (sessions.start_s >= 0.0) & (sessions.start_s < horizon_s)
+    if not include_unserved:
+        keep &= grid.served[sessions.cell_id]
+    kept = sessions.subset(keep)
     if kept.cell_id.size == 0:
         return RateSeries(dt_s, np.zeros(steps), np.zeros((nb, steps)))
 
@@ -244,7 +201,7 @@ def aggregate_rate_series(
     hub_diff = np.bincount(idx, weights=val, minlength=width)
     hub = np.cumsum(hub_diff)[:steps]
 
-    branch = branch_lut[kept.cell_id]
+    branch = grid.branch[kept.cell_id]
     flat = np.concatenate([branch, branch, branch, branch]) * width + idx
     branch_diff = np.bincount(flat, weights=val, minlength=nb * width)
     branches = np.cumsum(branch_diff.reshape(nb, width), axis=1)[:, :steps]
@@ -255,12 +212,12 @@ def aggregate_rate_series(
 # ---------------------------------------------------------------------------
 # metrics
 
-def _pooled_waits(ss: SessionSet, served_lut: np.ndarray) -> tuple[float | None, float | None]:
+def _pooled_waits(ss: SessionSet, served: np.ndarray) -> tuple[float | None, float | None]:
     """Mean inter-arrival gap pooled over served cells, and the mean of
     per-cell mean gaps."""
     if ss.cell_id.size < 2:
         return None, None
-    same = (ss.cell_id[1:] == ss.cell_id[:-1]) & served_lut[ss.cell_id[1:]]
+    same = (ss.cell_id[1:] == ss.cell_id[:-1]) & served[ss.cell_id[1:]]
     if not same.any():
         return None, None
     gaps = (ss.start_s[1:] - ss.start_s[:-1])[same]
@@ -276,16 +233,11 @@ def _pooled_waits(ss: SessionSet, served_lut: np.ndarray) -> tuple[float | None,
 def compute_metrics(
     series: RateSeries,
     grid: PowerGrid,
-    sessions,
+    sessions: SessionSet,
     config: SimulationConfig | None = None,
     seed: int | None = None,
 ) -> MetricsReport:
-    ss = _coerce(sessions)
-    n_cells = max(grid.branch_of, default=-1) + 1
-    served_lut = np.zeros(n_cells + 1, dtype=bool)
-    for cid, s in grid.served.items():
-        served_lut[cid] = s
-    pooled, per_cell = _pooled_waits(ss, served_lut)
+    pooled, per_cell = _pooled_waits(sessions, grid.served)
     return MetricsReport(
         seed=seed,
         reachability=reachability_fraction(grid),
@@ -310,9 +262,7 @@ def run_replication(config: SimulationConfig, seed: int) -> MetricsReport:
     grid = build_grid(deployment, config)
     mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
     model = TrafficModel.from_config(config)
-    sessions = generate_traffic(
-        rng, model, [c.id for c in deployment.cells], config.horizon_s
-    )
+    sessions = generate_traffic(rng, model, len(deployment.xy), config.horizon_s)
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
     report = compute_metrics(series, grid, sessions, config=config, seed=seed)
     if config.count_unserved_offered:

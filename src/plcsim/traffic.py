@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .config import SimulationConfig
+from .config import SimulationConfig, arrival_chunk
 from .errors import FitError
 
 # feasibility ceiling for the Pareto exponent; the share equation drives
@@ -56,15 +56,6 @@ class TrafficModel:
             mean_interarrival_s=config.mean_interarrival_s,
             volume_cap_bits=config.volume_cap_bits,
         )
-
-
-@dataclass
-class Session:
-    cell_id: int
-    kind: str  # "data" | "voice"
-    start_s: float
-    duration_s: float
-    rate_bps: float
 
 
 @lru_cache(maxsize=32)
@@ -146,10 +137,6 @@ def fit_duration_distribution(
 # ---------------------------------------------------------------------------
 # sampling
 
-def sample_interarrival(rng: np.random.Generator, mean_s: float) -> float:
-    return float(rng.exponential(mean_s))
-
-
 def sample_data_volumes(
     rng: np.random.Generator, model: TrafficModel, n: int
 ) -> np.ndarray:
@@ -170,26 +157,15 @@ def sample_voice_durations(
     return rng.exponential(model.voice_mean_duration_s, n)
 
 
-def sample_session(
-    rng: np.random.Generator, model: TrafficModel, cell_id: int, start_s: float
-) -> Session:
-    """Draw one session: class, then volume/duration for data or holding
-    time for voice.  Voice sessions run at exactly the codec rate."""
-    if float(rng.random()) < model.data_fraction:
-        volume = float(sample_data_volumes(rng, model, 1)[0])
-        duration = float(sample_data_durations(rng, model, 1)[0])
-        return Session(cell_id, "data", start_s, duration, volume / duration)
-    duration = float(sample_voice_durations(rng, model, 1)[0])
-    return Session(cell_id, "voice", start_s, duration, model.voice_rate_bps)
-
-
 def _cell_stream(
     rng: np.random.Generator, model: TrafficModel, horizon_s: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched per-cell stream: (starts, is_data, durations, rates)."""
+    """One cell's sessions with arrival times inside [0, horizon):
+    (starts, is_data, durations, rates).  Data sessions carry a Pareto
+    volume over a lognormal duration; voice sessions run at exactly the
+    codec rate."""
     mean = model.mean_interarrival_s
-    expect = horizon_s / mean
-    chunk = max(16, int(expect + 6.0 * math.sqrt(expect) + 8.0))
+    chunk = int(arrival_chunk(horizon_s, mean))
     gaps = rng.exponential(mean, chunk)
     arrivals = np.cumsum(gaps)
     while arrivals.size and arrivals[-1] < horizon_s:
@@ -211,26 +187,6 @@ def _cell_stream(
     durations[~is_data] = voice_dur
     rates[~is_data] = model.voice_rate_bps
     return starts, is_data, durations, rates
-
-
-def generate_cell_sessions(
-    rng: np.random.Generator,
-    model: TrafficModel,
-    cell_id: int,
-    horizon_s: float,
-) -> list[Session]:
-    """All sessions of one cell with arrival times inside [0, horizon)."""
-    starts, is_data, durations, rates = _cell_stream(rng, model, horizon_s)
-    return [
-        Session(
-            cell_id,
-            "data" if is_data[i] else "voice",
-            float(starts[i]),
-            float(durations[i]),
-            float(rates[i]),
-        )
-        for i in range(starts.size)
-    ]
 
 
 # ---------------------------------------------------------------------------

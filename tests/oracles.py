@@ -92,9 +92,9 @@ def expected_session_volume_quad(
 # segment crossing and per-sector feeder builders
 #
 # These are the builders as they stood before the lockstep rewrite: one
-# sector at a time, one scalar crossing test per hop.  The lockstep
-# builders must reproduce their edges, wire distances and forced-crossing
-# counts exactly.
+# sector at a time, one scalar crossing test per hop, taking one sector's
+# cell positions and cell ids.  The lockstep builders must reproduce their
+# edges, wire distances and forced-crossing counts exactly.
 
 def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
     """Signed area cross product of (b - a) x (c - a)."""
@@ -209,18 +209,24 @@ def crosses_any_scalar(sx, sy, tx, ty, ea: np.ndarray, eb: np.ndarray) -> bool:
     return bool(touch.any())
 
 
-def reference_tree(cells, hub: Point):
-    """Accretion tree over one sector: (edges (a, b, length_m), wire
-    distance by cell id, forced crossings), node 0 the hub and node i + 1
-    the i-th cell in id order."""
-    cells = sorted(cells, key=lambda c: c.id)
+def _by_id(xy, ids):
+    """Cell ids in id order, and their positions as an (n, 2) array."""
+    order = np.argsort(ids, kind="stable")
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    return np.asarray(ids)[order].tolist(), xy[order]
+
+
+def reference_tree(xy, ids, hub: Point):
+    """Accretion tree over one sector's cells (positions xy, cell ids ids):
+    (edges (a, b, length_m), wire distance by cell id, forced crossings),
+    node 0 the hub and node i + 1 the i-th cell in id order."""
+    ids, xy = _by_id(xy, ids)
     edges: list[tuple[int, int, float]] = []
     wire: dict[int, float] = {}
-    if not cells:
+    if not ids:
         return edges, wire, 0
 
-    xy = np.array([[c.x_m, c.y_m] for c in cells], dtype=float)
-    n = len(cells)
+    n = len(ids)
     dist = np.hypot(xy[:, 0] - hub[0], xy[:, 1] - hub[1])
     nearest_node = np.zeros(n, dtype=int)
     connected = np.zeros(n, dtype=bool)
@@ -232,7 +238,7 @@ def reference_tree(cells, hub: Point):
         hop = float(dist[c])
         edges.append((attach, c + 1, hop))
         wire_by_node[c + 1] = wire_by_node[attach] + hop
-        wire[cells[c].id] = float(wire_by_node[c + 1])
+        wire[ids[c]] = float(wire_by_node[c + 1])
         connected[c] = True
         newd = np.hypot(xy[:, 0] - xy[c, 0], xy[:, 1] - xy[c, 1])
         closer = ~connected & (newd < dist)
@@ -242,17 +248,16 @@ def reference_tree(cells, hub: Point):
     return edges, wire, 0
 
 
-def reference_chain(cells, hub: Point):
+def reference_chain(xy, ids, hub: Point):
     """Serpentine chain over one sector, in the format of reference_tree."""
-    cells = sorted(cells, key=lambda c: c.id)
+    ids, xy = _by_id(xy, ids)
     edges: list[tuple[int, int, float]] = []
     wire: dict[int, float] = {}
     forced = 0
-    if not cells:
+    if not ids:
         return edges, wire, forced
 
-    xy = np.array([[c.x_m, c.y_m] for c in cells], dtype=float)
-    n = len(cells)
+    n = len(ids)
     node_xy = np.vstack([np.array(hub, dtype=float)[None, :], xy])
 
     edge_a = np.empty((n, 2))
@@ -291,7 +296,7 @@ def reference_chain(cells, hub: Point):
         hop = math.hypot(cx - node_xy[attach, 0], cy - node_xy[attach, 1])
         edges.append((attach, c + 1, hop))
         wire_by_node[c + 1] = wire_by_node[attach] + hop
-        wire[cells[c].id] = float(wire_by_node[c + 1])
+        wire[ids[c]] = float(wire_by_node[c + 1])
         edge_a[n_edges] = node_xy[attach]
         edge_b[n_edges] = xy[c]
         n_edges += 1
@@ -305,20 +310,38 @@ def reference_feeders(deployment, topology: str, n_branches: int):
     """Build each sector's tree or chain on its own and merge them like
     build_grid: (edges, wire distance by cell id, forced crossings)."""
     build = reference_tree if topology == "tree" else reference_chain
-    hub = (deployment.hub_x_m, deployment.hub_y_m)
     edges: list[tuple[int, int, float]] = []
     wire: dict[int, float] = {}
     forced = 0
     n_nodes = 1
     for k in range(n_branches):
-        sector_cells = [c for c in deployment.cells if c.sector == k]
-        sub_edges, sub_wire, sub_forced = build(sector_cells, hub)
+        ids = np.flatnonzero(deployment.sector == k)
+        sub_edges, sub_wire, sub_forced = build(deployment.xy[ids], ids, deployment.hub)
         offset = n_nodes - 1
         edges += [(a + offset if a else 0, b + offset, w) for a, b, w in sub_edges]
         wire.update(sub_wire)
         forced += sub_forced
-        n_nodes += len(sector_cells)
+        n_nodes += len(ids)
     return edges, wire, forced
+
+
+def reference_mark_served(
+    wire, branch, max_wire_m: float, max_cells_per_branch: int
+) -> dict[int, bool]:
+    """Served flag by cell id, ranked per branch with a dict of lists and a
+    tuple sort: within reach, nearest first, ties by cell id, at most
+    max_cells_per_branch per branch."""
+    served: dict[int, bool] = {}
+    per_branch: dict[int, list[tuple[float, int]]] = {}
+    for cid, (dist, b) in enumerate(zip(wire, branch)):
+        served[cid] = False
+        if dist <= max_wire_m:
+            per_branch.setdefault(b, []).append((dist, cid))
+    for ranked in per_branch.values():
+        ranked.sort()
+        for _, cid in ranked[:max_cells_per_branch]:
+            served[cid] = True
+    return served
 
 
 def mst_length(points: np.ndarray) -> float:

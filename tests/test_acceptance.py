@@ -113,10 +113,9 @@ def test_criterion_3_traffic_quantiles():
 
     gap_sum = 0.0
     gap_count = 0
-    cells = list(range(500))
     for batch in range(10):
         ss = generate_traffic(
-            np.random.default_rng(100 + batch), model, cells, 20_000.0
+            np.random.default_rng(100 + batch), model, 500, 20_000.0
         )
         same_cell = ss.cell_id[1:] == ss.cell_id[:-1]
         gap_sum += float(np.diff(ss.start_s)[same_cell].sum())
@@ -152,21 +151,22 @@ def test_criterion_5_graph_invariants():
         rng = np.random.default_rng(derive_seed(31337, rep, 0, 0))
         grid = build_grid(deploy(cfg, rng), cfg)
 
-        n = len(grid.nodes)
+        n = len(grid.node_xy)
         assert len(grid.edges) == n - 1
         dist = dijkstra_from_hub(
-            n, [(e.a, e.b, e.length_m) for e in grid.edges]
+            n, zip(*grid.edges.T.tolist(), grid.length_m.tolist())
         )
         assert len(dist) == n  # every node reachable from the hub
-        for node in grid.nodes:
-            if node.kind == "cell":
-                want = grid.wire_distance_m[node.cell_id]
-                assert abs(dist[node.id] - want) <= 1e-6 * max(1.0, want)
+        for node, (kind, cell) in enumerate(
+            zip(grid.node_kind.tolist(), grid.node_cell.tolist())
+        ):
+            if kind == "cell":
+                want = float(grid.wire_m[cell])
+                assert abs(dist[node] - want) <= 1e-6 * max(1.0, want)
 
         if topology == "chain" and grid.forced_crossings == 0:
-            pts = np.array([(nd.x_m, nd.y_m) for nd in grid.nodes])
-            ea = pts[[e.a for e in grid.edges]]
-            eb = pts[[e.b for e in grid.edges]]
+            ea = grid.node_xy[grid.edges[:, 0]]
+            eb = grid.node_xy[grid.edges[:, 1]]
             # row i tests edge i against every later edge; earlier slots are NaN
             later = np.arange(len(ea))[None, :] > np.arange(len(ea))[:, None]
             rows_a = np.where(later[..., None], ea[None], np.nan)
@@ -202,9 +202,7 @@ def test_criterion_6_aggregation_invariants():
             build_grid(deployment, cfg), cfg.max_wire_m, cfg.max_cells_per_branch
         )
         model = TrafficModel.from_config(cfg)
-        sessions = generate_traffic(
-            rng, model, [c.id for c in deployment.cells], cfg.horizon_s
-        )
+        sessions = generate_traffic(rng, model, len(deployment.xy), cfg.horizon_s)
         series = aggregate_rate_series(sessions, grid, cfg.dt_s, cfg.horizon_s)
 
         err = np.abs(series.hub - series.branches.sum(axis=0))
@@ -213,11 +211,8 @@ def test_criterion_6_aggregation_invariants():
 
         assert float(series.hub.max()) >= float(series.hub.mean())
 
-        served_lut = np.zeros(len(deployment.cells) + 1, dtype=bool)
-        for cid, s in grid.served.items():
-            served_lut[cid] = s
         ablated = aggregate_rate_series(
-            sessions.subset(served_lut[sessions.cell_id]),
+            sessions.subset(grid.served[sessions.cell_id]),
             grid,
             cfg.dt_s,
             cfg.horizon_s,

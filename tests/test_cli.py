@@ -2,17 +2,22 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plcsim.cli import (
     SIMULATE_COLUMNS,
     SWEEP_COLUMNS,
-    load_layout,
     main,
     parse_config,
 )
+from plcsim.deployment import deploy
 from plcsim.errors import ConfigError
+from plcsim.gridgen import build_grid, mark_served
 
 
 @pytest.fixture(autouse=True)
@@ -127,6 +132,39 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, fields",
+    [
+        (["generate"], {"side_m": 1e200}, ["density", "side_m", "cell_area_m2"]),
+        (["generate"], {"cell_area_m2": 1e-300}, ["cell_area_m2"]),
+        (
+            ["simulate", "--horizon", "1e300", "--dt", "1e-300", "--density", "0"],
+            {},
+            ["horizon_s", "dt_s"],
+        ),
+        (
+            ["simulate", "--interarrival", "1e-300", "--density", "0.01", "--horizon", "1"],
+            {},
+            ["mean_interarrival_s"],
+        ),
+        (["sweep", "--densities", "1e300", "--reps", "1"], {}, ["density"]),
+    ],
+    ids=["side", "cell-area", "steps", "arrivals", "sweep-density"],
+)
+def test_exit_one_on_unallocatable_size(tmp_path, capsys, argv, config, fields):
+    """Finite values whose array sizes exceed what numpy can index fail as
+    config errors that name the fields, before anything is allocated."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for field in fields:
+        assert field in err
+    assert not out.exists()
+
+
 def test_exit_two_on_missing_config_file(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["generate", "--config", str(missing), "--out", str(tmp_path)]) == 2
@@ -176,27 +214,42 @@ def test_generate_env_seed(tmp_path, monkeypatch, capsys):
 
 
 def test_layout_round_trip(tmp_path, capsys):
-    assert main(["generate", "--out", str(tmp_path), "--seed", "8", "--topology", "tree"]) == 0
-    capsys.readouterr()
-    deployment, grid = load_layout(tmp_path / "layout.json")
+    """Every field of layout.json equals a fresh in-memory build (bus adds
+    junction nodes, which have no cell id)."""
+    for topology in ("tree", "bus"):
+        out = tmp_path / topology
+        argv = ["generate", "--out", str(out), "--seed", "8", "--topology", topology]
+        assert main(argv) == 0
+        capsys.readouterr()
+        data = json.loads((out / "layout.json").read_text())
 
-    import numpy as np
-    from plcsim.deployment import deploy
-    from plcsim.gridgen import build_grid, mark_served
+        cfg = parse_config(None, {"master_seed": 8, "topology": topology})
+        dep = deploy(cfg, np.random.default_rng(8))
+        grid = mark_served(build_grid(dep, cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
 
-    cfg = parse_config(None, {"master_seed": 8, "topology": "tree"})
-    ref_dep = deploy(cfg, np.random.default_rng(8))
-    ref_grid = build_grid(ref_dep, cfg)
-    mark_served(ref_grid, cfg.max_wire_m, cfg.max_cells_per_branch)
+        assert data["hub"] == {"x_m": dep.hub[0], "y_m": dep.hub[1]}
+        assert data["forced_crossings"] == grid.forced_crossings
+        cells = data["cells"]
+        assert [c["id"] for c in cells] == list(range(len(dep.xy)))
+        assert [[c["x_m"], c["y_m"]] for c in cells] == dep.xy.tolist()
+        assert {c["radius_m"] for c in cells} == {dep.radius_m}
+        assert [c["sector"] for c in cells] == dep.sector.tolist()
+        assert [c["wire_distance_m"] for c in cells] == grid.wire_m.tolist()
+        assert [c["served"] for c in cells] == grid.served.tolist()
+        assert all(type(c["served"]) is bool for c in cells)
 
-    assert deployment.cells == ref_dep.cells
-    assert (deployment.hub_x_m, deployment.hub_y_m) == (ref_dep.hub_x_m, ref_dep.hub_y_m)
-    assert grid.nodes == ref_grid.nodes
-    assert grid.edges == ref_grid.edges
-    assert grid.wire_distance_m == ref_grid.wire_distance_m
-    assert grid.served == ref_grid.served
-    assert grid.branch_of == ref_grid.branch_of
-    assert grid.forced_crossings == ref_grid.forced_crossings
+        nodes = data["nodes"]
+        assert [n["id"] for n in nodes] == list(range(len(grid.node_xy)))
+        assert [[n["x_m"], n["y_m"]] for n in nodes] == grid.node_xy.tolist()
+        assert [n["kind"] for n in nodes] == grid.node_kind.tolist()
+        assert [n["cell_id"] for n in nodes] == [
+            None if c < 0 else c for c in grid.node_cell.tolist()
+        ]
+        assert nodes[0]["kind"] == "hub" and nodes[0]["sector"] is None
+        assert [n["sector"] for n in nodes[1:]] == grid.node_sector[1:].tolist()
+        assert [[e["a"], e["b"]] for e in data["edges"]] == grid.edges.tolist()
+        assert [e["length_m"] for e in data["edges"]] == grid.length_m.tolist()
+    assert any(n["kind"] == "junction" for n in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +433,27 @@ def test_sweep_csv_lf_line_endings(tmp_path, capsys):
     raw = (tmp_path / "sweep.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+# ---------------------------------------------------------------------------
+# tooling
+
+def test_import_loads_no_third_party_module_but_numpy():
+    """`import plcsim` (what every command pays for at start-up) pulls in
+    the standard library and numpy only; scipy and hypothesis are for the
+    tests."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # modules the interpreter's own start-up loaded are not plcsim's
+    code = (
+        "import sys; before = set(sys.modules); import plcsim; "
+        "print(plcsim.__file__); print(*(set(sys.modules) - before))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    origin, modules = run.stdout.splitlines()
+    assert origin.startswith(src)
+    top = {name.partition(".")[0] for name in modules.split()}
+    assert "numpy" in top
+    assert top - set(sys.stdlib_module_names) - {"numpy", "plcsim"} == set()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from plcsim.config import SimulationConfig
 from plcsim.deployment import (
-    CellDeployment,
     assign_sectors,
     cell_count,
     deploy,
@@ -40,15 +39,15 @@ def test_cell_count_monotone_in_density():
 
 
 def test_place_cells_empty():
-    dep = place_cells(0, 700.0, np.random.default_rng(0))
-    assert dep.cells == []
+    xy = place_cells(0, 700.0, np.random.default_rng(0))
+    assert xy.shape == (0, 2)
 
 
 def test_place_cells_within_square_and_mean():
     rng = np.random.default_rng(7)
-    dep = place_cells(100_000, 700.0, rng)
-    xs = np.array([c.x_m for c in dep.cells])
-    ys = np.array([c.y_m for c in dep.cells])
+    xy = place_cells(100_000, 700.0, rng)
+    xs = xy[:, 0]
+    ys = xy[:, 1]
     assert xs.min() >= 0.0 and xs.max() <= 700.0
     assert ys.min() >= 0.0 and ys.max() <= 700.0
     assert abs(xs.mean() - 350.0) < 1.0
@@ -58,12 +57,22 @@ def test_place_cells_within_square_and_mean():
 def test_place_cells_deterministic():
     a = place_cells(50, 700.0, np.random.default_rng(123))
     b = place_cells(50, 700.0, np.random.default_rng(123))
-    assert a.cells == b.cells
+    assert np.array_equal(a, b)
 
 
 def test_place_cells_ids_are_sequential():
-    dep = place_cells(10, 700.0, np.random.default_rng(1))
-    assert [c.id for c in dep.cells] == list(range(10))
+    # cell i is row i, so ids 0..9 are the ten rows
+    xy = place_cells(10, 700.0, np.random.default_rng(1))
+    assert xy.shape == (10, 2)
+
+
+def test_place_cells_draws_x_then_y():
+    # all x coordinates come first, then all y: one (n, 2) draw would
+    # interleave them and change every layout
+    xy = place_cells(5, 700.0, np.random.default_rng(4))
+    flat = np.random.default_rng(4).uniform(0.0, 700.0, size=10)
+    assert xy[:, 0].tolist() == flat[:5].tolist()
+    assert xy[:, 1].tolist() == flat[5:].tolist()
 
 
 def test_place_hub_center():
@@ -86,42 +95,28 @@ def test_place_hub_uniform_reproducible():
     assert a == b
 
 
-def _one_cell_at_angle(theta_rad, r=100.0, hub=(0.0, 0.0)):
-    dep = place_cells(1, 700.0, np.random.default_rng(0))
-    dep.cells[0].x_m = hub[0] + r * math.cos(theta_rad)
-    dep.cells[0].y_m = hub[1] + r * math.sin(theta_rad)
-    dep.hub_x_m, dep.hub_y_m = hub
-    return dep
+def _sector_at_angle(theta_rad, n_branches, anchor_rad=0.0, r=100.0, hub=(0.0, 0.0)):
+    """Sector label of one cell at polar position (r, theta) about the hub."""
+    xy = np.array([[hub[0] + r * math.cos(theta_rad), hub[1] + r * math.sin(theta_rad)]])
+    return int(assign_sectors(xy, hub, n_branches, anchor_rad)[0])
 
 
 def test_sector_first_bin():
-    dep = _one_cell_at_angle(0.1)
-    assign_sectors(dep, 6)
-    assert dep.cells[0].sector == 0
+    assert _sector_at_angle(0.1, 6) == 0
 
 
 def test_sector_bin_boundary():
-    just_under = _one_cell_at_angle(math.radians(59.9))
-    just_over = _one_cell_at_angle(math.radians(60.1))
-    assign_sectors(just_under, 6)
-    assign_sectors(just_over, 6)
-    assert just_under.cells[0].sector == 0
-    assert just_over.cells[0].sector == 1
+    assert _sector_at_angle(math.radians(59.9), 6) == 0
+    assert _sector_at_angle(math.radians(60.1), 6) == 1
 
 
 def test_sector_anchor_shifts_bins():
-    dep = _one_cell_at_angle(0.1)
-    assign_sectors(dep, 6, anchor_rad=math.radians(-30.0))
-    assert dep.cells[0].sector == 0
-    dep = _one_cell_at_angle(0.1)
-    assign_sectors(dep, 6, anchor_rad=math.radians(30.0))
-    assert dep.cells[0].sector == 5
+    assert _sector_at_angle(0.1, 6, anchor_rad=math.radians(-30.0)) == 0
+    assert _sector_at_angle(0.1, 6, anchor_rad=math.radians(30.0)) == 5
 
 
 def test_sector_hub_coincident_cell():
-    dep = _one_cell_at_angle(0.0, r=0.0)
-    assign_sectors(dep, 6, anchor_rad=1.0)
-    assert dep.cells[0].sector == 0
+    assert _sector_at_angle(0.0, 6, anchor_rad=1.0, r=0.0) == 0
 
 
 @given(
@@ -132,10 +127,8 @@ def test_sector_hub_coincident_cell():
 @settings(max_examples=50, deadline=None)
 def test_sector_partition_property(n_branches, anchor, seed):
     """Per-sector counts always add back up to N, all labels valid."""
-    dep = place_cells(40, 700.0, np.random.default_rng(seed))
-    dep.hub_x_m = dep.hub_y_m = 350.0
-    assign_sectors(dep, n_branches, anchor_rad=anchor)
-    labels = [c.sector for c in dep.cells]
+    xy = place_cells(40, 700.0, np.random.default_rng(seed))
+    labels = assign_sectors(xy, (350.0, 350.0), n_branches, anchor_rad=anchor).tolist()
     assert all(0 <= s < n_branches for s in labels)
     assert sum(labels.count(k) for k in range(n_branches)) == 40
 
@@ -143,14 +136,18 @@ def test_sector_partition_property(n_branches, anchor, seed):
 def test_deploy_default_config():
     cfg = SimulationConfig()
     dep = deploy(cfg, np.random.default_rng(0))
-    assert len(dep.cells) == 306
-    assert (dep.hub_x_m, dep.hub_y_m) == (350.0, 350.0)
-    assert all(0 <= c.sector < cfg.n_branches for c in dep.cells)
-    assert dep.cells[0].radius_m == pytest.approx(math.sqrt(400.0 / math.pi))
+    assert dep.xy.shape == (306, 2)
+    assert dep.hub == (350.0, 350.0)
+    assert dep.sector.shape == (306,)
+    assert ((dep.sector >= 0) & (dep.sector < cfg.n_branches)).all()
+    assert dep.radius_m == pytest.approx(math.sqrt(400.0 / math.pi))
 
 
 def test_deploy_deterministic():
     cfg = SimulationConfig(density=0.1, master_seed=9)
     a = deploy(cfg, np.random.default_rng(42))
     b = deploy(cfg, np.random.default_rng(42))
-    assert a.cells == b.cells
+    assert np.array_equal(a.xy, b.xy)
+    assert np.array_equal(a.sector, b.sector)
+    assert a.hub == b.hub
+

@@ -10,33 +10,51 @@ from oracles import (
     mst_length,
     reference_chain,
     reference_feeders,
+    reference_mark_served,
     reference_tree,
     segments_intersect,
 )
 from plcsim.config import SimulationConfig
-from plcsim.deployment import Cell, CellDeployment, assign_sectors, deploy, place_cells
+from plcsim.deployment import CellDeployment, assign_sectors, deploy, place_cells
 from plcsim.errors import GeometryError
 from plcsim.gridgen import (
     PowerGrid,
     _crosses_any,
-    build_bus,
-    build_chain,
     build_grid,
-    build_tree,
     mark_served,
     reachability_fraction,
-    wire_distance,
 )
 from plcsim.simulator import derive_seed
 
 
-def _cells(points):
-    return [Cell(i, float(x), float(y), 10.0) for i, (x, y) in enumerate(points)]
+def _deployment(points, hub=(0.0, 0.0), n_branches=6, anchor_rad=0.0):
+    xy = np.array(points, dtype=float).reshape(-1, 2)
+    return CellDeployment(hub, xy, assign_sectors(xy, hub, n_branches, anchor_rad), 10.0)
+
+
+def _one_sector(points, topology, hub=(0.0, 0.0)):
+    """Grid over a single sector with 300 m reach; its bisector (the bus
+    spine) points along +x."""
+    cfg = SimulationConfig(topology=topology, n_branches=1, sector_anchor_rad=-math.pi)
+    return build_grid(_deployment(points, hub, 1, cfg.sector_anchor_rad), cfg)
+
+
+def _edge_list(grid):
+    """(a, b, length_m) per edge, in emission order."""
+    return list(zip(*grid.edges.T.tolist(), grid.length_m.tolist()))
+
+
+def _wire(grid):
+    return dict(enumerate(grid.wire_m.tolist()))
+
+
+def _junctions(grid):
+    return grid.node_xy[grid.node_kind == "junction"].tolist()
 
 
 def _edge_segments(grid):
-    coord = {n.id: (n.x_m, n.y_m) for n in grid.nodes}
-    return [(coord[e.a], coord[e.b]) for e in grid.edges]
+    coord = [tuple(p) for p in grid.node_xy.tolist()]
+    return [(coord[a], coord[b]) for a, b in grid.edges.tolist()]
 
 
 def _crossing_pairs(grid):
@@ -140,121 +158,115 @@ def test_crosses_any_rows_match_scalar_property(rows):
 # bus
 
 def test_bus_perpendicular_drop():
-    grid = build_bus(_cells([(100, 30)]), (0.0, 0.0), 0.0, 300.0)
-    assert grid.wire_distance_m[0] == pytest.approx(130.0)
-    junctions = [n for n in grid.nodes if n.kind == "junction"]
+    grid = _one_sector([(100, 30)], "bus")
+    assert grid.wire_m[0] == pytest.approx(130.0)
+    junctions = _junctions(grid)
     assert len(junctions) == 1
-    assert (junctions[0].x_m, junctions[0].y_m) == pytest.approx((100.0, 0.0))
-    assert sorted(e.length_m for e in grid.edges) == pytest.approx([30.0, 100.0])
+    assert junctions[0] == pytest.approx([100.0, 0.0])
+    assert sorted(grid.length_m) == pytest.approx([30.0, 100.0])
 
 
 def test_bus_spine_truncated_at_max_wire():
-    grid = build_bus(_cells([(400, 0)]), (0.0, 0.0), 0.0, 300.0)
-    assert grid.wire_distance_m[0] == pytest.approx(400.0)
-    junctions = [n for n in grid.nodes if n.kind == "junction"]
+    grid = _one_sector([(400, 0)], "bus")
+    assert grid.wire_m[0] == pytest.approx(400.0)
+    junctions = _junctions(grid)
     assert len(junctions) == 1
-    assert (junctions[0].x_m, junctions[0].y_m) == pytest.approx((300.0, 0.0))
+    assert junctions[0] == pytest.approx([300.0, 0.0])
 
 
 def test_bus_truncated_cell_is_unserved():
-    grid = build_bus(_cells([(400, 0)]), (0.0, 0.0), 0.0, 300.0)
-    grid.branch_of = {0: 0}
+    grid = _one_sector([(400, 0)], "bus")
     mark_served(grid, 300.0, 35)
-    assert grid.served == {0: False}
+    assert grid.served.tolist() == [False]
 
 
 def test_bus_empty_sector():
-    grid = build_bus([], (0.0, 0.0), 0.0, 300.0)
-    assert grid.edges == []
-    assert len(grid.nodes) == 1
+    grid = _one_sector([], "bus")
+    assert grid.edges.shape == (0, 2)
+    assert len(grid.node_xy) == 1
 
 
 def test_bus_behind_hub_attaches_at_hub():
-    grid = build_bus(_cells([(-50, 20)]), (0.0, 0.0), 0.0, 300.0)
+    grid = _one_sector([(-50, 20)], "bus")
     expected = math.hypot(50, 20)
-    assert grid.wire_distance_m[0] == pytest.approx(expected)
+    assert grid.wire_m[0] == pytest.approx(expected)
     assert len(grid.edges) == 1
-    assert grid.edges[0].a == 0
+    assert grid.edges[0, 0] == 0
 
 
 def test_bus_shared_projection_single_junction():
-    grid = build_bus(_cells([(100, 30), (100, -30)]), (0.0, 0.0), 0.0, 300.0)
-    junctions = [n for n in grid.nodes if n.kind == "junction"]
+    grid = _one_sector([(100, 30), (100, -30)], "bus")
+    junctions = _junctions(grid)
     assert len(junctions) == 1
-    assert grid.wire_distance_m == pytest.approx({0: 130.0, 1: 130.0})
+    assert grid.wire_m == pytest.approx([130.0, 130.0])
 
 
 def test_bus_on_spine_cell_becomes_junction():
-    grid = build_bus(_cells([(100, 0), (100, 30)]), (0.0, 0.0), 0.0, 300.0)
-    assert [n for n in grid.nodes if n.kind == "junction"] == []
-    assert grid.wire_distance_m == pytest.approx({0: 100.0, 1: 130.0})
-    assert sorted(e.length_m for e in grid.edges) == pytest.approx([30.0, 100.0])
-
-
-def _with_branch(grid):
-    grid.branch_of = {cid: 0 for cid in grid.wire_distance_m}
-    return grid
+    grid = _one_sector([(100, 0), (100, 30)], "bus")
+    assert _junctions(grid) == []
+    assert grid.wire_m == pytest.approx([100.0, 130.0])
+    assert sorted(grid.length_m) == pytest.approx([30.0, 100.0])
 
 
 # ---------------------------------------------------------------------------
 # tree
 
 def test_tree_two_collinear_cells():
-    grid = build_tree(_cells([(10, 0), (20, 0)]), (0.0, 0.0))
-    assert grid.wire_distance_m == pytest.approx({0: 10.0, 1: 20.0})
-    assert sorted((e.a, e.b) for e in grid.edges) == [(0, 1), (1, 2)]
+    grid = _one_sector([(10, 0), (20, 0)], "tree")
+    assert grid.wire_m == pytest.approx([10.0, 20.0])
+    assert sorted(map(tuple, grid.edges.tolist())) == [(0, 1), (1, 2)]
 
 
 def test_tree_single_cell():
-    grid = build_tree(_cells([(50, 0)]), (0.0, 0.0))
+    grid = _one_sector([(50, 0)], "tree")
     assert len(grid.edges) == 1
-    assert grid.wire_distance_m[0] == pytest.approx(50.0)
+    assert grid.wire_m[0] == pytest.approx(50.0)
 
 
 def test_tree_edge_count_is_cell_count():
-    cells = place_cells(60, 700.0, np.random.default_rng(2)).cells
-    grid = build_tree(cells, (350.0, 350.0))
+    xy = place_cells(60, 700.0, np.random.default_rng(2))
+    grid = _one_sector(xy, "tree", hub=(350.0, 350.0))
     assert len(grid.edges) == 60
-    assert len(grid.nodes) == 61
+    assert len(grid.node_xy) == 61
 
 
 def test_tree_wire_can_exceed_euclidean():
     # the second cell routes through the first, not straight to the hub
-    grid = build_tree(_cells([(10, 0), (11, 5)]), (0.0, 0.0))
+    grid = _one_sector([(10, 0), (11, 5)], "tree")
     euclid = math.hypot(11, 5)
-    assert grid.wire_distance_m[1] == pytest.approx(10.0 + math.hypot(1, 5))
-    assert grid.wire_distance_m[1] > euclid
+    assert grid.wire_m[1] == pytest.approx(10.0 + math.hypot(1, 5))
+    assert grid.wire_m[1] > euclid
 
 
 # ---------------------------------------------------------------------------
 # chain
 
 def test_chain_collinear_is_pure_chain():
-    grid = build_chain(_cells([(10, 0), (20, 0), (30, 0)]), (0.0, 0.0))
-    assert grid.wire_distance_m == pytest.approx({0: 10.0, 1: 20.0, 2: 30.0})
-    assert sorted((e.a, e.b) for e in grid.edges) == [(0, 1), (1, 2), (2, 3)]
+    grid = _one_sector([(10, 0), (20, 0), (30, 0)], "chain")
+    assert grid.wire_m == pytest.approx([10.0, 20.0, 30.0])
+    assert sorted(map(tuple, grid.edges.tolist())) == [(0, 1), (1, 2), (2, 3)]
     assert grid.forced_crossings == 0
 
 
 def test_chain_branches_to_avoid_crossing():
     # walking the chain hub->A->B->C leaves D reachable only by crossing
     # the hub-A wire, so D is branched off A instead
-    grid = build_chain(_cells([(2, 0), (2, 2), (0, 2), (3, -3)]), (0.0, 0.0))
-    assert sorted((e.a, e.b) for e in grid.edges) == [(0, 1), (1, 2), (1, 4), (2, 3)]
+    grid = _one_sector([(2, 0), (2, 2), (0, 2), (3, -3)], "chain")
+    assert sorted(map(tuple, grid.edges.tolist())) == [(0, 1), (1, 2), (1, 4), (2, 3)]
     assert grid.forced_crossings == 0
     assert _crossing_pairs(grid) == []
-    assert grid.wire_distance_m[3] == pytest.approx(2.0 + math.hypot(1, 3))
+    assert grid.wire_m[3] == pytest.approx(2.0 + math.hypot(1, 3))
 
 
 def test_chain_forced_crossing_counted():
     """A fallback wire built over a not-yet-connected cell leaves that cell
     with no crossing-free attachment at all; the forced counter records it."""
     pts = [(0, 2), (0, 3), (1, 0), (3, 0), (4, 3), (5, 3)]
-    grid = build_chain(_cells(pts), (0.0, 0.0))
+    grid = _one_sector(pts, "chain")
     # chain walks hub->(1,0)->(3,0)->(4,3)->(5,3); reaching (0,3) from the
     # tip would run along the (4,3)-(5,3) wire, so it falls back to the hub
     # and that wire passes straight over the cell at (0,2)
-    assert sorted((e.a, e.b) for e in grid.edges) == [
+    assert sorted(map(tuple, grid.edges.tolist())) == [
         (0, 2),
         (0, 3),
         (2, 1),
@@ -264,24 +276,21 @@ def test_chain_forced_crossing_counted():
     ]
     assert grid.forced_crossings == 1
     assert len(_crossing_pairs(grid)) == 1
-    assert grid.wire_distance_m[0] == pytest.approx(4.0)  # 3 up + 1 back down
+    assert grid.wire_m[0] == pytest.approx(4.0)  # 3 up + 1 back down
 
 
 def test_chain_single_cell_matches_tree():
-    cells = _cells([(37, 21)])
-    chain = build_chain(cells, (0.0, 0.0))
-    tree = build_tree(cells, (0.0, 0.0))
-    assert [(e.a, e.b, e.length_m) for e in chain.edges] == [
-        (e.a, e.b, e.length_m) for e in tree.edges
-    ]
-    assert chain.wire_distance_m == tree.wire_distance_m
+    chain = _one_sector([(37, 21)], "chain")
+    tree = _one_sector([(37, 21)], "tree")
+    assert _edge_list(chain) == _edge_list(tree)
+    assert chain.wire_m.tolist() == tree.wire_m.tolist()
 
 
 def test_chain_never_crosses_without_flag():
     rng = np.random.default_rng(8)
     for _ in range(30):
-        cells = place_cells(25, 200.0, rng).cells
-        grid = build_chain(cells, (100.0, 100.0))
+        xy = place_cells(25, 200.0, rng)
+        grid = _one_sector(xy, "chain", hub=(100.0, 100.0))
         if grid.forced_crossings == 0:
             assert _crossing_pairs(grid) == []
 
@@ -294,54 +303,48 @@ def test_build_grid_is_spanning_tree(topology):
     cfg = SimulationConfig(topology=topology, density=0.1, master_seed=4)
     dep = deploy(cfg, np.random.default_rng(4))
     grid = build_grid(dep, cfg)
-    assert len(grid.edges) == len(grid.nodes) - 1
-    dist = dijkstra_from_hub(
-        len(grid.nodes), [(e.a, e.b, e.length_m) for e in grid.edges]
-    )
-    assert len(dist) == len(grid.nodes)  # connected
-    for node in grid.nodes:
-        if node.kind == "cell":
-            got = grid.wire_distance_m[node.cell_id]
-            assert got == pytest.approx(dist[node.id], rel=1e-6)
+    n_nodes = len(grid.node_xy)
+    assert len(grid.edges) == n_nodes - 1
+    dist = dijkstra_from_hub(n_nodes, _edge_list(grid))
+    assert len(dist) == n_nodes  # connected
+    for node, cell in enumerate(grid.node_cell.tolist()):
+        if grid.node_kind[node] == "cell":
+            assert grid.wire_m[cell] == pytest.approx(dist[node], rel=1e-6)
 
 
 def test_build_grid_wire_at_least_euclidean():
     cfg = SimulationConfig(topology="tree", density=0.1, master_seed=6)
     dep = deploy(cfg, np.random.default_rng(6))
     grid = build_grid(dep, cfg)
-    for cell in dep.cells:
-        euclid = math.hypot(cell.x_m - dep.hub_x_m, cell.y_m - dep.hub_y_m)
-        assert grid.wire_distance_m[cell.id] >= euclid - 1e-9
+    for (x, y), wire in zip(dep.xy.tolist(), grid.wire_m.tolist()):
+        euclid = math.hypot(x - dep.hub[0], y - dep.hub[1])
+        assert wire >= euclid - 1e-9
 
 
 def test_build_grid_branch_labels_follow_sectors():
     cfg = SimulationConfig(topology="tree", density=0.05, master_seed=1)
     dep = deploy(cfg, np.random.default_rng(1))
     grid = build_grid(dep, cfg)
-    for cell in dep.cells:
-        assert grid.branch_of[cell.id] == cell.sector
+    assert grid.branch.tolist() == dep.sector.tolist()
+    cell_nodes = grid.node_kind == "cell"
+    node_cells = grid.node_cell[cell_nodes]
+    assert grid.node_sector[cell_nodes].tolist() == dep.sector[node_cells].tolist()
 
 
 def test_build_grid_requires_hub():
     cfg = SimulationConfig()
-    dep = place_cells(3, 700.0, np.random.default_rng(0))
+    xy = place_cells(3, 700.0, np.random.default_rng(0))
+    dep = CellDeployment((math.nan, math.nan), xy, np.zeros(3, dtype=np.intp), 10.0)
     with pytest.raises(GeometryError):
         build_grid(dep, cfg)
 
 
 def test_build_grid_requires_sector_labels():
     cfg = SimulationConfig()
-    dep = place_cells(3, 700.0, np.random.default_rng(0))
-    dep.hub_x_m = dep.hub_y_m = 350.0
+    xy = place_cells(3, 700.0, np.random.default_rng(0))
+    dep = CellDeployment((350.0, 350.0), xy, np.full(3, -1, dtype=np.intp), 10.0)
     with pytest.raises(GeometryError):
         build_grid(dep, cfg)
-
-
-def test_wire_distance_unknown_cell():
-    grid = build_tree(_cells([(10, 0)]), (0.0, 0.0))
-    assert wire_distance(grid, 0) == pytest.approx(10.0)
-    with pytest.raises(KeyError, match="not part of this grid"):
-        wire_distance(grid, 99)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +355,9 @@ def _assert_matches_reference(deployment, topology, n_branches=6):
     cfg = SimulationConfig(topology=topology, n_branches=n_branches)
     grid = build_grid(deployment, cfg)
     edges, wire, forced = reference_feeders(deployment, topology, n_branches)
-    assert [(e.a, e.b, e.length_m) for e in grid.edges] == edges
-    assert list(grid.wire_distance_m.items()) == list(wire.items())
+    assert _edge_list(grid) == edges
+    assert _wire(grid) == wire
     assert grid.forced_crossings == forced
-
-
-def _deployment(points, hub=(0.0, 0.0), n_branches=6):
-    dep = CellDeployment(cells=_cells(points), hub_x_m=hub[0], hub_y_m=hub[1])
-    return assign_sectors(dep, n_branches)
 
 
 def test_lockstep_matches_reference_on_criterion_5_corpus():
@@ -417,18 +415,15 @@ def test_lockstep_matches_reference_on_edge_cases(topology):
 def test_single_sector_builders_match_reference():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        for cells in (
-            place_cells(60, 200.0, rng).cells,
-            _cells(rng.integers(0, 9, size=(60, 2)).tolist()),
+        for xy in (
+            place_cells(60, 200.0, rng),
+            rng.integers(0, 9, size=(60, 2)).astype(float),
         ):
-            for build, reference in (
-                (build_tree, reference_tree),
-                (build_chain, reference_chain),
-            ):
-                grid = build(cells, (4.0, 4.0))
-                edges, wire, forced = reference(cells, (4.0, 4.0))
-                assert [(e.a, e.b, e.length_m) for e in grid.edges] == edges
-                assert grid.wire_distance_m == wire
+            for topology, reference in (("tree", reference_tree), ("chain", reference_chain)):
+                grid = _one_sector(xy, topology, hub=(4.0, 4.0))
+                edges, wire, forced = reference(xy, np.arange(60), (4.0, 4.0))
+                assert _edge_list(grid) == edges
+                assert _wire(grid) == wire
                 assert grid.forced_crossings == forced
 
 
@@ -441,12 +436,10 @@ def test_tree_is_minimum_spanning_tree():
         dep = deploy(cfg, np.random.default_rng(seed))
         grid = build_grid(dep, cfg)
         total = [0.0] * cfg.n_branches
-        for e in grid.edges:
-            total[grid.nodes[e.b].sector] += e.length_m
-        hub = (dep.hub_x_m, dep.hub_y_m)
+        for (_, b), length in zip(grid.edges.tolist(), grid.length_m.tolist()):
+            total[grid.node_sector[b]] += length
         for k in range(cfg.n_branches):
-            cells = [(c.x_m, c.y_m) for c in dep.cells if c.sector == k]
-            points = np.array([hub] + cells)
+            points = np.vstack([dep.hub, dep.xy[dep.sector == k]])
             assert total[k] == pytest.approx(mst_length(points), rel=1e-12)
 
 
@@ -454,52 +447,103 @@ def test_tree_is_minimum_spanning_tree():
 # service marking
 
 def _bare_grid(wire, branch=None):
-    grid = PowerGrid()
-    grid.wire_distance_m = dict(wire)
-    grid.branch_of = branch or {cid: 0 for cid in wire}
-    return grid
+    """Grid with per-cell wire distances and branches and no nodes."""
+    branch = [0] * len(wire) if branch is None else branch
+    return PowerGrid(
+        node_xy=np.zeros((1, 2)),
+        node_kind=np.array(["hub"]),
+        node_cell=np.array([-1]),
+        node_sector=np.array([-1]),
+        edges=np.empty((0, 2), dtype=np.intp),
+        length_m=np.empty(0),
+        wire_m=np.array(wire, dtype=float),
+        branch=np.array(branch, dtype=np.intp),
+        served=np.zeros(len(wire), dtype=bool),
+        n_branches=max(branch, default=0) + 1,
+    )
 
 
 def test_mark_served_threshold():
-    grid = _bare_grid({0: 100.0, 1: 250.0, 2: 310.0})
+    grid = _bare_grid([100.0, 250.0, 310.0])
     mark_served(grid, 300.0, 35)
-    assert grid.served == {0: True, 1: True, 2: False}
+    assert grid.served.tolist() == [True, True, False]
 
 
 def test_mark_served_branch_cap_keeps_nearest():
-    grid = _bare_grid({i: float(i + 1) for i in range(40)})
+    grid = _bare_grid([float(i + 1) for i in range(40)])
     mark_served(grid, 300.0, 35)
-    assert sum(grid.served.values()) == 35
-    assert all(grid.served[i] for i in range(35))
-    assert not any(grid.served[i] for i in range(35, 40))
+    assert grid.served.sum() == 35
+    assert grid.served[:35].all()
+    assert not grid.served[35:].any()
 
 
 def test_mark_served_cap_tie_breaks_by_id():
-    grid = _bare_grid({7: 50.0, 3: 50.0})
+    # cells 3 and 7 tie; every other cell is out of reach
+    wire = [1e6] * 8
+    wire[7] = wire[3] = 50.0
+    grid = _bare_grid(wire)
     mark_served(grid, 300.0, 1)
-    assert grid.served == {3: True, 7: False}
+    assert np.flatnonzero(grid.served).tolist() == [3]
 
 
 def test_mark_served_cap_is_per_branch():
-    wire = {0: 10.0, 1: 20.0, 2: 10.0, 3: 20.0}
-    grid = _bare_grid(wire, branch={0: 0, 1: 0, 2: 1, 3: 1})
+    grid = _bare_grid([10.0, 20.0, 10.0, 20.0], branch=[0, 0, 1, 1])
     mark_served(grid, 300.0, 1)
-    assert grid.served == {0: True, 1: False, 2: True, 3: False}
+    assert grid.served.tolist() == [True, False, True, False]
 
 
 def test_mark_served_empty():
-    grid = _bare_grid({})
+    grid = _bare_grid([])
     mark_served(grid, 300.0, 35)
-    assert grid.served == {}
+    assert grid.served.size == 0
     assert reachability_fraction(grid) is None
 
 
 def test_reachability_fraction():
-    grid = _bare_grid({0: 10.0, 1: 20.0, 2: 400.0, 3: 500.0})
+    grid = _bare_grid([10.0, 20.0, 400.0, 500.0])
     mark_served(grid, 300.0, 35)
     assert reachability_fraction(grid) == pytest.approx(0.5)
     mark_served(grid, 1000.0, 35)
     assert reachability_fraction(grid) == pytest.approx(1.0)
+
+
+@st.composite
+def _service_cases(draw):
+    """Wire distances on a coarse grid (many ties), branches drawn from more
+    labels than cells use (empty branches), and a reach equal to one of the
+    distances (cells exactly at max_wire_m)."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    n_branches = draw(st.integers(min_value=1, max_value=8))
+    wire = draw(st.lists(st.integers(0, 12).map(lambda v: 25.0 * v), min_size=n, max_size=n))
+    branch = draw(
+        st.lists(st.integers(0, n_branches - 1), min_size=n, max_size=n)
+    )
+    max_wire = draw(st.sampled_from(wire) if wire else st.just(100.0))
+    cap = draw(st.sampled_from([1, 2, 3, n + 1, 1000]))
+    return wire, branch, max_wire, cap
+
+
+@given(_service_cases())
+@settings(max_examples=300, deadline=None)
+def test_mark_served_matches_reference_property(case):
+    wire, branch, max_wire, cap = case
+    grid = mark_served(_bare_grid(wire, branch), max_wire, cap)
+    want = reference_mark_served(wire, branch, max_wire, cap)
+    assert dict(enumerate(grid.served.tolist())) == want
+
+
+@given(_service_cases(), st.floats(0.0, 400.0), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_mark_served_monotone_in_reach_and_cap_property(case, more_wire, more_cap):
+    """On a fixed grid the served set only grows as the reach or the cap
+    rises."""
+    wire, branch, max_wire, cap = case
+    grid = _bare_grid(wire, branch)
+    base = mark_served(grid, max_wire, cap).served.copy()
+    wider = mark_served(grid, max_wire + more_wire, cap).served
+    assert not (base & ~wider).any()
+    larger = mark_served(grid, max_wire, cap + more_cap).served
+    assert not (base & ~larger).any()
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +557,7 @@ def test_served_set_monotone_in_max_wire(topology):
     prev: set = set()
     for m in (50.0, 150.0, 300.0, 600.0, 2000.0):
         mark_served(grid, m, cfg.max_cells_per_branch)
-        cur = {cid for cid, s in grid.served.items() if s}
+        cur = set(np.flatnonzero(grid.served).tolist())
         assert prev <= cur
         prev = cur
 
@@ -530,6 +574,6 @@ def test_bus_served_set_monotone_with_open_cap():
         dep = deploy(cfg, np.random.default_rng(13))
         grid = build_grid(dep, cfg)
         mark_served(grid, m, cfg.max_cells_per_branch)
-        cur = {cid for cid, s in grid.served.items() if s}
+        cur = set(np.flatnonzero(grid.served).tolist())
         assert prev <= cur
         prev = cur

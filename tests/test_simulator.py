@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from plcsim.config import SimulationConfig
-from plcsim.gridgen import PowerGrid
+from plcsim.deployment import deploy
+from plcsim.gridgen import PowerGrid, build_grid, mark_served
 from plcsim.simulator import (
     SessionSet,
     _step_count,
@@ -15,22 +16,39 @@ from plcsim.simulator import (
     run_replication,
     run_sweep,
 )
-from plcsim.traffic import Session, TrafficModel
+from plcsim.traffic import TrafficModel
 
 
-def _grid(branch_of, served, n_branches=2):
-    grid = PowerGrid(n_branches=n_branches)
-    grid.branch_of = dict(branch_of)
-    grid.served = dict(served)
-    grid.wire_distance_m = {cid: 1.0 for cid in branch_of}
-    return grid
+def _grid(branch, served, n_branches=2):
+    """Grid with per-cell branches and served flags and no nodes."""
+    return PowerGrid(
+        node_xy=np.zeros((1, 2)),
+        node_kind=np.array(["hub"]),
+        node_cell=np.array([-1]),
+        node_sector=np.array([-1]),
+        edges=np.empty((0, 2), dtype=np.intp),
+        length_m=np.empty(0),
+        wire_m=np.ones(len(branch)),
+        branch=np.array(branch, dtype=np.intp),
+        served=np.array(served, dtype=bool),
+        n_branches=n_branches,
+    )
 
 
 def _all_served_grid(n_cells, n_branches=2):
-    return _grid(
-        {i: i % n_branches for i in range(n_cells)},
-        {i: True for i in range(n_cells)},
-        n_branches,
+    return _grid([i % n_branches for i in range(n_cells)], [True] * n_cells, n_branches)
+
+
+def _sessions(*rows):
+    """SessionSet of (cell id, kind, start, duration, rate) rows, sorted by
+    (cell id, start) like generate_traffic's output."""
+    rows = sorted(rows, key=lambda r: (r[0], r[2]))
+    return SessionSet(
+        np.array([r[0] for r in rows], dtype=int),
+        np.array([r[1] == "data" for r in rows], dtype=bool),
+        np.array([r[2] for r in rows], dtype=float),
+        np.array([r[3] for r in rows], dtype=float),
+        np.array([r[4] for r in rows], dtype=float),
     )
 
 
@@ -84,7 +102,7 @@ def test_step_count_minimum_one():
 # rate aggregation
 
 def test_single_voice_session_series():
-    sessions = [Session(0, "voice", 0.0, 100.0, 128000.0)]
+    sessions = _sessions((0, "voice", 0.0, 100.0, 128000.0))
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 3600.0)
     assert series.hub.shape == (3600,)
@@ -93,7 +111,7 @@ def test_single_voice_session_series():
 
 
 def test_single_session_metrics():
-    sessions = [Session(0, "voice", 0.0, 100.0, 128000.0)]
+    sessions = _sessions((0, "voice", 0.0, 100.0, 128000.0))
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 3600.0)
     report = compute_metrics(series, grid, sessions)
@@ -102,21 +120,21 @@ def test_single_session_metrics():
 
 
 def test_half_step_overlap_prorated():
-    sessions = [Session(0, "data", 0.5, 1.0, 200.0)]
+    sessions = _sessions((0, "data", 0.5, 1.0, 200.0))
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 3.0)
     assert series.hub == pytest.approx([100.0, 100.0, 0.0])
 
 
 def test_sub_step_session_prorated():
-    sessions = [Session(0, "data", 0.25, 0.5, 100.0)]
+    sessions = _sessions((0, "data", 0.25, 0.5, 100.0))
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 2.0)
     assert series.hub == pytest.approx([50.0, 0.0])
 
 
 def test_session_clipped_at_horizon():
-    sessions = [Session(0, "voice", 9.0, 1e9, 128000.0)]
+    sessions = _sessions((0, "voice", 9.0, 1e9, 128000.0))
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 10.0)
     assert series.hub[:9] == pytest.approx(np.zeros(9))
@@ -124,10 +142,10 @@ def test_session_clipped_at_horizon():
 
 
 def test_disjoint_sessions_hub_is_branch_sum():
-    sessions = [
-        Session(0, "voice", 0.0, 2.0, 128000.0),
-        Session(1, "data", 5.0, 2.0, 1000.0),
-    ]
+    sessions = _sessions(
+        (0, "voice", 0.0, 2.0, 128000.0),
+        (1, "data", 5.0, 2.0, 1000.0),
+    )
     grid = _all_served_grid(2)
     series = aggregate_rate_series(sessions, grid, 1.0, 10.0)
     assert series.branches.shape == (2, 10)
@@ -138,8 +156,8 @@ def test_disjoint_sessions_hub_is_branch_sum():
 
 def test_empty_sessions_all_zeros():
     grid = _all_served_grid(1)
-    series = aggregate_rate_series([], grid, 1.0, 10.0)
-    report = compute_metrics(series, grid, [])
+    series = aggregate_rate_series(SessionSet.empty(), grid, 1.0, 10.0)
+    report = compute_metrics(series, grid, SessionSet.empty())
     assert report.avg_rate_bps == 0.0
     assert report.max_rate_bps == 0.0
     assert report.mean_wait_s is None
@@ -149,8 +167,8 @@ def test_unserved_sessions_excluded_bit_identically():
     cfg = SimulationConfig(density=0.1, horizon_s=200.0)
     rng = np.random.default_rng(21)
     model = TrafficModel.from_config(cfg)
-    grid = _grid({0: 0, 1: 1, 2: 0}, {0: True, 1: False, 2: True})
-    sessions = generate_traffic(rng, model, [0, 1, 2], cfg.horizon_s)
+    grid = _grid([0, 1, 0], [True, False, True])
+    sessions = generate_traffic(rng, model, 3, cfg.horizon_s)
 
     full = aggregate_rate_series(sessions, grid, 1.0, cfg.horizon_s)
     ablated = aggregate_rate_series(
@@ -161,11 +179,11 @@ def test_unserved_sessions_excluded_bit_identically():
 
 
 def test_include_unserved_counts_everything():
-    grid = _grid({0: 0, 1: 1}, {0: True, 1: False})
-    sessions = [
-        Session(0, "voice", 0.0, 1.0, 100.0),
-        Session(1, "voice", 0.0, 1.0, 100.0),
-    ]
+    grid = _grid([0, 1], [True, False])
+    sessions = _sessions(
+        (0, "voice", 0.0, 1.0, 100.0),
+        (1, "voice", 0.0, 1.0, 100.0),
+    )
     series = aggregate_rate_series(sessions, grid, 1.0, 2.0)
     offered = aggregate_rate_series(sessions, grid, 1.0, 2.0, include_unserved=True)
     assert series.hub[0] == pytest.approx(100.0)
@@ -176,27 +194,57 @@ def test_hub_equals_branch_sum_on_random_scenario():
     cfg = SimulationConfig(density=0.1, horizon_s=300.0, master_seed=3)
     report_seed = derive_seed(cfg.master_seed, 0, 0, 0)
     rng = np.random.default_rng(report_seed)
-    from plcsim.deployment import deploy
-    from plcsim.gridgen import build_grid, mark_served
-
     dep = deploy(cfg, rng)
     grid = build_grid(dep, cfg)
     mark_served(grid, cfg.max_wire_m, cfg.max_cells_per_branch)
     model = TrafficModel.from_config(cfg)
-    sessions = generate_traffic(rng, model, [c.id for c in dep.cells], cfg.horizon_s)
+    sessions = generate_traffic(rng, model, len(dep.xy), cfg.horizon_s)
     series = aggregate_rate_series(sessions, grid, cfg.dt_s, cfg.horizon_s)
     assert series.hub == pytest.approx(series.branches.sum(axis=0), rel=1e-6)
+
+
+@pytest.mark.parametrize("include_unserved", [False, True])
+@pytest.mark.parametrize("topology", ["bus", "tree", "chain"])
+def test_bit_conservation(topology, include_unserved):
+    """The hub carries exactly the bits the kept sessions deliver before the
+    horizon, and the branch series add up to the hub series.  The step
+    (0.7 s) does not divide the horizon, so steps straddle session ends."""
+    cfg = SimulationConfig(density=0.25, topology=topology, horizon_s=300.0, dt_s=0.7)
+    rng = np.random.default_rng(derive_seed(5, 0, 0, 0))
+    dep = deploy(cfg, rng)
+    grid = mark_served(build_grid(dep, cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
+    model = TrafficModel.from_config(cfg)
+    sessions = generate_traffic(rng, model, len(dep.xy), cfg.horizon_s)
+    series = aggregate_rate_series(
+        sessions, grid, cfg.dt_s, cfg.horizon_s, include_unserved=include_unserved
+    )
+    assert 0 < grid.served.sum() < grid.served.size
+
+    served = set(np.flatnonzero(grid.served).tolist())
+    delivered = 0.0
+    for cell, start, duration, rate in zip(
+        sessions.cell_id.tolist(),
+        sessions.start_s.tolist(),
+        sessions.duration_s.tolist(),
+        sessions.rate_bps.tolist(),
+    ):
+        if include_unserved or cell in served:
+            delivered += rate * (min(start + duration, cfg.horizon_s) - start)
+    assert float(series.hub.sum()) * cfg.dt_s == pytest.approx(delivered, rel=1e-9)
+
+    scale = float(np.abs(series.hub).max())
+    assert np.allclose(series.branches.sum(axis=0), series.hub, rtol=0.0, atol=1e-9 * scale)
 
 
 # ---------------------------------------------------------------------------
 # wait-time metrics
 
 def test_mean_wait_pooled_gaps():
-    sessions = [
-        Session(0, "voice", 0.0, 1.0, 1.0),
-        Session(0, "voice", 10.0, 1.0, 1.0),
-        Session(0, "voice", 30.0, 1.0, 1.0),
-    ]
+    sessions = _sessions(
+        (0, "voice", 0.0, 1.0, 1.0),
+        (0, "voice", 10.0, 1.0, 1.0),
+        (0, "voice", 30.0, 1.0, 1.0),
+    )
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 40.0)
     report = compute_metrics(series, grid, sessions)
@@ -205,13 +253,13 @@ def test_mean_wait_pooled_gaps():
 
 
 def test_mean_wait_ignores_unserved_cells():
-    sessions = [
-        Session(0, "voice", 0.0, 1.0, 1.0),
-        Session(0, "voice", 10.0, 1.0, 1.0),
-        Session(1, "voice", 0.0, 1.0, 1.0),
-        Session(1, "voice", 1.0, 1.0, 1.0),
-    ]
-    grid = _grid({0: 0, 1: 1}, {0: True, 1: False})
+    sessions = _sessions(
+        (0, "voice", 0.0, 1.0, 1.0),
+        (0, "voice", 10.0, 1.0, 1.0),
+        (1, "voice", 0.0, 1.0, 1.0),
+        (1, "voice", 1.0, 1.0, 1.0),
+    )
+    grid = _grid([0, 1], [True, False])
     series = aggregate_rate_series(sessions, grid, 1.0, 20.0)
     report = compute_metrics(series, grid, sessions)
     assert report.mean_wait_s == pytest.approx(10.0)
@@ -223,7 +271,7 @@ def test_mean_wait_statistical():
     rng = np.random.default_rng(17)
     n_cells = 1000
     grid = _all_served_grid(n_cells)
-    sessions = generate_traffic(rng, model, list(range(n_cells)), cfg.horizon_s)
+    sessions = generate_traffic(rng, model, n_cells, cfg.horizon_s)
     series = aggregate_rate_series(sessions, grid, 1.0, cfg.horizon_s)
     report = compute_metrics(series, grid, sessions)
     assert report.mean_wait_s == pytest.approx(10.0, abs=0.05)
@@ -332,21 +380,7 @@ def test_sweep_is_deterministic():
 
 def test_generate_traffic_sorted_by_cell_then_start():
     model = TrafficModel.from_config(SimulationConfig())
-    ss = generate_traffic(np.random.default_rng(2), model, [3, 1, 2], 500.0)
+    ss = generate_traffic(np.random.default_rng(2), model, 3, 500.0)
     order = np.lexsort((ss.start_s, ss.cell_id))
     assert np.array_equal(order, np.arange(ss.cell_id.size))
 
-
-def test_session_set_round_trip():
-    sessions = [
-        Session(1, "voice", 5.0, 2.0, 128000.0),
-        Session(0, "data", 1.0, 3.0, 10.0),
-        Session(0, "data", 0.5, 1.0, 20.0),
-    ]
-    ss = SessionSet.from_sessions(sessions)
-    assert ss.cell_id.tolist() == [0, 0, 1]
-    assert ss.start_s.tolist() == [0.5, 1.0, 5.0]
-    back = ss.to_sessions()
-    assert sorted(back, key=lambda s: (s.cell_id, s.start_s)) == sorted(
-        sessions, key=lambda s: (s.cell_id, s.start_s)
-    )

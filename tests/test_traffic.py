@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,16 +13,14 @@ from oracles import (
 )
 from plcsim.config import SimulationConfig
 from plcsim.errors import FitError
+from plcsim.simulator import generate_traffic
 from plcsim.traffic import (
     TrafficModel,
     expected_data_volume_bits,
     expected_session_volume_bits,
     fit_duration_distribution,
     fit_size_distribution,
-    generate_cell_sessions,
     sample_data_volumes,
-    sample_interarrival,
-    sample_session,
     sample_voice_durations,
 )
 
@@ -135,31 +134,23 @@ def test_voice_duration_mean_and_support():
     assert draws.min() > 0.0
 
 
-def test_interarrival_mean_and_reproducibility():
-    rng = np.random.default_rng(6)
-    draws = np.array([sample_interarrival(rng, 10.0) for _ in range(1_000_000)])
-    assert draws.mean() == pytest.approx(10.0, abs=0.05)
-    assert draws.min() > 0.0
-    a = sample_interarrival(np.random.default_rng(9), 10.0)
-    b = sample_interarrival(np.random.default_rng(9), 10.0)
-    assert a == b
-
-
 def test_voice_session_rate_is_exact():
     cfg = SimulationConfig(data_fraction=0.0)
     model = TrafficModel.from_config(cfg)
-    session = sample_session(np.random.default_rng(0), model, cell_id=3, start_s=1.0)
-    assert session.kind == "voice"
-    assert session.rate_bps == 128000.0
+    ss = generate_traffic(np.random.default_rng(0), model, 1, 100.0)
+    assert ss.cell_id.size > 0
+    assert not ss.is_data.any()
+    assert (ss.rate_bps == 128000.0).all()
 
 
 def test_data_session_rate_is_volume_over_duration():
     cfg = SimulationConfig(data_fraction=1.0)
     model = TrafficModel.from_config(cfg)
-    session = sample_session(np.random.default_rng(0), model, cell_id=0, start_s=0.0)
-    assert session.kind == "data"
-    volume = session.rate_bps * session.duration_s
-    assert model.pareto_xm_bits <= volume <= model.volume_cap_bits
+    ss = generate_traffic(np.random.default_rng(0), model, 1, 100.0)
+    assert ss.cell_id.size > 0
+    assert ss.is_data.all()
+    volume = ss.rate_bps * ss.duration_s
+    assert ((model.pareto_xm_bits <= volume) & (volume <= model.volume_cap_bits)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -168,36 +159,35 @@ def test_data_session_rate_is_volume_over_duration():
 def test_session_count_matches_poisson_mean():
     model = _default_model()
     rng = np.random.default_rng(7)
-    counts = [
-        len(generate_cell_sessions(rng, model, cid, 3600.0)) for cid in range(1000)
-    ]
+    ss = generate_traffic(rng, model, 1000, 3600.0)
+    counts = np.bincount(ss.cell_id, minlength=1000)
     assert np.mean(counts) == pytest.approx(360.0, abs=2.0)
 
 
 def test_session_starts_inside_horizon():
     model = _default_model()
-    sessions = generate_cell_sessions(np.random.default_rng(8), model, 0, 500.0)
-    assert all(0.0 <= s.start_s < 500.0 for s in sessions)
+    ss = generate_traffic(np.random.default_rng(8), model, 1, 500.0)
+    assert ((ss.start_s >= 0.0) & (ss.start_s < 500.0)).all()
 
 
 def test_horizon_shorter_than_first_arrival():
     model = _default_model()
-    sessions = generate_cell_sessions(np.random.default_rng(0), model, 0, 1e-9)
-    assert sessions == []
+    ss = generate_traffic(np.random.default_rng(0), model, 1, 1e-9)
+    assert ss.cell_id.size == 0
 
 
 def test_session_stream_reproducible():
     model = _default_model()
-    a = generate_cell_sessions(np.random.default_rng(12), model, 5, 1000.0)
-    b = generate_cell_sessions(np.random.default_rng(12), model, 5, 1000.0)
-    assert a == b
+    a = generate_traffic(np.random.default_rng(12), model, 1, 1000.0)
+    b = generate_traffic(np.random.default_rng(12), model, 1, 1000.0)
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
 
 def test_session_mix_matches_data_fraction():
     model = _default_model()
-    sessions = generate_cell_sessions(np.random.default_rng(13), model, 0, 200_000.0)
-    kinds = np.array([s.kind == "data" for s in sessions])
-    assert kinds.mean() == pytest.approx(0.97, abs=0.01)
+    ss = generate_traffic(np.random.default_rng(13), model, 1, 200_000.0)
+    assert ss.is_data.mean() == pytest.approx(0.97, abs=0.01)
 
 
 def test_offered_rate_per_cell_converges():
@@ -207,10 +197,8 @@ def test_offered_rate_per_cell_converges():
     rng = np.random.default_rng(21)
     horizon = 100_000.0
     n_cells = 20
-    total_bits = 0.0
-    for cid in range(n_cells):
-        for s in generate_cell_sessions(rng, model, cid, horizon):
-            total_bits += s.rate_bps * s.duration_s
+    ss = generate_traffic(rng, model, n_cells, horizon)
+    total_bits = float(np.sum(ss.rate_bps * ss.duration_s))
     per_cell = total_bits / horizon / n_cells
     target = expected_session_volume_bits(model) / model.mean_interarrival_s
     assert per_cell == pytest.approx(target, rel=0.15)
