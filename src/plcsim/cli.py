@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .config import TOPOLOGIES, SimulationConfig, config_fields
 from .deployment import CellDeployment, deploy
 from .errors import ConfigError
 from .gridgen import PowerGrid, build_grid, mark_served
-from .simulator import SweepRow, derive_seed, run_replication, run_sweep
+from .simulator import SweepRow, run_cell, run_sweep
 from .svgplot import PlotSeries, line_plot
 from .traffic import TrafficModel
 
@@ -51,53 +50,18 @@ SIMULATE_COLUMNS = (
 
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
-# command-line destination -> config field
-_FLAG_FIELDS = {
-    "density": "density",
-    "topology": "topology",
-    "side": "side_m",
-    "cell_area": "cell_area_m2",
-    "max_wire": "max_wire_m",
-    "branches": "n_branches",
-    "branch_cap": "max_cells_per_branch",
-    "interarrival": "mean_interarrival_s",
-    "horizon": "horizon_s",
-    "dt": "dt_s",
-    "seed": "master_seed",
-    "reps": "replications",
-}
 
-
-@dataclass
-class RunManifest:
+def run_manifest(config: SimulationConfig, timestamp: bool) -> dict:
     """Provenance block written into or alongside every output file."""
-
-    version: str
-    master_seed: int
-    config: dict
-    traffic: dict
-    created_utc: str | None = None
-
-    @classmethod
-    def for_config(cls, config: SimulationConfig, timestamp: bool = True) -> "RunManifest":
-        traffic = dataclasses.asdict(TrafficModel.from_config(config))
-        created = (
-            datetime.now(timezone.utc).isoformat(timespec="seconds")
-            if timestamp
-            else None
-        )
-        return cls(__version__, config.master_seed, config.as_dict(), traffic, created)
-
-    def as_dict(self) -> dict:
-        out = {
-            "version": self.version,
-            "master_seed": self.master_seed,
-            "config": self.config,
-            "traffic": self.traffic,
-        }
-        if self.created_utc is not None:
-            out["created_utc"] = self.created_utc
-        return out
+    manifest = {
+        "version": __version__,
+        "master_seed": config.master_seed,
+        "config": config.as_dict(),
+        "traffic": dataclasses.asdict(TrafficModel.from_config(config)),
+    }
+    if timestamp:
+        manifest["created_utc"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +84,10 @@ def parse_config(
             raise ConfigError("SIM_SEED must be an integer, got %r" % sim_seed) from None
 
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError("config file %s is not valid UTF-8: %s" % (path, exc)) from None
         if text.strip():
             try:
                 data = json.loads(text)
@@ -180,11 +147,7 @@ def _coerce_field(field: str, value):
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
-    overrides = {
-        field: getattr(args, dest)
-        for dest, field in _FLAG_FIELDS.items()
-        if hasattr(args, dest)
-    }
+    overrides = {field: getattr(args, field, None) for field in config_fields()}
     return parse_config(args.config, overrides)
 
 
@@ -213,6 +176,10 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    _write_atomic(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
 def _csv_text(columns: tuple[str, ...], rows: list[list]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -231,9 +198,7 @@ def _num(value) -> str:
     return repr(float(value))
 
 
-def layout_dict(
-    deployment: CellDeployment, grid: PowerGrid, manifest: RunManifest
-) -> dict:
+def layout_dict(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> dict:
     hub_x, hub_y = deployment.hub
     cells = zip(
         deployment.xy.tolist(),
@@ -248,7 +213,7 @@ def layout_dict(
         grid.node_sector.tolist(),
     )
     return {
-        "manifest": manifest.as_dict(),
+        "manifest": manifest,
         "hub": {"x_m": hub_x, "y_m": hub_y},
         "forced_crossings": grid.forced_crossings,
         "cells": [
@@ -290,39 +255,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
     deployment = deploy(config, rng)
     grid = build_grid(deployment, config)
     mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
-    manifest = RunManifest.for_config(config, timestamp=False)
-    payload = layout_dict(deployment, grid, manifest)
+    payload = layout_dict(deployment, grid, run_manifest(config, timestamp=False))
     out = Path(args.out) / "layout.json"
-    _write_atomic(out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _write_json(out, payload)
     print("wrote %s" % out)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    rows = []
-    for k in range(config.replications):
-        seed = derive_seed(config.master_seed, 0, 0, k)
-        report = run_replication(config, seed)
-        rows.append(
-            [
-                str(seed),
-                config.topology,
-                _num(config.density),
-                _num(report.reachability),
-                _num(report.avg_rate_bps),
-                _num(report.max_rate_bps),
-                _num(report.mean_wait_s),
-                str(report.forced_crossings),
-            ]
-        )
+    # the replications of sweep cell (0, 0)
+    reports = run_cell(config, config.master_seed, 0, 0, config.replications)
+    rows = [
+        [_num(report.seed), config.topology, _num(config.density)]
+        + [_num(getattr(report, c)) for c in SIMULATE_COLUMNS[3:]]
+        for report in reports
+    ]
     out = Path(args.out) / "metrics.csv"
     _write_atomic(out, _csv_text(SIMULATE_COLUMNS, rows))
-    manifest = RunManifest.for_config(config, timestamp=True)
-    _write_atomic(
-        Path(args.out) / "metrics.manifest.json",
-        json.dumps(manifest.as_dict(), indent=2, allow_nan=False) + "\n",
-    )
+    _write_json(Path(args.out) / "metrics.manifest.json", run_manifest(config, timestamp=True))
     print("wrote %s" % out)
     return 0
 
@@ -340,6 +291,21 @@ def _parse_densities(text: str) -> list[float]:
     return values
 
 
+def _plot_series(
+    label: str,
+    topology: str,
+    densities: list[float],
+    rows: list[SweepRow],
+    field: str,
+    scale: float = 1.0,
+    dash: str | None = None,
+) -> PlotSeries:
+    """One topology's line: a field of its SweepRows (one per density), scaled."""
+    ys = [getattr(row, field) for row in rows]
+    ys = [None if y is None else scale * y for y in ys]
+    return PlotSeries(label, TOPOLOGY_COLORS[topology], list(densities), ys, dash=dash)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     densities = (
@@ -352,61 +318,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out = out_dir / "sweep.csv"
     _write_atomic(out, _csv_text(SWEEP_COLUMNS, rows))
-    manifest = RunManifest.for_config(config, timestamp=True)
-    _write_atomic(
-        out_dir / "sweep.manifest.json",
-        json.dumps(manifest.as_dict(), indent=2, allow_nan=False) + "\n",
-    )
+    _write_json(out_dir / "sweep.manifest.json", run_manifest(config, timestamp=True))
     written = [str(out)]
 
     if args.plots == "on":
         by_cell = {(row.density, row.topology): row for row in result.rows}
-        reach_series = []
-        avg_series = []
-        for topo in topologies:
-            color = TOPOLOGY_COLORS[topo]
-            reach = [
-                None
-                if by_cell[(d, topo)].reachability_mean is None
-                else 100.0 * by_cell[(d, topo)].reachability_mean
-                for d in densities
+        reach_series, traffic_series = [], []
+        for t in topologies:
+            cells = [by_cell[(d, t)] for d in densities]
+            reach_series.append(_plot_series(t, t, densities, cells, "reachability_mean", 100.0))
+            traffic_series += [
+                _plot_series(t + " avg", t, densities, cells, "avg_rate_bps_mean"),
+                _plot_series(t + " max", t, densities, cells, "max_rate_bps_mean", dash="6,4"),
             ]
-            reach_series.append(PlotSeries(topo, color, list(densities), reach))
-            avg_series.append(
-                PlotSeries(
-                    "%s avg" % topo,
-                    color,
-                    list(densities),
-                    [by_cell[(d, topo)].avg_rate_bps_mean for d in densities],
-                )
-            )
-            avg_series.append(
-                PlotSeries(
-                    "%s max" % topo,
-                    color,
-                    list(densities),
-                    [by_cell[(d, topo)].max_rate_bps_mean for d in densities],
-                    dash="6,4",
-                )
-            )
-        reach_svg = line_plot(
-            reach_series,
-            "Reachability vs cell density",
-            "cell density",
-            "reachable cells [%]",
-        )
-        traffic_svg = line_plot(
-            avg_series,
-            "Hub traffic vs cell density",
-            "cell density",
-            "aggregate rate [bps]",
-            y_si=True,
-        )
-        reach_path = out_dir / "reachability_vs_density.svg"
-        traffic_path = out_dir / "traffic_vs_density.svg"
-        _write_atomic(reach_path, reach_svg)
-        _write_atomic(traffic_path, traffic_svg)
-        written += [str(reach_path), str(traffic_path)]
+        plots = {
+            "reachability_vs_density.svg": line_plot(
+                reach_series,
+                "Reachability vs cell density",
+                "cell density",
+                "reachable cells [%]",
+            ),
+            "traffic_vs_density.svg": line_plot(
+                traffic_series,
+                "Hub traffic vs cell density",
+                "cell density",
+                "aggregate rate [bps]",
+                y_si=True,
+            ),
+        }
+        for name, svg in plots.items():
+            _write_atomic(out_dir / name, svg)
+            written.append(str(out_dir / name))
 
     for path in written:
         print("wrote %s" % path)
@@ -424,18 +366,19 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
+    # each scenario flag's dest is its SimulationConfig field
     common.add_argument("--density", type=float, help="cell density (coverage fraction)")
     common.add_argument("--topology", choices=TOPOLOGIES)
-    common.add_argument("--side", type=float, help="square side length [m]")
-    common.add_argument("--cell-area", dest="cell_area", type=float, help="cell footprint [m^2]")
-    common.add_argument("--max-wire", dest="max_wire", type=float, help="wire reach limit [m]")
-    common.add_argument("--branches", type=int, help="number of feeder branches")
-    common.add_argument("--branch-cap", dest="branch_cap", type=int, help="max served cells per branch")
-    common.add_argument("--interarrival", type=float, help="mean request inter-arrival [s]")
-    common.add_argument("--horizon", type=float, help="simulated horizon [s]")
-    common.add_argument("--dt", type=float, help="aggregation step [s]")
-    common.add_argument("--reps", type=int, help="Monte Carlo replications")
-    common.add_argument("--seed", type=int, help="master seed")
+    common.add_argument("--side", dest="side_m", type=float, help="square side length [m]")
+    common.add_argument("--cell-area", dest="cell_area_m2", type=float, help="cell footprint [m^2]")
+    common.add_argument("--max-wire", dest="max_wire_m", type=float, help="wire reach limit [m]")
+    common.add_argument("--branches", dest="n_branches", type=int, help="number of feeder branches")
+    common.add_argument("--branch-cap", dest="max_cells_per_branch", type=int, help="max served cells per branch")
+    common.add_argument("--interarrival", dest="mean_interarrival_s", type=float, help="mean request inter-arrival [s]")
+    common.add_argument("--horizon", dest="horizon_s", type=float, help="simulated horizon [s]")
+    common.add_argument("--dt", dest="dt_s", type=float, help="aggregation step [s]")
+    common.add_argument("--reps", dest="replications", type=int, help="Monte Carlo replications")
+    common.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     common.add_argument("--out", default=".", help="output directory")
 
     parser = _Parser(

@@ -117,6 +117,7 @@ class SimulationConfig:
                 self.density * self.side_m * self.side_m / self.cell_area_m2,
             ),
             ("horizon_s / dt_s (step count)", self.horizon_s / self.dt_s),
+            ("n_branches (branch count)", self.n_branches),
             (
                 "horizon_s / mean_interarrival_s (arrival batch)",
                 arrival_chunk(self.horizon_s, self.mean_interarrival_s),

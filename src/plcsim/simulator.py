@@ -75,7 +75,6 @@ class MetricsReport:
     per_branch_avg_bps: list[float] = field(default_factory=list)
     forced_crossings: int = 0
     offered_avg_rate_bps: float | None = None
-    config: SimulationConfig | None = None
 
 
 @dataclass
@@ -98,10 +97,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    densities: list[float]
-    topologies: list[str]
-    replications: int
-    master_seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +229,6 @@ def compute_metrics(
     series: RateSeries,
     grid: PowerGrid,
     sessions: SessionSet,
-    config: SimulationConfig | None = None,
     seed: int | None = None,
 ) -> MetricsReport:
     pooled, per_cell = _pooled_waits(sessions, grid.served)
@@ -247,7 +241,6 @@ def compute_metrics(
         per_cell_mean_wait_s=per_cell,
         per_branch_avg_bps=[float(v) for v in series.branches.mean(axis=1)],
         forced_crossings=grid.forced_crossings,
-        config=config,
     )
 
 
@@ -264,7 +257,7 @@ def run_replication(config: SimulationConfig, seed: int) -> MetricsReport:
     model = TrafficModel.from_config(config)
     sessions = generate_traffic(rng, model, len(deployment.xy), config.horizon_s)
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
-    report = compute_metrics(series, grid, sessions, config=config, seed=seed)
+    report = compute_metrics(series, grid, sessions, seed=seed)
     if config.count_unserved_offered:
         offered = aggregate_rate_series(
             sessions, grid, config.dt_s, config.horizon_s, include_unserved=True
@@ -283,29 +276,36 @@ def _mean_stderr(values: list[float | None]) -> tuple[float | None, float | None
     return mean, float(np.std(present, ddof=1) / math.sqrt(len(present)))
 
 
+# the MetricsReport fields SweepRow summarises as <name>_mean, <name>_stderr
+_SUMMARY_METRICS = tuple(
+    f.name[: -len("_mean")] for f in dataclasses.fields(SweepRow) if f.name.endswith("_mean")
+)
+
+
 def _summarize(
     density: float, topology: str, reports: list[MetricsReport]
 ) -> SweepRow:
-    reach = _mean_stderr([r.reachability for r in reports])
-    avg = _mean_stderr([r.avg_rate_bps for r in reports])
-    peak = _mean_stderr([r.max_rate_bps for r in reports])
-    wait = _mean_stderr([r.mean_wait_s for r in reports])
-    forced = _mean_stderr([float(r.forced_crossings) for r in reports])
-    return SweepRow(
-        density,
-        topology,
-        len(reports),
-        reach[0],
-        reach[1],
-        avg[0],
-        avg[1],
-        peak[0],
-        peak[1],
-        wait[0],
-        wait[1],
-        forced[0],
-        forced[1],
-    )
+    stats: list[float | None] = []
+    for name in _SUMMARY_METRICS:
+        stats += _mean_stderr([getattr(r, name) for r in reports])
+    return SweepRow(density, topology, len(reports), *stats)
+
+
+def run_cell(
+    config: SimulationConfig,
+    master_seed: int,
+    density_index: int,
+    topology_index: int,
+    replications: int,
+) -> list[MetricsReport]:
+    """The replications of one sweep cell, replication k under
+    derive_seed(master_seed, density_index, topology_index, k)."""
+    return [
+        run_replication(
+            config, derive_seed(master_seed, density_index, topology_index, k)
+        )
+        for k in range(replications)
+    ]
 
 
 def run_sweep(
@@ -325,9 +325,6 @@ def run_sweep(
     for i, density in enumerate(densities):
         for j, topology in enumerate(topologies):
             scenario = dataclasses.replace(config, density=density, topology=topology)
-            reports = [
-                run_replication(scenario, derive_seed(master, i, j, k))
-                for k in range(replications)
-            ]
+            reports = run_cell(scenario, master, i, j, replications)
             rows.append(_summarize(density, topology, reports))
-    return SweepResult(rows, list(densities), list(topologies), replications, master)
+    return SweepResult(rows)

@@ -12,12 +12,14 @@ import pytest
 from plcsim.cli import (
     SIMULATE_COLUMNS,
     SWEEP_COLUMNS,
+    _num,
     main,
     parse_config,
 )
 from plcsim.deployment import deploy
 from plcsim.errors import ConfigError
 from plcsim.gridgen import build_grid, mark_served
+from plcsim.simulator import derive_seed, run_replication
 
 
 @pytest.fixture(autouse=True)
@@ -81,6 +83,17 @@ def test_invalid_json_reported(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_config(str(path))
+
+
+def test_non_utf8_config_reported(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'\xff\xfe{"density": 0.1}')
+    with pytest.raises(ConfigError, match="cfg.json"):
+        parse_config(str(path))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_type_errors(tmp_path):
@@ -148,8 +161,9 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
             ["mean_interarrival_s"],
         ),
         (["sweep", "--densities", "1e300", "--reps", "1"], {}, ["density"]),
+        (["generate", "--density", "0.01"], {"n_branches": 2**70, "topology": "tree"}, ["n_branches"]),
     ],
-    ids=["side", "cell-area", "steps", "arrivals", "sweep-density"],
+    ids=["side", "cell-area", "steps", "arrivals", "sweep-density", "branches"],
 )
 def test_exit_one_on_unallocatable_size(tmp_path, capsys, argv, config, fields):
     """Finite values whose array sizes exceed what numpy can index fail as
@@ -283,6 +297,39 @@ def test_simulate_csv_schema(tmp_path, capsys):
         assert 0.0 <= float(row[3]) <= 1.0
         float(row[4]), float(row[5])  # rates parse as numbers
         int(row[7])
+
+
+def test_simulate_rows_are_sweep_cell_zero(tmp_path, capsys):
+    """Row k of metrics.csv is replication k of sweep cell (0, 0): the
+    report of run_replication under derive_seed(master, 0, 0, k), seed
+    column included."""
+    argv = ["simulate", "--reps", "3", "--horizon", "50", "--density", "0.05",
+            "--topology", "chain", "--seed", "9"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    header, rows = _read_csv(tmp_path / "metrics.csv")
+    assert header == list(SIMULATE_COLUMNS)
+    cfg = parse_config(
+        None,
+        {"replications": 3, "horizon_s": 50.0, "density": 0.05, "topology": "chain", "master_seed": 9},
+    )
+    expected = []
+    for k in range(3):
+        seed = derive_seed(9, 0, 0, k)
+        report = run_replication(cfg, seed)
+        expected.append(
+            [
+                _num(seed),
+                "chain",
+                _num(0.05),
+                _num(report.reachability),
+                _num(report.avg_rate_bps),
+                _num(report.max_rate_bps),
+                _num(report.mean_wait_s),
+                _num(report.forced_crossings),
+            ]
+        )
+    assert rows == expected
 
 
 def test_simulate_rerun_byte_identical(tmp_path, capsys):

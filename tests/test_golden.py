@@ -1,0 +1,60 @@
+"""Golden outputs: the bytes of a few small CLI runs, pinned by sha256.
+
+A refactor that should not touch the random stream, the output formats or
+the package version (the manifests carry it) must leave these hashes
+alone.  A deliberate change to any of them updates the hashes here and
+says so in CHANGES.md.  Manifests are hashed without their `created_utc`
+timestamp, re-encoded the way the CLI writes them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from plcsim.cli import main
+
+CALLS = {
+    "generate": ["generate", "--topology", "chain", "--density", "0.25", "--seed", "5"],
+    "simulate": ["simulate", "--reps", "2", "--horizon", "50", "--seed", "5"],
+    "sweep": ["sweep", "--densities", "0.1,0.25", "--reps", "2", "--horizon", "1", "--seed", "5"],
+}
+
+GOLDEN = {
+    "generate/layout.json": "be2b5184da99463b5f44117bb81d317541ae4317269910c1470b438a4577612d",
+    "simulate/metrics.csv": "8ae6552a80f8ba03be1210c55e35d6dfab8d5e8002e8eb89fb5039e6d21c7413",
+    "simulate/metrics.manifest.json": "87c4deb25c7a3bd4d9da68e99501501d7a0da91501d03aa9a66a549185e94ec0",
+    "sweep/reachability_vs_density.svg": "e3720e325c7557b77c5c7802ffcc9a5332b7f1b72b0da33579b109c8f4672825",
+    "sweep/sweep.csv": "8d17e97c321fab2565661bbb9e94c1cd00106af26f92511e658a6f307192719d",
+    "sweep/sweep.manifest.json": "455da0bda856db9ea8b49457e7e770781f7bb9ce456622855f2ae6cd57bcc4f6",
+    "sweep/traffic_vs_density.svg": "467c29f32fd9971c3dbf0ccd5ed0b152c231e04c06d05c0b52dc4b56377c6d57",
+}
+
+
+def _digest(path) -> str:
+    data = path.read_bytes()
+    if path.name.endswith(".manifest.json"):
+        manifest = json.loads(data)
+        del manifest["created_utc"]
+        data = (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    for name, argv in CALLS.items():
+        assert main(argv + ["--out", str(root / name)]) == 0
+    return root
+
+
+def test_golden_files_are_exactly_these(outputs):
+    written = sorted(
+        p.relative_to(outputs).as_posix() for p in outputs.rglob("*") if p.is_file()
+    )
+    assert written == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_bytes(outputs, name):
+    assert _digest(outputs / name) == GOLDEN[name]

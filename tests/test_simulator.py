@@ -236,6 +236,35 @@ def test_bit_conservation(topology, include_unserved):
     assert np.allclose(series.branches.sum(axis=0), series.hub, rtol=0.0, atol=1e-9 * scale)
 
 
+@pytest.mark.parametrize("include_unserved", [False, True])
+@pytest.mark.parametrize("topology", ["bus", "tree", "chain"])
+def test_aggregation_is_linear_in_sessions(topology, include_unserved):
+    """Aggregation is linear in the session set: splitting one
+    replication's sessions into disjoint sets A and B by a seeded random
+    mask, the hub and branch series of A and B add up to those of A | B,
+    to 1e-9 of the series' peak."""
+    cfg = SimulationConfig(density=0.25, topology=topology, horizon_s=300.0, dt_s=0.7)
+    rng = np.random.default_rng(derive_seed(5, 0, 0, 0))
+    dep = deploy(cfg, rng)
+    grid = mark_served(build_grid(dep, cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
+    sessions = generate_traffic(rng, TrafficModel.from_config(cfg), len(dep.xy), cfg.horizon_s)
+    in_a = np.random.default_rng(17).random(sessions.cell_id.size) < 0.5
+    assert 0 < in_a.sum() < in_a.size
+
+    def series(subset):
+        return aggregate_rate_series(
+            subset, grid, cfg.dt_s, cfg.horizon_s, include_unserved=include_unserved
+        )
+
+    whole = series(sessions)
+    a = series(sessions.subset(in_a))
+    b = series(sessions.subset(~in_a))
+    scale = float(np.abs(whole.hub).max())
+    assert scale > 0
+    assert np.allclose(a.hub + b.hub, whole.hub, rtol=0.0, atol=1e-9 * scale)
+    assert np.allclose(a.branches + b.branches, whole.branches, rtol=0.0, atol=1e-9 * scale)
+
+
 # ---------------------------------------------------------------------------
 # wait-time metrics
 
