@@ -9,13 +9,12 @@ from .gridgen import PowerGrid, build_grid, mark_served, reachability_fraction
 from .simulator import (
     MetricsReport,
     RateSeries,
-    SessionSet,
     SweepResult,
     derive_seed,
     run_replication,
     run_sweep,
 )
-from .traffic import TrafficModel
+from .traffic import SessionSet, TrafficModel
 
 __all__ = [
     "CellDeployment",

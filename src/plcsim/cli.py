@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -72,7 +71,8 @@ def parse_config(
     overrides: dict | None = None,
     env: dict | None = None,
 ) -> SimulationConfig:
-    """Merge defaults <- SIM_SEED <- config file <- flag overrides."""
+    """Merge defaults <- SIM_SEED <- config file <- flag overrides; only
+    the merged values are checked, so a flag overrides a bad file value."""
     env = dict(os.environ) if env is None else env
     values: dict = {}
 
@@ -104,46 +104,10 @@ def parse_config(
                 "unknown config key(s): %s; valid keys: %s"
                 % (", ".join(unknown), ", ".join(valid))
             )
-        for key, value in data.items():
-            values[key] = _coerce_field(key, value)
+        values.update(data)
 
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = _coerce_field(key, value)
-
-    config = SimulationConfig(**values)
-    config.validate()
-    return config
-
-
-_DEFAULTS = SimulationConfig()
-
-
-def _coerce_field(field: str, value):
-    default = getattr(_DEFAULTS, field)
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        raise ConfigError("%s must be a boolean, got %r" % (field, value))
-    if isinstance(default, int):
-        if isinstance(value, bool):
-            raise ConfigError("%s must be an integer, got %r" % (field, value))
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError("%s must be an integer, got %r" % (field, value))
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError("%s must be an integer, got %r" % (field, value)) from None
-    if isinstance(default, float):
-        if isinstance(value, bool):
-            raise ConfigError("%s must be a number, got %r" % (field, value))
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError("%s must be a number, got %r" % (field, value)) from None
-    if not isinstance(value, str):
-        raise ConfigError("%s must be a string, got %r" % (field, value))
-    return value
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    return SimulationConfig(**values).validate()
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
@@ -285,9 +249,6 @@ def _parse_densities(text: str) -> list[float]:
         raise ConfigError("--densities must be a comma-separated list of numbers") from None
     if not values:
         raise ConfigError("--densities must name at least one density")
-    for v in values:
-        if v < 0 or math.isnan(v) or math.isinf(v):
-            raise ConfigError("density must be >= 0 and finite (got %r)" % v)
     return values
 
 
@@ -309,7 +270,7 @@ def _plot_series(
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     densities = (
-        _parse_densities(args.densities) if args.densities else [config.density]
+        [config.density] if args.densities is None else _parse_densities(args.densities)
     )
     topologies = [args.topology] if args.topology else list(TOPOLOGIES)
     result = run_sweep(config, densities, topologies, config.replications)
@@ -322,10 +283,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     written = [str(out)]
 
     if args.plots == "on":
-        by_cell = {(row.density, row.topology): row for row in result.rows}
         reach_series, traffic_series = [], []
-        for t in topologies:
-            cells = [by_cell[(d, t)] for d in densities]
+        for j, t in enumerate(topologies):
+            # rows are density-major: topology j's row for each density
+            cells = result.rows[j :: len(topologies)]
             reach_series.append(_plot_series(t, t, densities, cells, "reachability_mean", 100.0))
             traffic_series += [
                 _plot_series(t + " avg", t, densities, cells, "avg_rate_bps_mean"),

@@ -48,9 +48,12 @@ class SimulationConfig:
     master_seed: int = 0
 
     def validate(self) -> "SimulationConfig":
-        """Check every bound; raise ConfigError naming the offending field."""
+        """Check every field's type and bound, raising ConfigError naming the
+        offending field; each value is normalised in place to its field's
+        type (an integral ``side_m=700`` becomes ``700.0``)."""
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+            value = _typed(f.name, f.default, getattr(self, f.name))
+            setattr(self, f.name, value)
             if isinstance(value, float):
                 _require(math.isfinite(value), f.name, "finite", value)
         _require(self.side_m > 0, "side_m", "> 0", self.side_m)
@@ -136,6 +139,25 @@ def arrival_chunk(horizon_s: float, mean_interarrival_s: float) -> float:
     horizon."""
     expect = horizon_s / mean_interarrival_s
     return max(16.0, expect + 6.0 * math.sqrt(expect) + 8.0)
+
+
+_TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(field: str, default, value):
+    """value read as the type of the field's default (bool, int, float or
+    str); a bool is never read as a number, nor a fractional float as an
+    integer."""
+    kind = type(default)
+    if isinstance(value, kind) and kind in (bool, str):
+        return value
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if kind in (int, float) and not isinstance(value, bool) and not fractional:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError("%s must be %s, got %r" % (field, _TYPE_NOUNS[kind], value))
 
 
 def _require(ok: bool, field: str, bound: str, value) -> None:

@@ -22,39 +22,9 @@ import numpy as np
 from .config import SimulationConfig
 from .deployment import deploy
 from .gridgen import PowerGrid, build_grid, mark_served, reachability_fraction
-from .traffic import TrafficModel, _cell_stream
+from .traffic import SessionSet, TrafficModel, generate_traffic
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass
-class SessionSet:
-    """Column-oriented session store, sorted by (cell id, start time)."""
-
-    cell_id: np.ndarray
-    is_data: np.ndarray
-    start_s: np.ndarray
-    duration_s: np.ndarray
-    rate_bps: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "SessionSet":
-        return cls(
-            np.empty(0, dtype=int),
-            np.empty(0, dtype=bool),
-            np.empty(0),
-            np.empty(0),
-            np.empty(0),
-        )
-
-    def subset(self, mask: np.ndarray) -> "SessionSet":
-        return SessionSet(
-            self.cell_id[mask],
-            self.is_data[mask],
-            self.start_s[mask],
-            self.duration_s[mask],
-            self.rate_bps[mask],
-        )
 
 
 @dataclass
@@ -71,7 +41,6 @@ class MetricsReport:
     avg_rate_bps: float = 0.0
     max_rate_bps: float = 0.0
     mean_wait_s: float | None = None
-    per_cell_mean_wait_s: float | None = None
     per_branch_avg_bps: list[float] = field(default_factory=list)
     forced_crossings: int = 0
     offered_avg_rate_bps: float | None = None
@@ -123,31 +92,7 @@ def derive_seed(
 
 
 # ---------------------------------------------------------------------------
-# traffic generation and aggregation
-
-def generate_traffic(
-    rng: np.random.Generator,
-    model: TrafficModel,
-    n_cells: int,
-    horizon_s: float,
-) -> SessionSet:
-    """Sessions for every cell 0..n_cells-1 (served or not), drawn cell by
-    cell in id order."""
-    cols: list[tuple[np.ndarray, ...]] = []
-    for cid in range(n_cells):
-        starts, is_data, durations, rates = _cell_stream(rng, model, horizon_s)
-        if starts.size:
-            cols.append((np.full(starts.size, cid), is_data, starts, durations, rates))
-    if not cols:
-        return SessionSet.empty()
-    return SessionSet(
-        np.concatenate([c[0] for c in cols]).astype(int),
-        np.concatenate([c[1] for c in cols]),
-        np.concatenate([c[2] for c in cols]),
-        np.concatenate([c[3] for c in cols]),
-        np.concatenate([c[4] for c in cols]),
-    )
-
+# aggregation
 
 def _step_count(horizon_s: float, dt_s: float) -> int:
     ratio = horizon_s / dt_s
@@ -207,22 +152,14 @@ def aggregate_rate_series(
 # ---------------------------------------------------------------------------
 # metrics
 
-def _pooled_waits(ss: SessionSet, served: np.ndarray) -> tuple[float | None, float | None]:
-    """Mean inter-arrival gap pooled over served cells, and the mean of
-    per-cell mean gaps."""
+def _pooled_wait(ss: SessionSet, served: np.ndarray) -> float | None:
+    """Mean inter-arrival gap pooled over the served cells' sessions."""
     if ss.cell_id.size < 2:
-        return None, None
+        return None
     same = (ss.cell_id[1:] == ss.cell_id[:-1]) & served[ss.cell_id[1:]]
     if not same.any():
-        return None, None
-    gaps = (ss.start_s[1:] - ss.start_s[:-1])[same]
-    owners = ss.cell_id[1:][same]
-    pooled = float(gaps.mean())
-    _, inverse = np.unique(owners, return_inverse=True)
-    sums = np.bincount(inverse, weights=gaps)
-    counts = np.bincount(inverse)
-    per_cell = float((sums / counts).mean())
-    return pooled, per_cell
+        return None
+    return float((ss.start_s[1:] - ss.start_s[:-1])[same].mean())
 
 
 def compute_metrics(
@@ -231,14 +168,12 @@ def compute_metrics(
     sessions: SessionSet,
     seed: int | None = None,
 ) -> MetricsReport:
-    pooled, per_cell = _pooled_waits(sessions, grid.served)
     return MetricsReport(
         seed=seed,
         reachability=reachability_fraction(grid),
         avg_rate_bps=float(series.hub.mean()),
         max_rate_bps=float(series.hub.max()),
-        mean_wait_s=pooled,
-        per_cell_mean_wait_s=per_cell,
+        mean_wait_s=_pooled_wait(sessions, grid.served),
         per_branch_avg_bps=[float(v) for v in series.branches.mean(axis=1)],
         forced_crossings=grid.forced_crossings,
     )
@@ -318,13 +253,18 @@ def run_sweep(
     """Replicated grid of scenarios over densities x topologies.
 
     Each cell's replication seeds come from derive_seed, so results do not
-    depend on the order cells are executed in.
+    depend on the order cells are executed in.  Every scenario is validated
+    before the first replication runs.
     """
     master = config.master_seed if master_seed is None else master_seed
-    rows = []
-    for i, density in enumerate(densities):
-        for j, topology in enumerate(topologies):
-            scenario = dataclasses.replace(config, density=density, topology=topology)
-            reports = run_cell(scenario, master, i, j, replications)
-            rows.append(_summarize(density, topology, reports))
-    return SweepResult(rows)
+    scenarios = [
+        (i, j, dataclasses.replace(config, density=density, topology=topology).validate())
+        for i, density in enumerate(densities)
+        for j, topology in enumerate(topologies)
+    ]
+    return SweepResult(
+        [
+            _summarize(s.density, s.topology, run_cell(s, master, i, j, replications))
+            for i, j, s in scenarios
+        ]
+    )

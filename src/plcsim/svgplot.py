@@ -41,18 +41,21 @@ def _trim(text: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
+    # ticks are rounded to 12 decimals, so a narrower span is drawn as a
+    # point with padding around it
+    if hi - lo <= 1e-9 * max(abs(lo), abs(hi), 1.0):
         pad = max(abs(lo), 1.0) * 0.5
         lo, hi = lo - pad, hi + pad
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag + 1e-12)
-    first = math.floor(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + step * 1e-9:
-        ticks.append(round(t, 12))
+    # the axis spans the last tick <= lo to the first tick >= hi, so every
+    # data point lies inside the plot area
+    t = math.floor(lo / step) * step
+    ticks = [round(t, 12)]
+    while t < hi - step * 1e-9:
         t += step
+        ticks.append(round(t, 12))
     return ticks
 
 

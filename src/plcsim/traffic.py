@@ -7,7 +7,8 @@ of all bytes.  Data session durations follow a lognormal law pinned by its
 0.8 and 0.999 quantiles (11 s and 200 s).  The rest are voice calls at a
 fixed codec rate with exponentially distributed holding times.
 
-Fitting happens once; the fitted model is immutable.
+Fitting happens once; the fitted model is immutable.  generate_traffic
+draws every cell's sessions into one SessionSet.
 """
 
 from __future__ import annotations
@@ -55,6 +56,36 @@ class TrafficModel:
             voice_mean_duration_s=config.voice_mean_duration_s,
             mean_interarrival_s=config.mean_interarrival_s,
             volume_cap_bits=config.volume_cap_bits,
+        )
+
+
+@dataclass
+class SessionSet:
+    """Column-oriented session store, sorted by (cell id, start time)."""
+
+    cell_id: np.ndarray
+    is_data: np.ndarray
+    start_s: np.ndarray
+    duration_s: np.ndarray
+    rate_bps: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "SessionSet":
+        return cls(
+            np.empty(0, dtype=int),
+            np.empty(0, dtype=bool),
+            np.empty(0),
+            np.empty(0),
+            np.empty(0),
+        )
+
+    def subset(self, mask: np.ndarray) -> "SessionSet":
+        return SessionSet(
+            self.cell_id[mask],
+            self.is_data[mask],
+            self.start_s[mask],
+            self.duration_s[mask],
+            self.rate_bps[mask],
         )
 
 
@@ -157,55 +188,47 @@ def sample_voice_durations(
     return rng.exponential(model.voice_mean_duration_s, n)
 
 
-def _cell_stream(
-    rng: np.random.Generator, model: TrafficModel, horizon_s: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One cell's sessions with arrival times inside [0, horizon):
-    (starts, is_data, durations, rates).  Data sessions carry a Pareto
-    volume over a lognormal duration; voice sessions run at exactly the
-    codec rate."""
+def generate_traffic(
+    rng: np.random.Generator,
+    model: TrafficModel,
+    n_cells: int,
+    horizon_s: float,
+) -> SessionSet:
+    """Sessions for every cell 0..n_cells-1 (served or not) with arrival
+    times inside [0, horizon), drawn cell by cell in id order.  Each cell
+    draws its arrival gaps, then each session's class, then the data
+    volumes, data durations and voice durations.  Data sessions carry a
+    Pareto volume over a lognormal duration; voice sessions run at exactly
+    the codec rate."""
     mean = model.mean_interarrival_s
     chunk = int(arrival_chunk(horizon_s, mean))
-    gaps = rng.exponential(mean, chunk)
-    arrivals = np.cumsum(gaps)
-    while arrivals.size and arrivals[-1] < horizon_s:
-        more = np.cumsum(rng.exponential(mean, chunk)) + arrivals[-1]
-        arrivals = np.concatenate([arrivals, more])
-    starts = arrivals[arrivals < horizon_s]
+    counts = np.zeros(n_cells, dtype=int)
+    cols: list[tuple[np.ndarray, ...]] = []
+    for cid in range(n_cells):
+        arrivals = np.cumsum(rng.exponential(mean, chunk))
+        while arrivals[-1] < horizon_s:
+            more = np.cumsum(rng.exponential(mean, chunk)) + arrivals[-1]
+            arrivals = np.concatenate([arrivals, more])
+        starts = arrivals[arrivals < horizon_s]
 
-    n = starts.size
-    is_data = rng.random(n) < model.data_fraction
-    n_data = int(is_data.sum())
-    volumes = sample_data_volumes(rng, model, n_data)
-    data_dur = sample_data_durations(rng, model, n_data)
-    voice_dur = sample_voice_durations(rng, model, n - n_data)
-
-    durations = np.empty(n)
-    rates = np.empty(n)
-    durations[is_data] = data_dur
-    rates[is_data] = volumes / data_dur
-    durations[~is_data] = voice_dur
-    rates[~is_data] = model.voice_rate_bps
-    return starts, is_data, durations, rates
-
-
-# ---------------------------------------------------------------------------
-# analytic helpers
-
-def expected_data_volume_bits(model: TrafficModel) -> float:
-    """E[min(V, cap)] for the fitted Pareto, in closed form."""
-    a = model.pareto_alpha
-    xm = model.pareto_xm_bits
-    cap = model.volume_cap_bits
-    body = a / (a - 1.0) * xm * (1.0 - (xm / cap) ** (a - 1.0))
-    tail = xm**a * cap ** (1.0 - a)
-    return body + tail
-
-
-def expected_session_volume_bits(model: TrafficModel) -> float:
-    """Mean bits per session across both traffic classes."""
-    voice = model.voice_rate_bps * model.voice_mean_duration_s
-    return (
-        model.data_fraction * expected_data_volume_bits(model)
-        + (1.0 - model.data_fraction) * voice
+        n = starts.size
+        if not n:  # zero-size draws would leave the generator as it is
+            continue
+        is_data = rng.random(n) < model.data_fraction
+        n_data = int(is_data.sum())
+        volumes = sample_data_volumes(rng, model, n_data)
+        data_dur = sample_data_durations(rng, model, n_data)
+        voice_dur = sample_voice_durations(rng, model, n - n_data)
+        durations = np.empty(n)
+        rates = np.empty(n)
+        durations[is_data] = data_dur
+        rates[is_data] = volumes / data_dur
+        durations[~is_data] = voice_dur
+        rates[~is_data] = model.voice_rate_bps
+        counts[cid] = n
+        cols.append((is_data, starts, durations, rates))
+    if not cols:
+        return SessionSet.empty()
+    return SessionSet(
+        np.repeat(np.arange(n_cells), counts), *(np.concatenate(c) for c in zip(*cols))
     )

@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from plcsim.errors import GeometryError
+from plcsim.traffic import TrafficModel
 
 Point = tuple[float, float]
 
@@ -86,6 +87,28 @@ def expected_session_volume_quad(
     data = clipped_pareto_mean_quad(alpha, xm, cap)
     voice = voice_rate_bps * voice_mean_s
     return data_fraction * data + (1.0 - data_fraction) * voice
+
+
+# closed forms of the same means for a fitted plcsim TrafficModel; the
+# quadrature routes above check them
+
+def expected_data_volume_bits(model: TrafficModel) -> float:
+    """E[min(V, cap)] for the fitted Pareto, in closed form."""
+    a = model.pareto_alpha
+    xm = model.pareto_xm_bits
+    cap = model.volume_cap_bits
+    body = a / (a - 1.0) * xm * (1.0 - (xm / cap) ** (a - 1.0))
+    tail = xm**a * cap ** (1.0 - a)
+    return body + tail
+
+
+def expected_session_volume_bits(model: TrafficModel) -> float:
+    """Mean bits per session across both traffic classes."""
+    voice = model.voice_rate_bps * model.voice_mean_duration_s
+    return (
+        model.data_fraction * expected_data_volume_bits(model)
+        + (1.0 - model.data_fraction) * voice
+    )
 
 
 # ---------------------------------------------------------------------------

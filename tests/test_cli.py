@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -104,6 +106,14 @@ def test_config_type_errors(tmp_path):
     path.write_text(json.dumps({"density": "lots"}))
     with pytest.raises(ConfigError, match="density"):
         parse_config(str(path))
+
+
+def test_flag_overrides_bad_file_value(tmp_path):
+    """Only the merged values are checked: a flag that replaces a bad file
+    value leaves nothing to reject."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_branches": 2.5}))
+    assert parse_config(str(path), {"n_branches": 3}).n_branches == 3
 
 
 def test_validation_error_names_field():
@@ -465,6 +475,40 @@ def test_sweep_bad_densities_rejected(tmp_path, capsys):
     assert "densities" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("densities", ["", ","])
+def test_sweep_empty_densities_rejected(tmp_path, capsys, densities):
+    out = tmp_path / "out"
+    argv = ["sweep", "--densities", densities, "--horizon", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert "at least one density" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_plots_a_repeated_density_twice(tmp_path, capsys):
+    """A density named twice gives two rows with their own seeds, and the
+    plot draws both."""
+    assert main(
+        [
+            "sweep",
+            "--out", str(tmp_path),
+            "--densities", "0.1,0.1",
+            "--topology", "bus",
+            "--reps", "1",
+            "--horizon", "1",
+        ]
+    ) == 0
+    capsys.readouterr()
+    header, rows = _read_csv(tmp_path / "sweep.csv")
+    reach = [float(r[header.index("reachability_mean")]) for r in rows]
+    assert reach[0] != reach[1]
+    svg = (tmp_path / "reachability_vs_density.svg").read_text()
+    (points,) = re.findall(r'<polyline[^>]* points="([^"]*)"', svg)
+    ys = [float(p.split(",")[1]) for p in points.split()]
+    assert len(ys) == 2 and ys[0] != ys[1]
+    # a higher reachability is drawn higher up, at a smaller y
+    assert (ys[0] > ys[1]) == (reach[0] < reach[1])
+
+
 def test_sweep_csv_lf_line_endings(tmp_path, capsys):
     assert main(
         [
@@ -504,3 +548,18 @@ def test_import_loads_no_third_party_module_but_numpy():
     top = {name.partition(".")[0] for name in modules.split()}
     assert "numpy" in top
     assert top - set(sys.stdlib_module_names) - {"numpy", "plcsim"} == set()
+
+
+def test_no_private_name_imported_across_modules():
+    """A module's `_`-prefixed names are its own: no other package module
+    imports them."""
+    src = Path(__file__).resolve().parents[1] / "src" / "plcsim"
+    crossings = [
+        "%s imports %s from .%s" % (path.name, alias.name, node.module or "")
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert crossings == []

