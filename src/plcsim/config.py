@@ -15,6 +15,11 @@ HUB_MODES = ("center", "uniform")
 
 # largest element count numpy can give one array
 _MAX_ARRAY_SIZE = np.iinfo(np.intp).max
+# largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX)
+_MAX_POISSON_LAM = int(_MAX_ARRAY_SIZE - 10.0 * math.sqrt(_MAX_ARRAY_SIZE))
+# half the index range, so that a drawn session total, a few standard
+# deviations from its mean, cannot wrap the int64 sum of the cell counts
+_MAX_SESSIONS = _MAX_ARRAY_SIZE // 2
 
 
 @dataclass
@@ -112,33 +117,23 @@ class SimulationConfig:
         _require(self.kb_bits > 0, "kb_bits", "> 0", self.kb_bits)
         _require(self.replications >= 1, "replications", ">= 1", self.replications)
         _require(self.master_seed >= 0, "master_seed", ">= 0", self.master_seed)
-        # array sizes a run asks for, so that huge finite values fail here
+        # sizes a run asks numpy for, so that huge finite values fail here
         # rather than overflowing later
-        for fields, size in (
-            (
-                "density * side_m**2 / cell_area_m2 (cell count)",
-                self.density * self.side_m * self.side_m / self.cell_area_m2,
-            ),
-            ("horizon_s / dt_s (step count)", self.horizon_s / self.dt_s),
-            ("n_branches (branch count)", self.n_branches),
-            (
-                "horizon_s / mean_interarrival_s (arrival batch)",
-                arrival_chunk(self.horizon_s, self.mean_interarrival_s),
-            ),
+        cells = self.density * self.side_m * self.side_m / self.cell_area_m2
+        arrivals = self.horizon_s / self.mean_interarrival_s
+        for fields, size, limit in (
+            ("density * side_m**2 / cell_area_m2 (cell count)", cells, _MAX_ARRAY_SIZE),
+            ("horizon_s / dt_s (step count)", self.horizon_s / self.dt_s, _MAX_ARRAY_SIZE),
+            ("n_branches (branch count)", self.n_branches, _MAX_ARRAY_SIZE),
+            ("horizon_s / mean_interarrival_s (arrivals per cell)", arrivals, _MAX_POISSON_LAM),
+            ("density * side_m**2 / cell_area_m2 * horizon_s / mean_interarrival_s"
+             " (session count)", cells * arrivals, _MAX_SESSIONS),
         ):
-            _require(size <= _MAX_ARRAY_SIZE, fields, "<= %d" % _MAX_ARRAY_SIZE, size)
+            _require(size <= limit, fields, "<= %d" % limit, size)
         return self
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def arrival_chunk(horizon_s: float, mean_interarrival_s: float) -> float:
-    """Arrivals drawn per batch for one cell: the expected count plus six
-    standard deviations, so that one batch almost always covers the
-    horizon."""
-    expect = horizon_s / mean_interarrival_s
-    return max(16.0, expect + 6.0 * math.sqrt(expect) + 8.0)
 
 
 _TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}

@@ -194,10 +194,11 @@ def run_replication(config: SimulationConfig, seed: int) -> MetricsReport:
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
     report = compute_metrics(series, grid, sessions, seed=seed)
     if config.count_unserved_offered:
-        offered = aggregate_rate_series(
-            sessions, grid, config.dt_s, config.horizon_s, include_unserved=True
-        )
-        report.offered_avg_rate_bps = float(offered.hub.mean())
+        # the include_unserved series' mean; every start lies in [0, horizon)
+        end = np.minimum(sessions.start_s + sessions.duration_s, config.horizon_s)
+        bits = float(np.sum(sessions.rate_bps * (end - sessions.start_s)))
+        steps = _step_count(config.horizon_s, config.dt_s)
+        report.offered_avg_rate_bps = bits / config.dt_s / steps
     return report
 
 

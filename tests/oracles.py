@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from plcsim.errors import GeometryError
-from plcsim.traffic import TrafficModel
+from plcsim.traffic import SessionSet, TrafficModel
 
 Point = tuple[float, float]
 
@@ -108,6 +108,64 @@ def expected_session_volume_bits(model: TrafficModel) -> float:
     return (
         model.data_fraction * expected_data_volume_bits(model)
         + (1.0 - model.data_fraction) * voice
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-cell session generator
+#
+# generate_traffic as it stood before the one-pass rewrite: each cell in id
+# order draws exponential arrival gaps in batches until they pass the
+# horizon, then its sessions' classes, Pareto volumes (numpy's `pareto`),
+# data durations and voice durations.  A different random stream from the
+# library's, so the two are compared in distribution, not bit for bit.
+
+def _arrival_chunk(horizon_s: float, mean_interarrival_s: float) -> float:
+    """Arrivals drawn per batch for one cell: the expected count plus six
+    standard deviations, so that one batch almost always covers the
+    horizon."""
+    expect = horizon_s / mean_interarrival_s
+    return max(16.0, expect + 6.0 * math.sqrt(expect) + 8.0)
+
+
+def reference_traffic(
+    rng: np.random.Generator,
+    model: TrafficModel,
+    n_cells: int,
+    horizon_s: float,
+) -> SessionSet:
+    mean = model.mean_interarrival_s
+    chunk = int(_arrival_chunk(horizon_s, mean))
+    counts = np.zeros(n_cells, dtype=int)
+    cols: list[tuple[np.ndarray, ...]] = []
+    for cid in range(n_cells):
+        arrivals = np.cumsum(rng.exponential(mean, chunk))
+        while arrivals[-1] < horizon_s:
+            more = np.cumsum(rng.exponential(mean, chunk)) + arrivals[-1]
+            arrivals = np.concatenate([arrivals, more])
+        starts = arrivals[arrivals < horizon_s]
+
+        n = starts.size
+        if not n:  # zero-size draws would leave the generator as it is
+            continue
+        is_data = rng.random(n) < model.data_fraction
+        n_data = int(is_data.sum())
+        raw = (rng.pareto(model.pareto_alpha, n_data) + 1.0) * model.pareto_xm_bits
+        volumes = np.minimum(raw, model.volume_cap_bits)
+        data_dur = rng.lognormal(model.lognorm_mu, model.lognorm_sigma, n_data)
+        voice_dur = rng.exponential(model.voice_mean_duration_s, n - n_data)
+        durations = np.empty(n)
+        rates = np.empty(n)
+        durations[is_data] = data_dur
+        rates[is_data] = volumes / data_dur
+        durations[~is_data] = voice_dur
+        rates[~is_data] = model.voice_rate_bps
+        counts[cid] = n
+        cols.append((is_data, starts, durations, rates))
+    if not cols:
+        return SessionSet.empty()
+    return SessionSet(
+        np.repeat(np.arange(n_cells), counts), *(np.concatenate(c) for c in zip(*cols))
     )
 
 

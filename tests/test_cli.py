@@ -170,10 +170,11 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
             {},
             ["mean_interarrival_s"],
         ),
+        (["simulate", "--density", "1e15"], {}, ["density", "mean_interarrival_s"]),
         (["sweep", "--densities", "1e300", "--reps", "1"], {}, ["density"]),
         (["generate", "--density", "0.01"], {"n_branches": 2**70, "topology": "tree"}, ["n_branches"]),
     ],
-    ids=["side", "cell-area", "steps", "arrivals", "sweep-density", "branches"],
+    ids=["side", "cell-area", "steps", "arrivals", "sessions", "sweep-density", "branches"],
 )
 def test_exit_one_on_unallocatable_size(tmp_path, capsys, argv, config, fields):
     """Finite values whose array sizes exceed what numpy can index fail as

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from plcsim.config import SimulationConfig
+from plcsim.config import _MAX_POISSON_LAM, SimulationConfig
 from plcsim.errors import ConfigError
+from plcsim.traffic import TrafficModel, generate_traffic
 
 
 @pytest.mark.parametrize(
@@ -27,3 +29,16 @@ def test_validate_normalises_types():
     cfg = SimulationConfig(side_m=700, n_branches=6.0).validate()
     assert type(cfg.side_m) is float and cfg.side_m == 700.0
     assert type(cfg.n_branches) is int and cfg.n_branches == 6
+
+
+def test_arrivals_per_cell_within_poisson_limit():
+    """With no cells there are no sessions, but numpy's Poisson sampler
+    still rejects a mean above its limit, so validate() bounds the mean."""
+    at_limit = float(_MAX_POISSON_LAM)
+    cfg = SimulationConfig(density=0.0, dt_s=100.0, mean_interarrival_s=1.0, horizon_s=at_limit)
+    model = TrafficModel.from_config(cfg.validate())
+    sessions = generate_traffic(np.random.default_rng(0), model, 0, cfg.horizon_s)
+    assert sessions.cell_id.size == 0
+    cfg.horizon_s = np.nextafter(at_limit, np.inf)
+    with pytest.raises(ConfigError, match="mean_interarrival_s"):
+        cfg.validate()

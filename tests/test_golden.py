@@ -22,12 +22,12 @@ CALLS = {
 
 GOLDEN = {
     "generate/layout.json": "be2b5184da99463b5f44117bb81d317541ae4317269910c1470b438a4577612d",
-    "simulate/metrics.csv": "8ae6552a80f8ba03be1210c55e35d6dfab8d5e8002e8eb89fb5039e6d21c7413",
+    "simulate/metrics.csv": "08ad18ed2d79df65632097d8510aae4cf9f9e94549d8f0da7f7c67efb4248685",
     "simulate/metrics.manifest.json": "87c4deb25c7a3bd4d9da68e99501501d7a0da91501d03aa9a66a549185e94ec0",
     "sweep/reachability_vs_density.svg": "b2229dfb71b69a40bd4333536e15060d7661d7b3db8be130c1d0164dd855e803",
-    "sweep/sweep.csv": "8d17e97c321fab2565661bbb9e94c1cd00106af26f92511e658a6f307192719d",
+    "sweep/sweep.csv": "c93e74708e5ef98cc032110d553682046aac8a42674884c77f00ea7ad4de19f8",
     "sweep/sweep.manifest.json": "455da0bda856db9ea8b49457e7e770781f7bb9ce456622855f2ae6cd57bcc4f6",
-    "sweep/traffic_vs_density.svg": "f529c8afb105abea04547a9d05aa8e9895cf1e1392f0f826208a560b9f549793",
+    "sweep/traffic_vs_density.svg": "a1d747d840907b530ce2a0985115fff872fd5e5afcb8511d3fab67b32ae2f7dd",
 }
 
 

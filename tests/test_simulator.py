@@ -344,6 +344,43 @@ def test_run_replication_offered_view():
     assert report.offered_avg_rate_bps >= report.avg_rate_bps
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "topology, horizon_s, dt_s", [("bus", 300.0, 1.0), ("tree", 300.0, 0.7), ("chain", 250.5, 2.0)]
+)
+def test_offered_rate_is_offered_series_mean(topology, horizon_s, dt_s, seed):
+    """run_replication's closed-form offered rate equals the mean of the
+    include_unserved series over the same draws."""
+    cfg = SimulationConfig(
+        density=0.25, topology=topology, horizon_s=horizon_s, dt_s=dt_s,
+        count_unserved_offered=True,
+    )
+    report = run_replication(cfg, seed)
+    rng = np.random.default_rng(seed)
+    dep = deploy(cfg, rng)
+    grid = mark_served(build_grid(dep, cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
+    sessions = generate_traffic(rng, TrafficModel.from_config(cfg), len(dep.xy), horizon_s)
+    served = aggregate_rate_series(sessions, grid, dt_s, horizon_s)
+    offered = aggregate_rate_series(sessions, grid, dt_s, horizon_s, include_unserved=True)
+    assert report.avg_rate_bps == float(served.hub.mean())
+    assert report.offered_avg_rate_bps > report.avg_rate_bps
+    assert report.offered_avg_rate_bps == pytest.approx(float(offered.hub.mean()), rel=1e-12)
+
+
+def test_offered_view_aggregates_once(monkeypatch):
+    calls = []
+    real = simulator.aggregate_rate_series
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "aggregate_rate_series", counting)
+    cfg = SimulationConfig(density=0.25, horizon_s=100.0, count_unserved_offered=True)
+    run_replication(cfg, 7)
+    assert calls == [{}]
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

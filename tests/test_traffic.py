@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from oracles import (
     expected_data_volume_bits,
@@ -12,14 +15,16 @@ from oracles import (
     pareto_alpha_brentq,
     pareto_alpha_closed_form,
     pareto_xm,
+    reference_traffic,
 )
 from plcsim.config import SimulationConfig
 from plcsim.errors import FitError
-from plcsim.simulator import generate_traffic
 from plcsim.traffic import (
+    SessionSet,
     TrafficModel,
     fit_duration_distribution,
     fit_size_distribution,
+    generate_traffic,
     sample_data_volumes,
     sample_voice_durations,
 )
@@ -105,6 +110,16 @@ def test_data_volume_support():
     draws = sample_data_volumes(np.random.default_rng(0), model, 100_000)
     assert draws.min() >= model.pareto_xm_bits
     assert draws.max() <= model.volume_cap_bits
+
+
+def test_data_volumes_are_numpy_pareto():
+    """expm1(E / alpha) is numpy's definition of `pareto`; the two routes
+    differ only in the last bits of the vectorised expm1."""
+    model = TrafficModel.from_config(SimulationConfig(volume_cap_bits=1e6))
+    draws = sample_data_volumes(np.random.default_rng(3), model, 100_000)
+    lomax = np.random.default_rng(3).pareto(model.pareto_alpha, 100_000)
+    ref = np.minimum((lomax + 1.0) * model.pareto_xm_bits, model.volume_cap_bits)
+    np.testing.assert_allclose(draws, ref, rtol=1e-12, atol=0.0)
 
 
 def test_data_volume_small_quantile():
@@ -202,6 +217,115 @@ def test_offered_rate_per_cell_converges():
     per_cell = total_bits / horizon / n_cells
     target = expected_session_volume_bits(model) / model.mean_interarrival_s
     assert per_cell == pytest.approx(target, rel=0.15)
+
+
+class _CountingRng:
+    """A Generator that counts the draw calls made through it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+
+def test_draw_calls_do_not_grow_with_cells():
+    model = _default_model()
+    calls = []
+    for n_cells in (1, 100, 10_000):
+        rng = _CountingRng(np.random.default_rng(4))
+        ss = generate_traffic(rng, model, n_cells, 100.0)
+        assert ss.cell_id.size > 0
+        calls.append(rng.calls)
+    assert calls[0] == calls[1] == calls[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_cells=st.integers(0, 300),
+    horizon=st.one_of(
+        st.sampled_from([1e-9, 0.1, 1.0 / 3.0, 100.0 / 7.0, 3600.0]),
+        st.floats(1e-9, 5000.0),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_session_table_invariants(n_cells, horizon, seed):
+    """Starts lie in [0, H), rows are sorted by (cell, start), and each
+    cell holds as many sessions as its Poisson count, the first draw."""
+    model = _default_model()
+    ss = generate_traffic(np.random.default_rng(seed), model, n_cells, horizon)
+    counts = np.random.default_rng(seed).poisson(
+        horizon / model.mean_interarrival_s, n_cells
+    )
+    assert np.array_equal(np.bincount(ss.cell_id, minlength=n_cells), counts)
+    empty = SessionSet.empty()
+    for field in dataclasses.fields(ss):
+        column = getattr(ss, field.name)
+        assert column.shape == (counts.sum(),)
+        assert column.dtype == getattr(empty, field.name).dtype
+    assert ((ss.start_s >= 0.0) & (ss.start_s < horizon)).all()
+    same_cell = np.diff(ss.cell_id) == 0
+    assert (np.diff(ss.cell_id) >= 0).all()
+    assert (np.diff(ss.start_s)[same_cell] >= 0.0).all()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass stream against the per-cell reference, in distribution
+#
+# Each check draws at least 10^5 sessions under a fixed seed and needs
+# p > 1e-3.
+
+_GENERATORS = [
+    pytest.param(generate_traffic, id="one-pass"),
+    pytest.param(reference_traffic, id="per-cell"),
+]
+
+
+@pytest.mark.parametrize("generate", _GENERATORS)
+def test_gaps_are_exponential(generate):
+    """Within-cell gaps of a Poisson process are Exponential(mean).  With
+    3,600 arrivals per cell, leaving out the gap that straddles the horizon
+    biases the sample far below what the test resolves."""
+    model = _default_model()
+    ss = generate(np.random.default_rng(31), model, 30, 36_000.0)
+    same_cell = ss.cell_id[1:] == ss.cell_id[:-1]
+    gaps = np.diff(ss.start_s)[same_cell]
+    assert gaps.size >= 100_000
+    p = stats.kstest(gaps, stats.expon(scale=model.mean_interarrival_s).cdf).pvalue
+    assert p > 1e-3
+
+
+@pytest.mark.parametrize("generate", _GENERATORS)
+def test_cell_counts_are_poisson(generate):
+    """Index of dispersion: sum((c - mean)^2) / mean ~ chi2(n - 1) for
+    Poisson counts; two-sided."""
+    n_cells = 2000
+    ss = generate(np.random.default_rng(32), _default_model(), n_cells, 600.0)
+    assert ss.cell_id.size >= 100_000
+    counts = np.bincount(ss.cell_id, minlength=n_cells)
+    d = float(((counts - counts.mean()) ** 2).sum() / counts.mean())
+    chi2 = stats.chi2(n_cells - 1)
+    assert 2.0 * min(chi2.cdf(d), chi2.sf(d)) > 1e-3
+
+
+def test_stream_matches_reference_in_distribution():
+    model = _default_model()
+    new = generate_traffic(np.random.default_rng(33), model, 300, 3600.0)
+    old = reference_traffic(np.random.default_rng(34), model, 300, 3600.0)
+    for ss in (new, old):
+        assert ss.cell_id.size >= 100_000
+        n_data = int(ss.is_data.sum())
+        assert stats.binomtest(n_data, ss.is_data.size, model.data_fraction).pvalue > 1e-3
+    for column in ("start_s", "duration_s", "rate_bps"):
+        p = stats.ks_2samp(getattr(new, column), getattr(old, column)).pvalue
+        assert p > 1e-3, column
 
 
 # ---------------------------------------------------------------------------
