@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
@@ -162,52 +163,51 @@ def _num(value) -> str:
     return repr(float(value))
 
 
-def layout_dict(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> dict:
-    hub_x, hub_y = deployment.hub
+def _record(*fields: str) -> str:
+    """%-template of one layout.json block record from "name format"
+    pairs, laid out as json.dumps(indent=2) lays it out."""
+    lines = ('      "%s": %s' % tuple(field.split()) for field in fields)
+    return "    {\n" + ",\n".join(lines) + "\n    }"
+
+
+_CELL = _record(
+    "id %d", "x_m %r", "y_m %r", "radius_m %r", "sector %d", "wire_distance_m %r", "served %s"
+)
+_NODE = _record("id %d", "x_m %r", "y_m %r", 'kind "%s"', "cell_id %s", "sector %s")
+_EDGE = _record("a %d", "b %d", "length_m %r")
+
+
+def _id_or_null(ids: np.ndarray) -> list[str]:
+    return ["null" if i < 0 else str(i) for i in ids.tolist()]
+
+
+def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> str:
+    """The text of layout.json: the header through json.dumps, then the
+    cells, nodes and edges blocks formatted one template per record from
+    the deployment and grid columns.  The bytes are those of
+    ``json.dumps(document, indent=2, allow_nan=False) + "\n"``, and a
+    non-finite float raises ValueError as that call does."""
+    floats = (deployment.xy, deployment.radius_m, grid.wire_m, grid.node_xy, grid.length_m)
+    if not all(np.isfinite(column).all() for column in floats):
+        raise ValueError("Out of range float values are not JSON compliant")
     cells = zip(
-        deployment.xy.tolist(),
-        deployment.sector.tolist(),
-        grid.wire_m.tolist(),
-        grid.served.tolist(),
+        itertools.count(), *deployment.xy.T.tolist(),
+        itertools.repeat(float(deployment.radius_m)), deployment.sector.tolist(),
+        grid.wire_m.tolist(), np.where(grid.served, "true", "false").tolist(),
     )
     nodes = zip(
-        grid.node_xy.tolist(),
-        grid.node_kind.tolist(),
-        grid.node_cell.tolist(),
-        grid.node_sector.tolist(),
+        itertools.count(), *grid.node_xy.T.tolist(), grid.node_kind.tolist(),
+        _id_or_null(grid.node_cell), _id_or_null(grid.node_sector),
     )
-    return {
-        "manifest": manifest,
-        "hub": {"x_m": hub_x, "y_m": hub_y},
-        "forced_crossings": grid.forced_crossings,
-        "cells": [
-            {
-                "id": i,
-                "x_m": x,
-                "y_m": y,
-                "radius_m": deployment.radius_m,
-                "sector": sector,
-                "wire_distance_m": wire,
-                "served": served,
-            }
-            for i, ((x, y), sector, wire, served) in enumerate(cells)
-        ],
-        "nodes": [
-            {
-                "id": i,
-                "x_m": x,
-                "y_m": y,
-                "kind": kind,
-                "cell_id": None if cell < 0 else cell,
-                "sector": None if sector < 0 else sector,
-            }
-            for i, ((x, y), kind, cell, sector) in enumerate(nodes)
-        ],
-        "edges": [
-            {"a": a, "b": b, "length_m": length}
-            for (a, b), length in zip(grid.edges.tolist(), grid.length_m.tolist())
-        ],
-    }
+    edges = zip(*grid.edges.T.tolist(), grid.length_m.tolist())
+    hub = {"x_m": deployment.hub[0], "y_m": deployment.hub[1]}
+    header = {"manifest": manifest, "hub": hub, "forced_crossings": grid.forced_crossings}
+    text = json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]
+    blocks = (("cells", _CELL, cells), ("nodes", _NODE, nodes), ("edges", _EDGE, edges))
+    for name, template, rows in blocks:
+        records = ",\n".join(template % row for row in rows)
+        text += ',\n  "%s": %s' % (name, "[\n%s\n  ]" % records if records else "[]")
+    return text + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +219,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     deployment = deploy(config, rng)
     grid = build_grid(deployment, config)
     mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
-    payload = layout_dict(deployment, grid, run_manifest(config, timestamp=False))
     out = Path(args.out) / "layout.json"
-    _write_json(out, payload)
+    _write_atomic(out, layout_json(deployment, grid, run_manifest(config, timestamp=False)))
     print("wrote %s" % out)
     return 0
 

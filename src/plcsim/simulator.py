@@ -106,14 +106,12 @@ def aggregate_rate_series(
     grid: PowerGrid,
     dt_s: float,
     horizon_s: float,
-    include_unserved: bool = False,
 ) -> RateSeries:
     """Accumulate aggregate rate per time step at the hub and per branch.
 
     A session holding rate r over [start, start+duration), clipped at the
     horizon, adds r weighted by its fractional overlap with each step.
-    Sessions of unserved cells contribute nothing unless include_unserved
-    is set (the offered-load view).
+    Sessions of unserved cells contribute nothing.
     """
     steps = _step_count(horizon_s, dt_s)
     nb = grid.n_branches
@@ -121,8 +119,7 @@ def aggregate_rate_series(
 
     # sessions must start inside the observation window
     keep = (sessions.start_s >= 0.0) & (sessions.start_s < horizon_s)
-    if not include_unserved:
-        keep &= grid.served[sessions.cell_id]
+    keep &= grid.served[sessions.cell_id]
     kept = sessions.subset(keep)
     if kept.cell_id.size == 0:
         return RateSeries(dt_s, np.zeros(steps), np.zeros((nb, steps)))
@@ -194,7 +191,7 @@ def run_replication(config: SimulationConfig, seed: int) -> MetricsReport:
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
     report = compute_metrics(series, grid, sessions, seed=seed)
     if config.count_unserved_offered:
-        # the include_unserved series' mean; every start lies in [0, horizon)
+        # the mean hub rate with every cell served; every start lies in [0, horizon)
         end = np.minimum(sessions.start_s + sessions.duration_s, config.horizon_s)
         bits = float(np.sum(sessions.rate_bps * (end - sessions.start_s)))
         steps = _step_count(config.horizon_s, config.dt_s)

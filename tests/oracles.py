@@ -428,3 +428,54 @@ def reference_mark_served(
 def mst_length(points: np.ndarray) -> float:
     """Total Euclidean minimum-spanning-tree length over distinct points."""
     return float(minimum_spanning_tree(squareform(pdist(points))).sum())
+
+
+def layout_dict(deployment, grid, manifest: dict) -> dict:
+    """layout.json as a document of dicts, one per cell, node and edge;
+    ``json.dumps(..., indent=2, allow_nan=False) + "\\n"`` of it is the
+    file the CLI writes."""
+    hub_x, hub_y = deployment.hub
+    cells = zip(
+        deployment.xy.tolist(),
+        deployment.sector.tolist(),
+        grid.wire_m.tolist(),
+        grid.served.tolist(),
+    )
+    nodes = zip(
+        grid.node_xy.tolist(),
+        grid.node_kind.tolist(),
+        grid.node_cell.tolist(),
+        grid.node_sector.tolist(),
+    )
+    return {
+        "manifest": manifest,
+        "hub": {"x_m": hub_x, "y_m": hub_y},
+        "forced_crossings": grid.forced_crossings,
+        "cells": [
+            {
+                "id": i,
+                "x_m": x,
+                "y_m": y,
+                "radius_m": deployment.radius_m,
+                "sector": sector,
+                "wire_distance_m": wire,
+                "served": served,
+            }
+            for i, ((x, y), sector, wire, served) in enumerate(cells)
+        ],
+        "nodes": [
+            {
+                "id": i,
+                "x_m": x,
+                "y_m": y,
+                "kind": kind,
+                "cell_id": None if cell < 0 else cell,
+                "sector": None if sector < 0 else sector,
+            }
+            for i, ((x, y), kind, cell, sector) in enumerate(nodes)
+        ],
+        "edges": [
+            {"a": a, "b": b, "length_m": length}
+            for (a, b), length in zip(grid.edges.tolist(), grid.length_m.tolist())
+        ],
+    }

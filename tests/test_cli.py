@@ -10,14 +10,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import layout_dict
+from plcsim import cli
 from plcsim.cli import (
     SIMULATE_COLUMNS,
     SWEEP_COLUMNS,
     _num,
+    layout_json,
     main,
     parse_config,
+    run_manifest,
 )
+from plcsim.config import SimulationConfig
 from plcsim.deployment import deploy
 from plcsim.errors import ConfigError
 from plcsim.gridgen import build_grid, mark_served
@@ -275,6 +282,85 @@ def test_layout_round_trip(tmp_path, capsys):
         assert [[e["a"], e["b"]] for e in data["edges"]] == grid.edges.tolist()
         assert [e["length_m"] for e in data["edges"]] == grid.length_m.tolist()
     assert any(n["kind"] == "junction" for n in nodes)
+
+
+def _layout(config):
+    """Deployment, served grid and manifest of `generate` for a config."""
+    dep = deploy(config, np.random.default_rng(config.master_seed))
+    grid = mark_served(build_grid(dep, config), config.max_wire_m, config.max_cells_per_branch)
+    return dep, grid, run_manifest(config, timestamp=False)
+
+
+def _assert_layout_matches_oracle(config):
+    dep, grid, manifest = _layout(config)
+    document = layout_dict(dep, grid, manifest)
+    text = layout_json(dep, grid, manifest)
+    assert text == json.dumps(document, indent=2, allow_nan=False) + "\n"
+    assert json.loads(text) == document
+
+
+@pytest.mark.parametrize("hub_mode", ["center", "uniform"])
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.25, 1.0])
+@pytest.mark.parametrize("topology", ["bus", "tree", "chain"])
+def test_layout_json_matches_dict_oracle(topology, density, hub_mode):
+    """The columnar writer gives json.dumps' bytes for the dict document."""
+    _assert_layout_matches_oracle(
+        SimulationConfig(topology=topology, density=density, hub_mode=hub_mode, master_seed=4)
+    )
+
+
+@given(
+    topology=st.sampled_from(["bus", "tree", "chain"]),
+    density=st.floats(0.0, 0.2),
+    n_branches=st.integers(1, 12),
+    anchor=st.floats(-10.0, 10.0),
+    max_wire_m=st.floats(1.0, 600.0),
+    cap=st.integers(1, 60),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_layout_json_matches_dict_oracle_property(
+    topology, density, n_branches, anchor, max_wire_m, cap, seed
+):
+    _assert_layout_matches_oracle(
+        SimulationConfig(
+            topology=topology,
+            density=density,
+            n_branches=n_branches,
+            sector_anchor_rad=anchor,
+            max_wire_m=max_wire_m,
+            max_cells_per_branch=cap,
+            hub_mode="uniform",
+            master_seed=seed,
+        ).validate()
+    )
+
+
+def _poison(grid, column, value):
+    getattr(grid, column)[1] = value
+    return grid
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["wire_m", "length_m", "node_xy"])
+def test_layout_json_rejects_non_finite(column, value):
+    """A non-finite float in any column raises ValueError, as json.dumps
+    with allow_nan=False does on the dict document."""
+    dep, grid, manifest = _layout(SimulationConfig(density=0.1, master_seed=4))
+    _poison(grid, column, value)
+    with pytest.raises(ValueError):
+        json.dumps(layout_dict(dep, grid, manifest), allow_nan=False)
+    with pytest.raises(ValueError):
+        layout_json(dep, grid, manifest)
+
+
+@pytest.mark.parametrize("column", ["wire_m", "length_m", "node_xy"])
+def test_generate_non_finite_layout_is_internal_error(tmp_path, monkeypatch, capsys, column):
+    real = cli.build_grid
+    monkeypatch.setattr(cli, "build_grid", lambda *a: _poison(real(*a), column, math.nan))
+    assert main(["generate", "--out", str(tmp_path), "--density", "0.1"]) == 3
+    assert "ValueError" in capsys.readouterr().err
+    assert not (tmp_path / "layout.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,18 @@ from plcsim.cli import main
 
 CALLS = {
     "generate": ["generate", "--topology", "chain", "--density", "0.25", "--seed", "5"],
+    "generate-bus": ["generate", "--topology", "bus", "--density", "1.0", "--seed", "5"],
+    "generate-tree": ["generate", "--topology", "tree", "--density", "0.25", "--seed", "5"],
+    "generate-empty": ["generate", "--density", "0", "--seed", "5"],
     "simulate": ["simulate", "--reps", "2", "--horizon", "50", "--seed", "5"],
     "sweep": ["sweep", "--densities", "0.1,0.25", "--reps", "2", "--horizon", "1", "--seed", "5"],
 }
 
 GOLDEN = {
     "generate/layout.json": "be2b5184da99463b5f44117bb81d317541ae4317269910c1470b438a4577612d",
+    "generate-bus/layout.json": "7b9d5c1fc385d96d463bf1ad76a6870893ae96db1a71295715e7809b4ebfea95",
+    "generate-empty/layout.json": "5da17b0908d2f68618851651dab6eb5ded5836754a5854c5cefa5414760de6bd",
+    "generate-tree/layout.json": "233b6273c7d335bc0979e39927f0ddcce5728d8c6a91369453e27ed5af97c03e",
     "simulate/metrics.csv": "08ad18ed2d79df65632097d8510aae4cf9f9e94549d8f0da7f7c67efb4248685",
     "simulate/metrics.manifest.json": "87c4deb25c7a3bd4d9da68e99501501d7a0da91501d03aa9a66a549185e94ec0",
     "sweep/reachability_vs_density.svg": "b2229dfb71b69a40bd4333536e15060d7661d7b3db8be130c1d0164dd855e803",

@@ -41,6 +41,11 @@ def _all_served_grid(n_cells, n_branches=2):
     return _grid([i % n_branches for i in range(n_cells)], [True] * n_cells, n_branches)
 
 
+def _offered(grid):
+    """The offered-load view of a grid: a copy with every cell served."""
+    return dataclasses.replace(grid, served=np.ones_like(grid.served))
+
+
 def _sessions(*rows):
     """SessionSet of (cell id, kind, start, duration, rate) rows, sorted by
     (cell id, start) like generate_traffic's output."""
@@ -180,14 +185,14 @@ def test_unserved_sessions_excluded_bit_identically():
     assert np.array_equal(full.branches, ablated.branches)
 
 
-def test_include_unserved_counts_everything():
+def test_offered_view_counts_every_cell():
     grid = _grid([0, 1], [True, False])
     sessions = _sessions(
         (0, "voice", 0.0, 1.0, 100.0),
         (1, "voice", 0.0, 1.0, 100.0),
     )
     series = aggregate_rate_series(sessions, grid, 1.0, 2.0)
-    offered = aggregate_rate_series(sessions, grid, 1.0, 2.0, include_unserved=True)
+    offered = aggregate_rate_series(sessions, _offered(grid), 1.0, 2.0)
     assert series.hub[0] == pytest.approx(100.0)
     assert offered.hub[0] == pytest.approx(200.0)
 
@@ -205,9 +210,9 @@ def test_hub_equals_branch_sum_on_random_scenario():
     assert series.hub == pytest.approx(series.branches.sum(axis=0), rel=1e-6)
 
 
-@pytest.mark.parametrize("include_unserved", [False, True])
+@pytest.mark.parametrize("offered", [False, True])
 @pytest.mark.parametrize("topology", ["bus", "tree", "chain"])
-def test_bit_conservation(topology, include_unserved):
+def test_bit_conservation(topology, offered):
     """The hub carries exactly the bits the kept sessions deliver before the
     horizon, and the branch series add up to the hub series.  The step
     (0.7 s) does not divide the horizon, so steps straddle session ends."""
@@ -218,7 +223,7 @@ def test_bit_conservation(topology, include_unserved):
     model = TrafficModel.from_config(cfg)
     sessions = generate_traffic(rng, model, len(dep.xy), cfg.horizon_s)
     series = aggregate_rate_series(
-        sessions, grid, cfg.dt_s, cfg.horizon_s, include_unserved=include_unserved
+        sessions, _offered(grid) if offered else grid, cfg.dt_s, cfg.horizon_s
     )
     assert 0 < grid.served.sum() < grid.served.size
 
@@ -230,7 +235,7 @@ def test_bit_conservation(topology, include_unserved):
         sessions.duration_s.tolist(),
         sessions.rate_bps.tolist(),
     ):
-        if include_unserved or cell in served:
+        if offered or cell in served:
             delivered += rate * (min(start + duration, cfg.horizon_s) - start)
     assert float(series.hub.sum()) * cfg.dt_s == pytest.approx(delivered, rel=1e-9)
 
@@ -238,9 +243,9 @@ def test_bit_conservation(topology, include_unserved):
     assert np.allclose(series.branches.sum(axis=0), series.hub, rtol=0.0, atol=1e-9 * scale)
 
 
-@pytest.mark.parametrize("include_unserved", [False, True])
+@pytest.mark.parametrize("offered", [False, True])
 @pytest.mark.parametrize("topology", ["bus", "tree", "chain"])
-def test_aggregation_is_linear_in_sessions(topology, include_unserved):
+def test_aggregation_is_linear_in_sessions(topology, offered):
     """Aggregation is linear in the session set: splitting one
     replication's sessions into disjoint sets A and B by a seeded random
     mask, the hub and branch series of A and B add up to those of A | B,
@@ -253,10 +258,10 @@ def test_aggregation_is_linear_in_sessions(topology, include_unserved):
     in_a = np.random.default_rng(17).random(sessions.cell_id.size) < 0.5
     assert 0 < in_a.sum() < in_a.size
 
+    view = _offered(grid) if offered else grid
+
     def series(subset):
-        return aggregate_rate_series(
-            subset, grid, cfg.dt_s, cfg.horizon_s, include_unserved=include_unserved
-        )
+        return aggregate_rate_series(subset, view, cfg.dt_s, cfg.horizon_s)
 
     whole = series(sessions)
     a = series(sessions.subset(in_a))
@@ -350,7 +355,7 @@ def test_run_replication_offered_view():
 )
 def test_offered_rate_is_offered_series_mean(topology, horizon_s, dt_s, seed):
     """run_replication's closed-form offered rate equals the mean of the
-    include_unserved series over the same draws."""
+    series over the same draws with every cell served."""
     cfg = SimulationConfig(
         density=0.25, topology=topology, horizon_s=horizon_s, dt_s=dt_s,
         count_unserved_offered=True,
@@ -361,7 +366,7 @@ def test_offered_rate_is_offered_series_mean(topology, horizon_s, dt_s, seed):
     grid = mark_served(build_grid(dep, cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
     sessions = generate_traffic(rng, TrafficModel.from_config(cfg), len(dep.xy), horizon_s)
     served = aggregate_rate_series(sessions, grid, dt_s, horizon_s)
-    offered = aggregate_rate_series(sessions, grid, dt_s, horizon_s, include_unserved=True)
+    offered = aggregate_rate_series(sessions, _offered(grid), dt_s, horizon_s)
     assert report.avg_rate_bps == float(served.hub.mean())
     assert report.offered_avg_rate_bps > report.avg_rate_bps
     assert report.offered_avg_rate_bps == pytest.approx(float(offered.hub.mean()), rel=1e-12)
