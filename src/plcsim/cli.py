@@ -31,22 +31,13 @@ from .config import TOPOLOGIES, SimulationConfig, config_fields
 from .deployment import CellDeployment, deploy
 from .errors import ConfigError
 from .gridgen import PowerGrid, build_grid, mark_served
-from .simulator import SweepRow, run_cell, run_sweep
+from .simulator import METRICS, SweepRow, run_cell, run_sweep
 from .svgplot import PlotSeries, line_plot
 from .traffic import TrafficModel
 
 TOPOLOGY_COLORS = {"bus": "blue", "tree": "red", "chain": "green"}
 
-SIMULATE_COLUMNS = (
-    "seed",
-    "topology",
-    "density",
-    "reachability",
-    "avg_rate_bps",
-    "max_rate_bps",
-    "mean_wait_s",
-    "forced_crossings",
-)
+SIMULATE_COLUMNS = ("seed", "topology", "density") + METRICS
 
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
@@ -231,7 +222,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     reports = run_cell(config, config.master_seed, 0, 0, config.replications)
     rows = [
         [_num(report.seed), config.topology, _num(config.density)]
-        + [_num(getattr(report, c)) for c in SIMULATE_COLUMNS[3:]]
+        + [_num(getattr(report, c)) for c in METRICS]
         for report in reports
     ]
     out = Path(args.out) / "metrics.csv"

@@ -48,7 +48,6 @@ class SimulationConfig:
     # reinterpret the constraint in kilobytes.
     kb_bits: float = 1000.0
 
-    count_unserved_offered: bool = False
     replications: int = 1
     master_seed: int = 0
 
@@ -136,15 +135,15 @@ class SimulationConfig:
         return dataclasses.asdict(self)
 
 
-_TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_TYPE_NOUNS = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _typed(field: str, default, value):
-    """value read as the type of the field's default (bool, int, float or
-    str); a bool is never read as a number, nor a fractional float as an
+    """value read as the type of the field's default (int, float or str);
+    a bool is never read as a number, nor a fractional float as an
     integer."""
     kind = type(default)
-    if isinstance(value, kind) and kind in (bool, str):
+    if kind is str and isinstance(value, str):
         return value
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
     if kind in (int, float) and not isinstance(value, bool) and not fractional:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,21 +29,24 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass
 class RateSeries:
-    dt_s: float
     hub: np.ndarray  # (steps,) aggregate bps at the hub
     branches: np.ndarray  # (n_branches, steps)
 
 
 @dataclass
 class MetricsReport:
-    seed: int | None = None
-    reachability: float | None = None
-    avg_rate_bps: float = 0.0
-    max_rate_bps: float = 0.0
-    mean_wait_s: float | None = None
-    per_branch_avg_bps: list[float] = field(default_factory=list)
-    forced_crossings: int = 0
-    offered_avg_rate_bps: float | None = None
+    """One replication's metrics; every field after ``seed`` is a column of
+    metrics.csv and a <name>_mean, <name>_stderr pair of SweepRow."""
+
+    seed: int | None
+    reachability: float | None
+    avg_rate_bps: float
+    max_rate_bps: float
+    mean_wait_s: float | None
+    forced_crossings: int
+
+
+METRICS = tuple(f.name for f in dataclasses.fields(MetricsReport))[1:]
 
 
 @dataclass
@@ -122,7 +125,7 @@ def aggregate_rate_series(
     keep &= grid.served[sessions.cell_id]
     kept = sessions.subset(keep)
     if kept.cell_id.size == 0:
-        return RateSeries(dt_s, np.zeros(steps), np.zeros((nb, steps)))
+        return RateSeries(np.zeros(steps), np.zeros((nb, steps)))
 
     a = kept.start_s / dt_s
     b = np.minimum(kept.start_s + kept.duration_s, horizon_s) / dt_s
@@ -143,7 +146,7 @@ def aggregate_rate_series(
     branch_diff = np.bincount(flat, weights=val, minlength=nb * width)
     branches = np.cumsum(branch_diff.reshape(nb, width), axis=1)[:, :steps]
 
-    return RateSeries(dt_s, hub, branches)
+    return RateSeries(hub, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,6 @@ def compute_metrics(
         avg_rate_bps=float(series.hub.mean()),
         max_rate_bps=float(series.hub.max()),
         mean_wait_s=_pooled_wait(sessions, grid.served),
-        per_branch_avg_bps=[float(v) for v in series.branches.mean(axis=1)],
         forced_crossings=grid.forced_crossings,
     )
 
@@ -189,14 +191,7 @@ def run_replication(config: SimulationConfig, seed: int) -> MetricsReport:
     model = TrafficModel.from_config(config)
     sessions = generate_traffic(rng, model, len(deployment.xy), config.horizon_s)
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
-    report = compute_metrics(series, grid, sessions, seed=seed)
-    if config.count_unserved_offered:
-        # the mean hub rate with every cell served; every start lies in [0, horizon)
-        end = np.minimum(sessions.start_s + sessions.duration_s, config.horizon_s)
-        bits = float(np.sum(sessions.rate_bps * (end - sessions.start_s)))
-        steps = _step_count(config.horizon_s, config.dt_s)
-        report.offered_avg_rate_bps = bits / config.dt_s / steps
-    return report
+    return compute_metrics(series, grid, sessions, seed=seed)
 
 
 def _mean_stderr(values: list[float | None]) -> tuple[float | None, float | None]:
@@ -209,19 +204,14 @@ def _mean_stderr(values: list[float | None]) -> tuple[float | None, float | None
     return mean, float(np.std(present, ddof=1) / math.sqrt(len(present)))
 
 
-# the MetricsReport fields SweepRow summarises as <name>_mean, <name>_stderr
-_SUMMARY_METRICS = tuple(
-    f.name[: -len("_mean")] for f in dataclasses.fields(SweepRow) if f.name.endswith("_mean")
-)
-
-
 def _summarize(
     density: float, topology: str, reports: list[MetricsReport]
 ) -> SweepRow:
-    stats: list[float | None] = []
-    for name in _SUMMARY_METRICS:
-        stats += _mean_stderr([getattr(r, name) for r in reports])
-    return SweepRow(density, topology, len(reports), *stats)
+    stats = {}
+    for name in METRICS:
+        mean, stderr = _mean_stderr([getattr(r, name) for r in reports])
+        stats[name + "_mean"], stats[name + "_stderr"] = mean, stderr
+    return SweepRow(density, topology, len(reports), **stats)
 
 
 def run_cell(

@@ -36,11 +36,11 @@ class TrafficModel:
     pareto_xm_bits: float
     lognorm_mu: float
     lognorm_sigma: float
-    data_fraction: float = 0.97
-    voice_rate_bps: float = 128000.0
-    voice_mean_duration_s: float = 100.0
-    mean_interarrival_s: float = 10.0
-    volume_cap_bits: float = 1e9
+    data_fraction: float
+    voice_rate_bps: float
+    voice_mean_duration_s: float
+    mean_interarrival_s: float
+    volume_cap_bits: float
 
     @classmethod
     def from_config(cls, config: SimulationConfig) -> "TrafficModel":
@@ -68,16 +68,6 @@ class SessionSet:
     start_s: np.ndarray
     duration_s: np.ndarray
     rate_bps: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "SessionSet":
-        return cls(
-            np.empty(0, dtype=int),
-            np.empty(0, dtype=bool),
-            np.empty(0),
-            np.empty(0),
-            np.empty(0),
-        )
 
     def subset(self, mask: np.ndarray) -> "SessionSet":
         return SessionSet(

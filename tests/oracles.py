@@ -128,6 +128,13 @@ def _arrival_chunk(horizon_s: float, mean_interarrival_s: float) -> float:
     return max(16.0, expect + 6.0 * math.sqrt(expect) + 8.0)
 
 
+def empty_sessions() -> SessionSet:
+    """A SessionSet with no rows, each column of generate_traffic's dtype."""
+    return SessionSet(
+        np.empty(0, dtype=int), np.empty(0, dtype=bool), np.empty(0), np.empty(0), np.empty(0)
+    )
+
+
 def reference_traffic(
     rng: np.random.Generator,
     model: TrafficModel,
@@ -163,7 +170,7 @@ def reference_traffic(
         counts[cid] = n
         cols.append((is_data, starts, durations, rates))
     if not cols:
-        return SessionSet.empty()
+        return empty_sessions()
     return SessionSet(
         np.repeat(np.arange(n_cells), counts), *(np.concatenate(c) for c in zip(*cols))
     )

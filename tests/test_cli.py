@@ -24,7 +24,7 @@ from plcsim.cli import (
     parse_config,
     run_manifest,
 )
-from plcsim.config import SimulationConfig
+from plcsim.config import SimulationConfig, config_fields
 from plcsim.deployment import deploy
 from plcsim.errors import ConfigError
 from plcsim.gridgen import build_grid, mark_served
@@ -149,6 +149,17 @@ def test_exit_one_on_unknown_flag(capsys):
 def test_exit_one_on_missing_command(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+def test_exit_one_on_bool_config_value(tmp_path, capsys):
+    """A JSON true is never read as a number."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_branches": true}')
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "n_branches" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["side_m", "volume_cap_bits"])
@@ -472,6 +483,59 @@ def test_simulate_zero_density_nan_metrics(tmp_path, capsys):
     header, rows = _read_csv(tmp_path / "metrics.csv")
     assert rows[0][header.index("reachability")] == "nan"
     assert math.isnan(float(rows[0][header.index("mean_wait_s")]))
+
+
+# a small scenario, and for every config field a value off both its
+# default and this base
+_BASE = {"density": 0.1, "horizon_s": 50.0, "replications": 2}
+_OFF_DEFAULT = {
+    "side_m": 600.0,
+    "cell_area_m2": 300.0,
+    "density": 0.2,
+    "n_branches": 4,
+    "topology": "tree",
+    "max_wire_m": 150.0,
+    "max_cells_per_branch": 3,
+    "hub_mode": "uniform",
+    "sector_anchor_rad": 0.3,
+    "mean_interarrival_s": 5.0,
+    "horizon_s": 40.0,
+    "dt_s": 2.0,
+    "data_fraction": 0.5,
+    "voice_rate_bps": 64000.0,
+    "voice_mean_duration_s": 50.0,
+    "volume_cap_bits": 1e4,
+    "kb_bits": 8000.0,
+    "replications": 3,
+    "master_seed": 1,
+}
+
+
+def _data_outputs(tmp_path, name: str, values: dict):
+    """layout.json without its manifest, and metrics.csv, of one config."""
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(values))
+    out = tmp_path / name
+    for command in ("generate", "simulate"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    layout = json.loads((out / "layout.json").read_text())
+    del layout["manifest"]
+    return layout, (out / "metrics.csv").read_text()
+
+
+def test_every_config_field_changes_a_data_output(tmp_path, capsys):
+    """No dead knobs: moving any one config field off its value changes
+    the layout or the metrics, not just the manifest."""
+    defaults = SimulationConfig()
+    base = _data_outputs(tmp_path, "base", _BASE)
+    dead = []
+    for field in config_fields():
+        value = _OFF_DEFAULT[field]
+        assert value not in (getattr(defaults, field), _BASE.get(field)), field
+        if _data_outputs(tmp_path, field, {**_BASE, field: value}) == base:
+            dead.append(field)
+    capsys.readouterr()
+    assert dead == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from plcsim.traffic import TrafficModel, generate_traffic
         ("n_branches", 2.5),
         ("master_seed", 1.5),
         ("max_cells_per_branch", 3.5),
-        ("count_unserved_offered", 1),
+        # a bool is never read as a number
+        ("n_branches", True),
+        ("side_m", False),
         ("density", "lots"),
         # an int too large for a float
         pytest.param("side_m", 10**400, id="side_m-10**400"),

@@ -24,15 +24,15 @@ CALLS = {
 }
 
 GOLDEN = {
-    "generate/layout.json": "be2b5184da99463b5f44117bb81d317541ae4317269910c1470b438a4577612d",
-    "generate-bus/layout.json": "7b9d5c1fc385d96d463bf1ad76a6870893ae96db1a71295715e7809b4ebfea95",
-    "generate-empty/layout.json": "5da17b0908d2f68618851651dab6eb5ded5836754a5854c5cefa5414760de6bd",
-    "generate-tree/layout.json": "233b6273c7d335bc0979e39927f0ddcce5728d8c6a91369453e27ed5af97c03e",
+    "generate/layout.json": "f9c03ddb782d439ae6099f2951102f1c1553279e5506251878a44b8827000b22",
+    "generate-bus/layout.json": "8aee0816d2338f7b7f96841c01b520c2e0c89a354e5942fc38bcfdeebab0138f",
+    "generate-empty/layout.json": "df7b60b167ea5206e4488f00f11dd86e09114b42a16191de8190b7420d9fb4c4",
+    "generate-tree/layout.json": "d232f9f95ce7453ada273b377dc99689f325d51acf7e9e074b428625e2bef847",
     "simulate/metrics.csv": "08ad18ed2d79df65632097d8510aae4cf9f9e94549d8f0da7f7c67efb4248685",
-    "simulate/metrics.manifest.json": "87c4deb25c7a3bd4d9da68e99501501d7a0da91501d03aa9a66a549185e94ec0",
+    "simulate/metrics.manifest.json": "e0893d5c1fdb544e7bf5621b1c21785605a9fff7d1482352cf8c3472654605e3",
     "sweep/reachability_vs_density.svg": "b2229dfb71b69a40bd4333536e15060d7661d7b3db8be130c1d0164dd855e803",
     "sweep/sweep.csv": "c93e74708e5ef98cc032110d553682046aac8a42674884c77f00ea7ad4de19f8",
-    "sweep/sweep.manifest.json": "455da0bda856db9ea8b49457e7e770781f7bb9ce456622855f2ae6cd57bcc4f6",
+    "sweep/sweep.manifest.json": "3e7523534308f48331ce69a290e33989008a522100d8e0fe4c705db893aeabb2",
     "sweep/traffic_vs_density.svg": "a1d747d840907b530ce2a0985115fff872fd5e5afcb8511d3fab67b32ae2f7dd",
 }
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import (
+    empty_sessions,
     expected_data_volume_bits,
     expected_session_volume_bits,
     expected_session_volume_quad,
@@ -20,7 +21,6 @@ from oracles import (
 from plcsim.config import SimulationConfig
 from plcsim.errors import FitError
 from plcsim.traffic import (
-    SessionSet,
     TrafficModel,
     fit_duration_distribution,
     fit_size_distribution,
@@ -265,7 +265,7 @@ def test_session_table_invariants(n_cells, horizon, seed):
         horizon / model.mean_interarrival_s, n_cells
     )
     assert np.array_equal(np.bincount(ss.cell_id, minlength=n_cells), counts)
-    empty = SessionSet.empty()
+    empty = empty_sessions()
     for field in dataclasses.fields(ss):
         column = getattr(ss, field.name)
         assert column.shape == (counts.sum(),)
