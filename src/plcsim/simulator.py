@@ -1,8 +1,8 @@
 """Monte Carlo driver: replications, rate aggregation, sweep statistics.
 
 A replication is one random scenario end to end: drop cells, synthesize
-the feeder grid, flag served cells, generate every cell's sessions, then
-accumulate per-step aggregate rates at the hub and per branch.  Session
+the feeder grid, flag served cells, generate the served cells' sessions,
+then accumulate per-step aggregate rates at the hub and per branch.  Session
 rate contributions are prorated exactly over the time steps they overlap.
 
 All randomness flows from one integer seed per replication; sweep
@@ -189,7 +189,10 @@ def run_replication(config: SimulationConfig, seed: int) -> MetricsReport:
     grid = build_grid(deployment, config)
     mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
     model = TrafficModel.from_config(config)
-    sessions = generate_traffic(rng, model, len(deployment.xy), config.horizon_s)
+    # only served cells load the link, so only they get sessions
+    served = np.flatnonzero(grid.served)
+    sessions = generate_traffic(rng, model, served.size, config.horizon_s)
+    sessions.cell_id = served[sessions.cell_id]
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
     return compute_metrics(series, grid, sessions, seed=seed)
 

@@ -188,8 +188,8 @@ def generate_traffic(
     n_cells: int,
     horizon_s: float,
 ) -> SessionSet:
-    """Sessions for every cell 0..n_cells-1 (served or not) starting inside
-    [0, horizon), sorted by (cell id, start).  One draw each, in this order,
+    """Sessions for every cell 0..n_cells-1 starting inside [0, horizon),
+    sorted by (cell id, start).  One draw each, in this order,
     whatever n_cells is: every cell's Poisson(horizon / mean gap) count,
     every start uniform on [0, horizon), each session's class, the data
     volumes, the data durations and the voice durations.  Given its count,

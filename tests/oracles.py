@@ -17,8 +17,12 @@ from scipy import integrate, optimize, stats
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
+from plcsim.config import SimulationConfig
+from plcsim.deployment import deploy
 from plcsim.errors import GeometryError
-from plcsim.traffic import SessionSet, TrafficModel
+from plcsim.gridgen import build_grid, mark_served
+from plcsim.simulator import MetricsReport, aggregate_rate_series, compute_metrics
+from plcsim.traffic import SessionSet, TrafficModel, generate_traffic
 
 Point = tuple[float, float]
 
@@ -174,6 +178,46 @@ def reference_traffic(
     return SessionSet(
         np.repeat(np.arange(n_cells), counts), *(np.concatenate(c) for c in zip(*cols))
     )
+
+
+class CountingRng:
+    """A Generator that records each draw made through it as (method name,
+    number of values returned)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self.draws: list[tuple[str, int]] = []
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.draws.append((name, int(np.size(out))))
+            return out
+
+        return counted
+
+
+# ---------------------------------------------------------------------------
+# replication that draws sessions for every cell
+#
+# run_replication as it stood before it drew sessions for the served cells
+# only: generate_traffic over every deployed cell, then the served mask drops
+# the unserved cells' sessions in aggregation and in the mean wait.  The
+# same draws up to the traffic, so reachability and forced crossings match
+# the library's exactly; the traffic metrics match in distribution.
+
+def reference_replication(config: SimulationConfig, seed: int) -> MetricsReport:
+    config.validate()
+    rng = np.random.default_rng(seed)
+    deployment = deploy(config, rng)
+    grid = build_grid(deployment, config)
+    mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
+    model = TrafficModel.from_config(config)
+    sessions = generate_traffic(rng, model, len(deployment.xy), config.horizon_s)
+    series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
+    return compute_metrics(series, grid, sessions, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from oracles import empty_sessions
+from oracles import CountingRng, empty_sessions, reference_replication
 from plcsim import simulator
 from plcsim.config import SimulationConfig
 from plcsim.deployment import deploy
@@ -350,6 +351,77 @@ def test_replication_aggregates_once(monkeypatch):
     monkeypatch.setattr(simulator, "aggregate_rate_series", counting)
     run_replication(SimulationConfig(), 7)
     assert calls == [{}]
+
+
+def test_replication_draws_sessions_for_served_cells_only(monkeypatch):
+    """The one Poisson draw (the session counts) has one value per served
+    cell, not one per deployed cell."""
+    rngs, grids = [], []
+    real_rng, real_mark = np.random.default_rng, simulator.mark_served
+
+    def counting_rng(seed):
+        rngs.append(CountingRng(real_rng(seed)))
+        return rngs[-1]
+
+    def recording_mark(grid, *args):
+        grids.append(grid)
+        return real_mark(grid, *args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(simulator, "mark_served", recording_mark)
+    run_replication(SimulationConfig(density=0.25, horizon_s=50.0), 3)
+    served = grids[0].served
+    assert 0 < np.count_nonzero(served) < served.size
+    poisson = [size for name, size in rngs[0].draws if name == "poisson"]
+    assert poisson == [np.count_nonzero(served)]
+
+
+def test_replication_equals_hand_built_pipeline():
+    cfg = SimulationConfig(density=0.25, horizon_s=100.0)
+    rng = np.random.default_rng(8)
+    grid = build_grid(deploy(cfg, rng), cfg)
+    mark_served(grid, cfg.max_wire_m, cfg.max_cells_per_branch)
+    served = np.flatnonzero(grid.served)
+    model = TrafficModel.from_config(cfg)
+    sessions = generate_traffic(rng, model, served.size, cfg.horizon_s)
+    sessions.cell_id = served[sessions.cell_id]
+    series = aggregate_rate_series(sessions, grid, cfg.dt_s, cfg.horizon_s)
+    expected = compute_metrics(series, grid, sessions, seed=8)
+    assert dataclasses.asdict(run_replication(cfg, 8)) == dataclasses.asdict(expected)
+
+
+def test_replication_with_no_served_cell():
+    report = run_replication(SimulationConfig(density=0.25, max_wire_m=1e-3), 4)
+    assert report.reachability == 0.0
+    assert report.avg_rate_bps == report.max_rate_bps == 0.0
+    assert report.mean_wait_s is None
+
+
+# the served-only session stream against the every-cell route of
+# tests/oracles.py:reference_replication: 300 replications per side at
+# density 0.25 on bus over 200 s, under fixed seeds
+
+_SERVED_ONLY = SimulationConfig(density=0.25, topology="bus", horizon_s=200.0)
+
+
+def test_served_only_traffic_keeps_layout_metrics():
+    for seed in range(50):
+        new = run_replication(_SERVED_ONLY, seed)
+        old = reference_replication(_SERVED_ONLY, seed)
+        assert new.reachability == old.reachability
+        assert new.forced_crossings == old.forced_crossings
+
+
+def test_served_only_traffic_matches_reference_in_distribution():
+    new = [run_replication(_SERVED_ONLY, derive_seed(41, 0, 0, k)) for k in range(300)]
+    old = [
+        reference_replication(_SERVED_ONLY, derive_seed(41, 0, 1, k)) for k in range(300)
+    ]
+    for metric in ("avg_rate_bps", "max_rate_bps", "mean_wait_s"):
+        a = [getattr(r, metric) for r in new]
+        b = [getattr(r, metric) for r in old]
+        assert None not in a + b
+        assert stats.ks_2samp(a, b).pvalue > 1e-3, metric
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import (
+    CountingRng,
     empty_sessions,
     expected_data_volume_bits,
     expected_session_volume_bits,
@@ -219,31 +220,14 @@ def test_offered_rate_per_cell_converges():
     assert per_cell == pytest.approx(target, rel=0.15)
 
 
-class _CountingRng:
-    """A Generator that counts the draw calls made through it."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self.calls = 0
-
-    def __getattr__(self, name):
-        draw = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return draw(*args, **kwargs)
-
-        return counted
-
-
 def test_draw_calls_do_not_grow_with_cells():
     model = _default_model()
     calls = []
     for n_cells in (1, 100, 10_000):
-        rng = _CountingRng(np.random.default_rng(4))
+        rng = CountingRng(np.random.default_rng(4))
         ss = generate_traffic(rng, model, n_cells, 100.0)
         assert ss.cell_id.size > 0
-        calls.append(rng.calls)
+        calls.append(len(rng.draws))
     assert calls[0] == calls[1] == calls[2]
 
 
