@@ -124,6 +124,8 @@ class SimulationConfig:
             ("density * side_m**2 / cell_area_m2 (cell count)", cells, _MAX_ARRAY_SIZE),
             ("horizon_s / dt_s (step count)", self.horizon_s / self.dt_s, _MAX_ARRAY_SIZE),
             ("n_branches (branch count)", self.n_branches, _MAX_ARRAY_SIZE),
+            ("n_branches * horizon_s / dt_s (branch series size)",
+             self.n_branches * self.horizon_s / self.dt_s, _MAX_ARRAY_SIZE),
             ("horizon_s / mean_interarrival_s (arrivals per cell)", arrivals, _MAX_POISSON_LAM),
             ("density * side_m**2 / cell_area_m2 * horizon_s / mean_interarrival_s"
              " (session count)", cells * arrivals, _MAX_SESSIONS),

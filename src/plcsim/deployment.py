@@ -80,19 +80,15 @@ def assign_sectors(
     w = 2*pi/n_branches; a cell exactly on the hub gets sector 0.
     """
     width = _TWO_PI / n_branches
-    hx, hy = hub
-    labels = []
-    for x, y in xy.tolist():
-        dx = x - hx
-        dy = y - hy
-        if dx == 0.0 and dy == 0.0:
-            labels.append(0)
-            continue
-        theta = (math.atan2(dy, dx) - anchor_rad) % _TWO_PI
-        # float division can round exactly up to n_branches when theta
-        # sits one ulp below 2*pi
-        labels.append(min(int(theta / width), n_branches - 1))
-    return np.array(labels, dtype=np.intp)
+    dx = xy[:, 0] - hub[0]
+    dy = xy[:, 1] - hub[1]
+    theta = np.array(list(map(math.atan2, dy.tolist(), dx.tolist())))
+    theta = (theta - anchor_rad) % _TWO_PI
+    # float division can round exactly up to n_branches when theta sits
+    # one ulp below 2*pi
+    labels = np.minimum((theta / width).astype(np.intp), n_branches - 1)
+    labels[(dx == 0.0) & (dy == 0.0)] = 0
+    return labels
 
 
 def deploy(config: SimulationConfig, rng: np.random.Generator) -> CellDeployment:

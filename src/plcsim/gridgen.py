@@ -18,11 +18,15 @@ A grid is a set of arrays.  Node ``i`` has position ``node_xy[i]``, kind
 ``node_cell[i]`` (-1 for the hub and junctions) and sector
 ``node_sector[i]`` (-1 for the hub).  Node 0 is the hub; then come, sector
 by sector, the sector's cells in id order and then its bus junctions.
+A bus groups a sector's cells into runs of equal spine projection; a run
+gets a new junction unless one of its cells lies on the spine, and the
+junctions are numbered, and the runs laid, in increasing projection.
 Edge ``e`` wires node ``edges[e, 0]`` to node ``edges[e, 1]`` with
 ``length_m[e]`` of cable, edges listed sector by sector in the order they
-were laid.  Per cell (indexed by cell id) the grid holds ``wire_m``, the
-hub-to-cell path length, ``branch``, the cell's sector, and ``served``,
-set by `mark_served`.
+were laid (for a bus: each run's spine edge, then its drops).  Per cell
+(indexed by cell id) the grid holds ``wire_m``, the hub-to-cell path
+length, ``branch``, the cell's sector, and ``served``, set by
+`mark_served`.
 
 The ``tree`` and ``chain`` feeders of all sectors are grown in lockstep:
 sector ``s`` is row ``s`` of ``(n_sectors, max_cells)`` arrays, and each
@@ -42,7 +46,6 @@ bit-identical to growing them one at a time, provided that
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,75 +160,82 @@ def build_bus(deployment: CellDeployment, config: SimulationConfig) -> PowerGrid
     """Straight spine from the hub along each sector's bisector.
 
     Spine length is min(max_wire_m, furthest positive projection); every
-    cell drops perpendicularly onto its (clamped) projection point, and
-    cells projecting at or behind the hub wire straight to the hub.  Cells
-    sharing a projection point share one junction, which is the first of
-    them lying on the spine, or else a new junction node.
+    cell drops perpendicularly onto its (clamped) projection point t, and
+    cells projecting at or behind the hub (t = 0) wire straight to it.
+    The cells of a sector with equal t form a run sharing one junction: the
+    run's first cell (by id) lying on the spine, or else a new junction
+    node at hub + t * u.  Runs are laid sector by sector in increasing t,
+    each as its spine edge from the previous junction (the hub for the
+    first) and then its drops in id order.  A sector's new junctions are
+    numbered after its cells, in run order.
     """
-    xy, sector = deployment.xy, deployment.sector
-    hx, hy = deployment.hub
+    xy, sector, n = deployment.xy, deployment.sector, len(deployment.xy)
+    hub = np.array(deployment.hub, dtype=float)
     nb = config.n_branches
     width = 2.0 * math.pi / nb
     bisectors = [config.sector_anchor_rad + (k + 0.5) * width for k in range(nb)]
-    ux = [math.cos(b) for b in bisectors]
-    uy = [math.sin(b) for b in bisectors]
-    cell_ux = np.array(ux)[sector]
-    cell_uy = np.array(uy)[sector]
-    proj = (xy[:, 0] - hx) * cell_ux + (xy[:, 1] - hy) * cell_uy
+    u = np.array([[math.cos(b), math.sin(b)] for b in bisectors])[sector]
+    proj = (xy[:, 0] - hub[0]) * u[:, 0] + (xy[:, 1] - hub[1]) * u[:, 1]
     furthest = np.zeros(nb)
     np.maximum.at(furthest, sector, proj)
     t = np.clip(proj, 0.0, np.minimum(config.max_wire_m, furthest)[sector])
-    drop = np.hypot(xy[:, 0] - (hx + t * cell_ux), xy[:, 1] - (hy + t * cell_uy))
+    foot = hub + t[:, None] * u
+    drop = np.hypot(xy[:, 0] - foot[:, 0], xy[:, 1] - foot[:, 1])
 
-    xy_l, t_l, drop_l = xy.tolist(), t.tolist(), drop.tolist()
-    node_xy, node_cell, node_sector = [[hx, hy]], [-1], [-1]
-    edges: list[tuple[int, int]] = []
-    length: list[float] = []
-    node_of = {}
-    cells_by_sector, sizes = _by_sector(sector, nb)
-    for k, cells in enumerate(np.split(cells_by_sector, np.cumsum(sizes)[:-1])):
-        cells = cells.tolist()
-        for c in cells:
-            node_of[c] = len(node_xy)
-            node_xy.append(xy_l[c])
-        node_cell += cells
-        prev, px, py = 0, hx, hy
-        by_t = sorted(cells, key=t_l.__getitem__)  # stable: ties keep id order
-        for tv, group in itertools.groupby(by_t, t_l.__getitem__):
-            group = list(group)
-            if tv == 0.0:
-                junction = 0  # at or behind the hub: drop straight to it
-            else:
-                on_spine = [c for c in group if drop_l[c] == 0.0]
-                if on_spine:
-                    junction = node_of[on_spine[0]]
-                    jx, jy = xy_l[on_spine[0]]
-                else:
-                    junction = len(node_xy)
-                    jx, jy = hx + tv * ux[k], hy + tv * uy[k]
-                    node_xy.append([jx, jy])
-                    node_cell.append(-1)
-                edges.append((prev, junction))
-                length.append(math.hypot(jx - px, jy - py))
-                prev, px, py = junction, jx, jy
-            for c in group:
-                if node_of[c] != junction:
-                    edges.append((junction, node_of[c]))
-                    length.append(drop_l[c])
-        # the sector's cells and junctions
-        node_sector += [k] * (len(node_xy) - len(node_sector))
+    # runs of equal (sector, t), sorted by sector then t; ties keep id order
+    order = np.lexsort((t, sector))
+    ks, ts = sector[order], t[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (ks[1:] != ks[:-1]) | (ts[1:] != ts[:-1])
+    run = np.cumsum(first) - 1
+    head = order[first]  # each run's first cell
+    run_k, spine = sector[head], t[head] > 0.0
+    on = np.flatnonzero((drop[order] == 0.0) & spine[run])
+    on_runs, i = np.unique(run[on], return_index=True)
+    on_cell = order[on[i]]  # each such run's first on-spine cell
+    new = np.setdiff1d(np.flatnonzero(spine), on_runs, assume_unique=True)
 
-    node_cell = np.array(node_cell, dtype=np.intp)
+    # node ids: the hub, then per sector its cells and its new junctions
+    by_sector, sizes = _by_sector(sector, nb)
+    n_new = np.bincount(run_k[new], minlength=nb)
+    node_of = np.empty(n, dtype=np.intp)
+    node_of[by_sector] = np.arange(1, n + 1) + np.repeat(np.cumsum(n_new) - n_new, sizes)
+    # each run's junction node and position; row -1 is the hub
+    jnode = np.zeros(head.size + 1, dtype=np.intp)
+    jxy = np.tile(hub, (head.size + 1, 1))
+    jnode[on_runs], jxy[on_runs] = node_of[on_cell], xy[on_cell]
+    # after the cells of sectors <= its own and all earlier new junctions
+    jnode[new] = 1 + np.cumsum(sizes)[run_k[new]] + np.arange(new.size)
+    jxy[new] = foot[head[new]]
+
+    # per run its spine edge from the previous junction, then its drops
+    # a run's predecessor in its sector is a spine run or the t = 0 (hub) run
+    sp = np.flatnonzero(spine)
+    prev = np.where((sp > 0) & (run_k[sp - 1] == run_k[sp]), sp - 1, -1)
+    gap = (jxy[sp] - jxy[prev]).T.tolist()
+    cell_node, junction = node_of[order], jnode[run]
+    dropped = cell_node != junction
+    laid = np.argsort(np.concatenate((2 * sp, 2 * run[dropped] + 1)), kind="stable")
+    a = np.concatenate((jnode[prev], junction[dropped]))
+    b = np.concatenate((jnode[sp], cell_node[dropped]))
+    length = np.concatenate((list(map(math.hypot, *gap)), drop[order][dropped]))
+
+    node_count = 1 + n + new.size
+    node_xy = np.empty((node_count, 2))
+    node_xy[0], node_xy[jnode[new]], node_xy[node_of] = hub, jxy[new], xy
+    node_cell = np.full(node_count, -1, dtype=np.intp)
+    node_cell[node_of] = np.arange(n)
+    node_sector = np.concatenate(([-1], np.repeat(np.arange(nb), sizes + n_new)))
     return PowerGrid(
-        node_xy=np.array(node_xy),
+        node_xy=node_xy,
         node_kind=_node_kinds(node_cell),
         node_cell=node_cell,
-        node_sector=np.array(node_sector, dtype=np.intp),
-        edges=np.array(edges, dtype=np.intp).reshape(-1, 2),
-        length_m=np.array(length),
+        node_sector=node_sector,
+        edges=np.column_stack((a, b))[laid],
+        length_m=length[laid],
         wire_m=t + drop,
         branch=sector,
-        served=np.zeros(len(xy), dtype=bool),
+        served=np.zeros(n, dtype=bool),
         n_branches=nb,
     )
 

@@ -123,27 +123,35 @@ def aggregate_rate_series(
     # sessions must start inside the observation window
     keep = (sessions.start_s >= 0.0) & (sessions.start_s < horizon_s)
     keep &= grid.served[sessions.cell_id]
-    kept = sessions.subset(keep)
-    if kept.cell_id.size == 0:
+    if not keep.all():
+        sessions = sessions.subset(keep)
+    n = sessions.cell_id.size
+    if n == 0:
         return RateSeries(np.zeros(steps), np.zeros((nb, steps)))
 
-    a = kept.start_s / dt_s
-    b = np.minimum(kept.start_s + kept.duration_s, horizon_s) / dt_s
-    ia = np.floor(a).astype(np.int64)
-    ib = np.floor(b).astype(np.int64)
-    fa = a - ia
-    fb = b - ib
-    w = kept.rate_bps
+    # rows 0 and 1: steps floor(a) and floor(a) + 1 with weights w (1 - f)
+    # and w f, for a = start / dt_s and f its fraction; rows 2 and 3: the
+    # same at the clipped end b, negated.  bincount sums follow this order.
+    w = sessions.rate_bps
+    idx = np.empty((4, n), dtype=np.int64)
+    val = np.empty((4, n))
+    np.divide(sessions.start_s, dt_s, out=val[0])
+    np.add(sessions.start_s, sessions.duration_s, out=val[2])
+    np.minimum(val[2], horizon_s, out=val[2])
+    np.divide(val[2], dt_s, out=val[2])
+    for r in (0, 2):
+        np.floor(val[r], out=val[r + 1])
+        idx[r] = val[r + 1]
+        np.add(idx[r], 1, out=idx[r + 1])
+        np.subtract(val[r], val[r + 1], out=val[r + 1])  # the fraction f
+        np.subtract(1.0, val[r + 1], out=val[r])
+        val[r : r + 2] *= w
+    np.negative(val[2:], out=val[2:])
 
-    idx = np.concatenate([ia, ia + 1, ib, ib + 1])
-    val = np.concatenate([w * (1.0 - fa), w * fa, -w * (1.0 - fb), -w * fb])
-
-    hub_diff = np.bincount(idx, weights=val, minlength=width)
-    hub = np.cumsum(hub_diff)[:steps]
-
-    branch = grid.branch[kept.cell_id]
-    flat = np.concatenate([branch, branch, branch, branch]) * width + idx
-    branch_diff = np.bincount(flat, weights=val, minlength=nb * width)
+    val = val.ravel()
+    hub = np.cumsum(np.bincount(idx.ravel(), val, minlength=width))[:steps]
+    idx += grid.branch[sessions.cell_id] * width  # now the branch index
+    branch_diff = np.bincount(idx.ravel(), val, minlength=nb * width)
     branches = np.cumsum(branch_diff.reshape(nb, width), axis=1)[:, :steps]
 
     return RateSeries(hub, branches)

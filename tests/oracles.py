@@ -10,6 +10,7 @@ meaningful.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -20,8 +21,13 @@ from scipy.spatial.distance import pdist, squareform
 from plcsim.config import SimulationConfig
 from plcsim.deployment import deploy
 from plcsim.errors import GeometryError
-from plcsim.gridgen import build_grid, mark_served
-from plcsim.simulator import MetricsReport, aggregate_rate_series, compute_metrics
+from plcsim.gridgen import PowerGrid, build_grid, mark_served
+from plcsim.simulator import (
+    MetricsReport,
+    _step_count,
+    aggregate_rate_series,
+    compute_metrics,
+)
 from plcsim.traffic import SessionSet, TrafficModel, generate_traffic
 
 Point = tuple[float, float]
@@ -530,3 +536,129 @@ def layout_dict(deployment, grid, manifest: dict) -> dict:
             for (a, b), length in zip(grid.edges.tolist(), grid.length_m.tolist())
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# scalar sector labels, bus builder and rate aggregation
+#
+# The three stages as they stood before their array rewrites: a per-cell
+# `math.atan2` loop for the sector labels, a per-sector sort-and-group loop
+# for the bus feeder, and aggregation by concatenating eight n-long parts.
+# The library must reproduce their outputs bit for bit.
+
+def reference_sectors(xy, hub, n_branches: int, anchor_rad: float = 0.0) -> np.ndarray:
+    """Sector label of every cell, one Python float at a time."""
+    width = 2.0 * math.pi / n_branches
+    hx, hy = hub
+    labels = []
+    for x, y in np.asarray(xy, dtype=float).reshape(-1, 2).tolist():
+        dx = x - hx
+        dy = y - hy
+        if dx == 0.0 and dy == 0.0:
+            labels.append(0)
+            continue
+        theta = (math.atan2(dy, dx) - anchor_rad) % (2.0 * math.pi)
+        labels.append(min(int(theta / width), n_branches - 1))
+    return np.array(labels, dtype=np.intp)
+
+
+def reference_bus(deployment, config: SimulationConfig) -> PowerGrid:
+    """Bus feeder built sector by sector: cells sorted by projection and
+    grouped by equal projection, one spine edge and the drops per group."""
+    xy, sector = deployment.xy, deployment.sector
+    hx, hy = deployment.hub
+    nb = config.n_branches
+    width = 2.0 * math.pi / nb
+    bisectors = [config.sector_anchor_rad + (k + 0.5) * width for k in range(nb)]
+    ux = [math.cos(b) for b in bisectors]
+    uy = [math.sin(b) for b in bisectors]
+    cell_ux = np.array(ux)[sector]
+    cell_uy = np.array(uy)[sector]
+    proj = (xy[:, 0] - hx) * cell_ux + (xy[:, 1] - hy) * cell_uy
+    furthest = np.zeros(nb)
+    np.maximum.at(furthest, sector, proj)
+    t = np.clip(proj, 0.0, np.minimum(config.max_wire_m, furthest)[sector])
+    drop = np.hypot(xy[:, 0] - (hx + t * cell_ux), xy[:, 1] - (hy + t * cell_uy))
+
+    xy_l, t_l, drop_l = xy.tolist(), t.tolist(), drop.tolist()
+    node_xy, node_cell, node_sector = [[hx, hy]], [-1], [-1]
+    edges: list[tuple[int, int]] = []
+    length: list[float] = []
+    node_of = {}
+    for k in range(nb):
+        cells = np.flatnonzero(sector == k).tolist()
+        for c in cells:
+            node_of[c] = len(node_xy)
+            node_xy.append(xy_l[c])
+        node_cell += cells
+        prev, px, py = 0, hx, hy
+        by_t = sorted(cells, key=t_l.__getitem__)  # stable: ties keep id order
+        for tv, group in itertools.groupby(by_t, t_l.__getitem__):
+            group = list(group)
+            if tv == 0.0:
+                junction = 0  # at or behind the hub: drop straight to it
+            else:
+                on_spine = [c for c in group if drop_l[c] == 0.0]
+                if on_spine:
+                    junction = node_of[on_spine[0]]
+                    jx, jy = xy_l[on_spine[0]]
+                else:
+                    junction = len(node_xy)
+                    jx, jy = hx + tv * ux[k], hy + tv * uy[k]
+                    node_xy.append([jx, jy])
+                    node_cell.append(-1)
+                edges.append((prev, junction))
+                length.append(math.hypot(jx - px, jy - py))
+                prev, px, py = junction, jx, jy
+            for c in group:
+                if node_of[c] != junction:
+                    edges.append((junction, node_of[c]))
+                    length.append(drop_l[c])
+        node_sector += [k] * (len(node_xy) - len(node_sector))
+
+    node_cell = np.array(node_cell, dtype=np.intp)
+    kind = np.where(node_cell >= 0, "cell", "junction")
+    kind[0] = "hub"
+    return PowerGrid(
+        node_xy=np.array(node_xy),
+        node_kind=kind,
+        node_cell=node_cell,
+        node_sector=np.array(node_sector, dtype=np.intp),
+        edges=np.array(edges, dtype=np.intp).reshape(-1, 2),
+        length_m=np.array(length),
+        wire_m=t + drop,
+        branch=sector,
+        served=np.zeros(len(xy), dtype=bool),
+        n_branches=nb,
+    )
+
+
+def reference_aggregate(sessions: SessionSet, grid, dt_s: float, horizon_s: float):
+    """Hub and branch series as (hub, branches): the kept sessions copied
+    out by `subset`, then every bincount index and weight built as four
+    n-long parts joined by `concatenate`."""
+    steps = _step_count(horizon_s, dt_s)
+    nb = grid.n_branches
+    width = steps + 2
+    keep = (sessions.start_s >= 0.0) & (sessions.start_s < horizon_s)
+    keep &= grid.served[sessions.cell_id]
+    kept = sessions.subset(keep)
+    if kept.cell_id.size == 0:
+        return np.zeros(steps), np.zeros((nb, steps))
+
+    a = kept.start_s / dt_s
+    b = np.minimum(kept.start_s + kept.duration_s, horizon_s) / dt_s
+    ia = np.floor(a).astype(np.int64)
+    ib = np.floor(b).astype(np.int64)
+    fa = a - ia
+    fb = b - ib
+    w = kept.rate_bps
+
+    idx = np.concatenate([ia, ia + 1, ib, ib + 1])
+    val = np.concatenate([w * (1.0 - fa), w * fa, -w * (1.0 - fb), -w * fb])
+    hub = np.cumsum(np.bincount(idx, weights=val, minlength=width))[:steps]
+
+    branch = grid.branch[kept.cell_id]
+    flat = np.concatenate([branch, branch, branch, branch]) * width + idx
+    branch_diff = np.bincount(flat, weights=val, minlength=nb * width)
+    return hub, np.cumsum(branch_diff.reshape(nb, width), axis=1)[:, :steps]

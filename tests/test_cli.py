@@ -191,8 +191,22 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
         (["simulate", "--density", "1e15"], {}, ["density", "mean_interarrival_s"]),
         (["sweep", "--densities", "1e300", "--reps", "1"], {}, ["density"]),
         (["generate", "--density", "0.01"], {"n_branches": 2**70, "topology": "tree"}, ["n_branches"]),
+        (
+            ["simulate", "--density", "0"],
+            {"n_branches": 2**40, "horizon_s": 2**30, "dt_s": 1},
+            ["n_branches", "horizon_s", "dt_s"],
+        ),
     ],
-    ids=["side", "cell-area", "steps", "arrivals", "sessions", "sweep-density", "branches"],
+    ids=[
+        "side",
+        "cell-area",
+        "steps",
+        "arrivals",
+        "sessions",
+        "sweep-density",
+        "branches",
+        "branch-series",
+    ],
 )
 def test_exit_one_on_unallocatable_size(tmp_path, capsys, argv, config, fields):
     """Finite values whose array sizes exceed what numpy can index fail as

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_sectors
 from plcsim.config import SimulationConfig
 from plcsim.deployment import (
     assign_sectors,
@@ -131,6 +132,39 @@ def test_sector_partition_property(n_branches, anchor, seed):
     labels = assign_sectors(xy, (350.0, 350.0), n_branches, anchor_rad=anchor).tolist()
     assert all(0 <= s < n_branches for s in labels)
     assert sum(labels.count(k) for k in range(n_branches)) == 40
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=-7.0, max_value=7.0),
+    st.tuples(st.floats(0.0, 700.0), st.floats(0.0, 700.0)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_sectors_match_scalar_reference_property(n_branches, anchor, hub, seed):
+    """The labels equal tests/oracles.py:reference_sectors bit for bit, for
+    random cells, cells on every sector boundary ray and cells on the hub."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.0, 500.0, size=(n_branches, 4))
+    ray = anchor + np.arange(n_branches)[:, None] * (2.0 * math.pi / n_branches)
+    xy = np.concatenate(
+        (
+            place_cells(40, 700.0, rng),
+            np.column_stack(
+                ((hub[0] + r * np.cos(ray)).ravel(), (hub[1] + r * np.sin(ray)).ravel())
+            ),
+            [hub, hub],
+        )
+    )
+    got = assign_sectors(xy, hub, n_branches, anchor)
+    want = reference_sectors(xy, hub, n_branches, anchor)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got[-2:].tolist() == [0, 0]
+
+
+def test_sectors_of_no_cells():
+    labels = assign_sectors(np.empty((0, 2)), (1.0, 2.0), 6)
+    assert labels.dtype == np.intp and labels.shape == (0,)
 
 
 def test_deploy_default_config():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     dijkstra_from_hub,
     mst_length,
+    reference_bus,
     reference_chain,
     reference_feeders,
     reference_mark_served,
@@ -20,6 +21,7 @@ from plcsim.errors import GeometryError
 from plcsim.gridgen import (
     PowerGrid,
     _crosses_any,
+    build_bus,
     build_grid,
     mark_served,
     reachability_fraction,
@@ -206,6 +208,54 @@ def test_bus_on_spine_cell_becomes_junction():
     assert _junctions(grid) == []
     assert grid.wire_m == pytest.approx([100.0, 130.0])
     assert sorted(grid.length_m) == pytest.approx([30.0, 100.0])
+
+
+def _assert_bus_matches_reference(deployment, cfg):
+    """build_bus equals the per-sector loop of tests/oracles.py:reference_bus
+    field for field: every array with its dtype and shape, n_branches and
+    forced_crossings."""
+    got, want = build_bus(deployment, cfg), reference_bus(deployment, cfg)
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            other = getattr(got, name)
+            assert other.dtype == value.dtype and other.shape == value.shape, name
+            assert np.array_equal(other, value), name
+        else:
+            assert getattr(got, name) == value, name
+
+
+@pytest.mark.parametrize("hub_mode", ["center", "uniform"])
+def test_bus_matches_reference_on_random_layouts(hub_mode):
+    for density in (0.0, 0.1, 1.0):
+        for reach in (40.0, 300.0, 1000.0):
+            for seed in range(3):
+                cfg = SimulationConfig(density=density, hub_mode=hub_mode, max_wire_m=reach)
+                rng = np.random.default_rng(derive_seed(19, seed, 0, 0))
+                _assert_bus_matches_reference(deploy(cfg, rng), cfg)
+
+
+@st.composite
+def _bus_cases(draw):
+    """Cells on a coarse lattice around a lattice hub: many cells share a
+    projection point, lie on a spine, sit on or behind the hub, or project
+    past a short reach; with up to eight sectors, some are empty."""
+    n_branches = draw(st.integers(min_value=1, max_value=8))
+    lattice = st.integers(-4, 4).map(lambda v: 25.0 * v)
+    points = draw(st.lists(st.tuples(lattice, lattice), max_size=60))
+    hub = draw(st.tuples(lattice, lattice))
+    anchor = draw(st.sampled_from([0.0, -math.pi, math.pi / 4, -math.pi / n_branches]))
+    cfg = SimulationConfig(
+        n_branches=n_branches,
+        sector_anchor_rad=anchor,
+        max_wire_m=draw(st.sampled_from([10.0, 30.0, 60.0, 300.0])),
+    )
+    return _deployment(points, hub, n_branches, anchor), cfg
+
+
+@given(_bus_cases())
+@settings(max_examples=300, deadline=None)
+def test_bus_matches_reference_property(case):
+    _assert_bus_matches_reference(*case)
 
 
 # ---------------------------------------------------------------------------

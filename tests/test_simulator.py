@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import CountingRng, empty_sessions, reference_replication
+from oracles import (
+    CountingRng,
+    empty_sessions,
+    reference_aggregate,
+    reference_replication,
+)
 from plcsim import simulator
 from plcsim.config import SimulationConfig
 from plcsim.deployment import deploy
@@ -274,6 +279,52 @@ def test_aggregation_is_linear_in_sessions(topology, offered):
     assert np.allclose(a.branches + b.branches, whole.branches, rtol=0.0, atol=1e-9 * scale)
 
 
+def _assert_aggregate_matches_reference(sessions, grid, dt_s, horizon_s):
+    series = aggregate_rate_series(sessions, grid, dt_s, horizon_s)
+    hub, branches = reference_aggregate(sessions, grid, dt_s, horizon_s)
+    assert np.array_equal(series.hub, hub)
+    assert np.array_equal(series.branches, branches)
+
+
+@pytest.mark.parametrize("dt_s", [1.0, 0.7])
+@pytest.mark.parametrize("topology", ["bus", "tree"])
+def test_aggregation_matches_reference_on_pipeline_route(topology, dt_s):
+    """Sessions of served cells only, all starting in [0, H): every session
+    is kept, and the series equal tests/oracles.py:reference_aggregate bit
+    for bit."""
+    cfg = SimulationConfig(density=1.0, topology=topology, horizon_s=600.0, dt_s=dt_s)
+    model = TrafficModel.from_config(cfg)
+    for seed in range(4):
+        rng = np.random.default_rng(derive_seed(23, seed, 0, 0))
+        grid = build_grid(deploy(cfg, rng), cfg)
+        mark_served(grid, cfg.max_wire_m, cfg.max_cells_per_branch)
+        served = np.flatnonzero(grid.served)
+        sessions = generate_traffic(rng, model, served.size, cfg.horizon_s)
+        sessions.cell_id = served[sessions.cell_id]
+        assert sessions.cell_id.size > 0
+        _assert_aggregate_matches_reference(sessions, grid, cfg.dt_s, cfg.horizon_s)
+
+
+@pytest.mark.parametrize("dt_s", [1.0, 0.7])
+def test_aggregation_matches_reference_on_masked_route(dt_s):
+    """A table drawn for every cell, with unserved cells and starts moved
+    outside [0, H) on both sides, goes through the masked route and still
+    equals the reference bit for bit."""
+    cfg = SimulationConfig(density=0.25, horizon_s=300.0, dt_s=dt_s)
+    model = TrafficModel.from_config(cfg)
+    for seed in range(4):
+        rng = np.random.default_rng(derive_seed(29, seed, 0, 0))
+        dep = deploy(cfg, rng)
+        grid = mark_served(build_grid(dep, cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
+        sessions = generate_traffic(rng, model, len(dep.xy), cfg.horizon_s)
+        sessions.start_s = sessions.start_s * 1.2 - 30.0
+        starts_out = (sessions.start_s < 0.0) | (sessions.start_s >= cfg.horizon_s)
+        assert starts_out.any() and not starts_out.all()
+        assert 0 < grid.served.sum() < grid.served.size
+        _assert_aggregate_matches_reference(sessions, grid, cfg.dt_s, cfg.horizon_s)
+    _assert_aggregate_matches_reference(empty_sessions(), grid, cfg.dt_s, cfg.horizon_s)
+
+
 # ---------------------------------------------------------------------------
 # wait-time metrics
 
@@ -351,6 +402,18 @@ def test_replication_aggregates_once(monkeypatch):
     monkeypatch.setattr(simulator, "aggregate_rate_series", counting)
     run_replication(SimulationConfig(), 7)
     assert calls == [{}]
+
+
+def test_replication_copies_no_session_table(monkeypatch):
+    """Inside the pipeline every session is kept, so aggregation never
+    copies the table out through SessionSet.subset."""
+
+    def refuse(self, mask):
+        raise AssertionError("SessionSet.subset called")
+
+    monkeypatch.setattr(SessionSet, "subset", refuse)
+    for cfg in (SimulationConfig(), SimulationConfig(density=0.1, topology="tree")):
+        assert run_replication(cfg, 7).avg_rate_bps > 0.0
 
 
 def test_replication_draws_sessions_for_served_cells_only(monkeypatch):
