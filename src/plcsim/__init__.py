@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .config import SimulationConfig
 from .deployment import CellDeployment, deploy
-from .errors import ConfigError, FitError, GeometryError
+from .errors import ConfigError, GeometryError
 from .gridgen import PowerGrid, build_grid, mark_served, reachability_fraction
 from .simulator import (
     MetricsReport,
@@ -19,7 +19,6 @@ from .traffic import SessionSet, TrafficModel
 __all__ = [
     "CellDeployment",
     "ConfigError",
-    "FitError",
     "GeometryError",
     "MetricsReport",
     "PowerGrid",

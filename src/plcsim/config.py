@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,7 @@ class SimulationConfig:
         _require(
             -1e9 < self.sector_anchor_rad < 1e9,
             "sector_anchor_rad",
-            "finite",
+            "in (-1e9, 1e9)",
             self.sector_anchor_rad,
         )
         _require(
@@ -116,8 +117,8 @@ class SimulationConfig:
         _require(self.kb_bits > 0, "kb_bits", "> 0", self.kb_bits)
         _require(self.replications >= 1, "replications", ">= 1", self.replications)
         _require(self.master_seed >= 0, "master_seed", ">= 0", self.master_seed)
-        # sizes a run asks numpy for, so that huge finite values fail here
-        # rather than overflowing later
+        # sizes a run asks numpy for, and the 10 kb threshold in bits, so
+        # that huge finite values fail here rather than overflowing later
         cells = self.density * self.side_m * self.side_m / self.cell_area_m2
         arrivals = self.horizon_s / self.mean_interarrival_s
         for fields, size, limit in (
@@ -129,8 +130,9 @@ class SimulationConfig:
             ("horizon_s / mean_interarrival_s (arrivals per cell)", arrivals, _MAX_POISSON_LAM),
             ("density * side_m**2 / cell_area_m2 * horizon_s / mean_interarrival_s"
              " (session count)", cells * arrivals, _MAX_SESSIONS),
+            ("10 * kb_bits (10 kb in bits)", 10.0 * self.kb_bits, sys.float_info.max),
         ):
-            _require(size <= limit, fields, "<= %d" % limit, size)
+            _require(size <= limit, fields, "<= %r" % limit, size)
         return self
 
     def as_dict(self) -> dict:

@@ -7,7 +7,3 @@ class ConfigError(ValueError):
 
 class GeometryError(ValueError):
     """Raised for degenerate geometric input (zero-length segments and the like)."""
-
-
-class FitError(RuntimeError):
-    """Raised when a distribution fit has no feasible solution."""

@@ -7,27 +7,22 @@ of all bytes.  Data session durations follow a lognormal law pinned by its
 0.8 and 0.999 quantiles (11 s and 200 s).  The rest are voice calls at a
 fixed codec rate with exponentially distributed holding times.
 
-Fitting happens once; the fitted model is immutable.  generate_traffic
-draws every cell's sessions into one SessionSet.
+The four fitted facts are fixed; a config only rescales the 10 kb
+threshold through ``kb_bits``.  The data fraction, voice rate, voice
+holding time, mean arrival gap and volume cap are config fields.  The
+fitted model is immutable.  generate_traffic draws every cell's sessions
+into one SessionSet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
 
 from .config import SimulationConfig
-from .errors import FitError
-
-# feasibility ceiling for the Pareto exponent; the share equation drives
-# alpha to infinity as top_share approaches top_q
-ALPHA_CEILING = 1e6
-
-_FIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,80 +74,39 @@ class SessionSet:
         )
 
 
-@lru_cache(maxsize=32)
-def fit_size_distribution(
-    p_small: float = 0.80,
-    small_bits: float = 10_000.0,
-    top_q: float = 0.10,
-    top_share: float = 0.90,
-) -> tuple[float, float]:
-    """Fit Pareto (alpha, xm) to a small-size quantile and a Lorenz share.
-
-    alpha solves top_q**(1 - 1/alpha) = top_share (bisection, residual
-    below 1e-10); xm then follows from P(V < small_bits) = p_small in
-    closed form.
-    """
-    if not 0.0 < p_small < 1.0:
-        raise FitError("p_small must lie in (0, 1), got %r" % p_small)
-    if small_bits <= 0.0:
-        raise FitError("small_bits must be positive, got %r" % small_bits)
-    if not 0.0 < top_q < 1.0:
-        raise FitError("top_q must lie in (0, 1), got %r" % top_q)
-    if not top_q < top_share < 1.0:
-        raise FitError(
-            "top_share must lie in (top_q, 1) for a finite-mean Pareto fit, "
-            "got top_share=%r with top_q=%r" % (top_share, top_q)
-        )
-
-    def residual(alpha: float) -> float:
-        return top_q ** (1.0 - 1.0 / alpha) - top_share
-
-    lo, hi = 1.0 + 1e-12, ALPHA_CEILING
-    if residual(hi) > 0.0:
-        raise FitError("required Pareto exponent exceeds ceiling %g" % ALPHA_CEILING)
-    alpha = 0.5 * (lo + hi)
-    for _ in range(200):
+def _pareto_alpha() -> float:
+    """The Pareto exponent for which the top decile of transfers carries
+    90% of the bits: alpha solves 0.1**(1 - 1/alpha) = 0.9, by bisection
+    to a residual below 1e-10."""
+    lo, hi = 1.0 + 1e-12, 1e6
+    while True:
         alpha = 0.5 * (lo + hi)
-        r = residual(alpha)
-        if abs(r) <= _FIT_TOL:
-            break
+        r = 0.10 ** (1.0 - 1.0 / alpha) - 0.90
+        if abs(r) <= 1e-10:
+            return alpha
         if r > 0.0:
             lo = alpha
         else:
             hi = alpha
-    else:
-        raise FitError("Pareto exponent search did not converge")
-
-    xm = small_bits * (1.0 - p_small) ** (1.0 / alpha)
-    return alpha, xm
 
 
-@lru_cache(maxsize=32)
-def fit_duration_distribution(
-    p_short: float = 0.80,
-    short_s: float = 11.0,
-    p_long: float = 0.001,
-    long_s: float = 200.0,
-) -> tuple[float, float]:
-    """Fit lognormal (mu, sigma) through two quantiles:
-    P(D < short_s) = p_short and P(D > long_s) = p_long."""
-    if not 0.0 < p_short < 1.0 or not 0.0 < p_long < 1.0:
-        raise FitError("quantile probabilities must lie in (0, 1)")
-    if short_s <= 0.0 or long_s <= 0.0:
-        raise FitError("quantile durations must be positive")
+# independent of the size threshold, so solved once per process
+_PARETO_ALPHA = _pareto_alpha()
 
-    z_short = NormalDist().inv_cdf(p_short)
-    z_long = NormalDist().inv_cdf(1.0 - p_long)
-    if z_long <= z_short:
-        raise FitError(
-            "quantile collision: p_short=%r and p_long=%r pin the same "
-            "normal quantile" % (p_short, p_long)
-        )
-    sigma = (math.log(long_s) - math.log(short_s)) / (z_long - z_short)
-    if sigma <= 0.0:
-        raise FitError("fitted sigma is not positive (are the quantiles inverted?)")
-    mu = math.log(short_s) - z_short * sigma
-    return mu, sigma
+
+def fit_size_distribution(small_bits: float = 10_000.0) -> tuple[float, float]:
+    """Pareto (alpha, xm) with the top decile of transfers carrying 90% of
+    the bits and P(V < small_bits) = 0.8."""
+    return _PARETO_ALPHA, small_bits * (1.0 - 0.80) ** (1.0 / _PARETO_ALPHA)
+
+
+def fit_duration_distribution() -> tuple[float, float]:
+    """Lognormal (mu, sigma) through P(D < 11 s) = 0.8 and
+    P(D > 200 s) = 0.001."""
+    z_short = NormalDist().inv_cdf(0.80)
+    z_long = NormalDist().inv_cdf(0.999)
+    sigma = (math.log(200.0) - math.log(11.0)) / (z_long - z_short)
+    return math.log(11.0) - z_short * sigma, sigma
 
 
 # ---------------------------------------------------------------------------

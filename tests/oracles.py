@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from plcsim.config import SimulationConfig
-from plcsim.deployment import deploy
+from plcsim.deployment import cell_count, deploy
 from plcsim.errors import GeometryError
 from plcsim.gridgen import PowerGrid, build_grid, mark_served
 from plcsim.simulator import (
@@ -119,6 +119,33 @@ def expected_session_volume_bits(model: TrafficModel) -> float:
         model.data_fraction * expected_data_volume_bits(model)
         + (1.0 - model.data_fraction) * voice
     )
+
+
+# ---------------------------------------------------------------------------
+# bus reach in closed form (geometric probability; Santalo, Integral
+# Geometry and Geometric Probability, 1976)
+
+def bus_reachability_closed_form(config: SimulationConfig) -> float:
+    """E[reachability] of a `bus` grid with the hub at the centre.
+
+    In a sector's bisector coordinates (u, v) a cell's wire distance is
+    u + |v|: its drop meets the spine at its projection u.  So the sector's
+    within-reach region {u + |v| <= R, |v| <= u tan(pi/nb)} has area
+    A = a u1^2 + (R - u1)^2 with a = tan(pi/nb) and u1 = R / (1 + a), and
+    its within-reach count is Binomial(n, A / side^2), a marginal of the
+    multinomial.  By linearity the mean reach is
+    nb E[min(Binomial(n, A / side^2), cap)] / n.  Valid for nb >= 3 while
+    the region stays inside the square: max(R, u1 / cos(pi/nb)) <= side/2.
+    """
+    nb, reach, side = config.n_branches, config.max_wire_m, config.side_m
+    a = math.tan(math.pi / nb)
+    u1 = reach / (1.0 + a)
+    assert config.hub_mode == "center" and nb >= 3
+    assert max(reach, u1 / math.cos(math.pi / nb)) <= side / 2.0
+    n = cell_count(config.density, side, config.cell_area_m2)
+    k = np.arange(n + 1)
+    pmf = stats.binom.pmf(k, n, (a * u1**2 + (reach - u1) ** 2) / side**2)
+    return nb * float(np.minimum(k, config.max_cells_per_branch) @ pmf) / n
 
 
 # ---------------------------------------------------------------------------

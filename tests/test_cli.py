@@ -196,6 +196,8 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
             {"n_branches": 2**40, "horizon_s": 2**30, "dt_s": 1},
             ["n_branches", "horizon_s", "dt_s"],
         ),
+        # finite, but 10 kb in bits overflows to inf
+        (["generate"], {"kb_bits": 1e308}, ["kb_bits"]),
     ],
     ids=[
         "side",
@@ -206,11 +208,13 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
         "sweep-density",
         "branches",
         "branch-series",
+        "kb-bits",
     ],
 )
 def test_exit_one_on_unallocatable_size(tmp_path, capsys, argv, config, fields):
-    """Finite values whose array sizes exceed what numpy can index fail as
-    config errors that name the fields, before anything is allocated."""
+    """Finite values whose array sizes exceed what numpy can index, or whose
+    10 kb threshold in bits overflows a float, fail as config errors that
+    name the fields, before anything is allocated."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"

@@ -18,13 +18,17 @@ from plcsim.traffic import TrafficModel, generate_traffic
         ("density", "lots"),
         # an int too large for a float
         pytest.param("side_m", 10**400, id="side_m-10**400"),
+        # finite, but outside the bound |x| < 1e9
+        pytest.param("sector_anchor_rad", 2e9, id="sector_anchor_rad-2e9"),
     ],
 )
 def test_validate_rejects_wrong_type_naming_field(field, value):
-    """A config built in library code gets the same type check as one read
-    from a file or the command line."""
-    with pytest.raises(ConfigError, match=field):
+    """A config built in library code gets the same type and bound checks
+    as one read from a file or the command line, and the message states the
+    rule that failed: never "finite" for a finite value."""
+    with pytest.raises(ConfigError, match=field) as err:
         SimulationConfig(**{field: value}).validate()
+    assert "finite" not in str(err.value)
 
 
 def test_validate_normalises_types():

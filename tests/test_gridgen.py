@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bus_reachability_closed_form,
     dijkstra_from_hub,
     mst_length,
     reference_bus,
@@ -627,3 +628,31 @@ def test_bus_served_set_monotone_with_open_cap():
         cur = set(np.flatnonzero(grid.served).tolist())
         assert prev <= cur
         prev = cur
+
+
+# ---------------------------------------------------------------------------
+# bus reach against its closed form
+
+def _bus_reach(config, seed):
+    grid = build_grid(deploy(config, np.random.default_rng(seed)), config)
+    mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
+    return reachability_fraction(grid)
+
+
+def test_bus_reach_matches_closed_form():
+    """Below the fan-out cap's onset (density 0.25) the mean bus reach over
+    400 layouts matches bus_reachability_closed_form; bound |z| <= 4."""
+    cfg = SimulationConfig(density=0.25, topology="bus")
+    reach = [_bus_reach(cfg, derive_seed(99, 0, 0, k)) for k in range(400)]
+    stderr = np.std(reach, ddof=1) / math.sqrt(len(reach))
+    z = (np.mean(reach) - bus_reachability_closed_form(cfg)) / stderr
+    assert abs(z) <= 4.0
+
+
+def test_bus_reach_saturates_at_the_cap():
+    """At density 1.0 every branch holds more than its cap within reach, so
+    bus reach is exactly n_branches * cap / n = 210 / 1225."""
+    cfg = SimulationConfig(density=1.0, topology="bus")
+    assert bus_reachability_closed_form(cfg) == pytest.approx(210 / 1225, rel=1e-9)
+    for seed in range(5):
+        assert _bus_reach(cfg, seed) == 210 / 1225

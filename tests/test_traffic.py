@@ -20,7 +20,6 @@ from oracles import (
     reference_traffic,
 )
 from plcsim.config import SimulationConfig
-from plcsim.errors import FitError
 from plcsim.traffic import (
     TrafficModel,
     fit_duration_distribution,
@@ -57,23 +56,6 @@ def test_size_fit_small_quantile_exact():
     assert 1.0 - (xm / 10_000.0) ** alpha == pytest.approx(0.8, abs=1e-12)
 
 
-def test_size_fit_share_equal_to_q_is_infeasible():
-    with pytest.raises(FitError):
-        fit_size_distribution(top_q=0.1, top_share=0.1)
-
-
-def test_size_fit_share_below_q_is_infeasible():
-    with pytest.raises(FitError):
-        fit_size_distribution(top_q=0.1, top_share=0.05)
-
-
-def test_size_fit_rejects_bad_probabilities():
-    with pytest.raises(FitError):
-        fit_size_distribution(p_small=0.0)
-    with pytest.raises(FitError):
-        fit_size_distribution(small_bits=-1.0)
-
-
 # ---------------------------------------------------------------------------
 # duration fit
 
@@ -90,17 +72,25 @@ def test_duration_fit_documented_values():
     assert sigma == pytest.approx(1.2899, abs=1e-3)
 
 
-def test_duration_fit_quantile_collision():
-    with pytest.raises(FitError):
-        fit_duration_distribution(p_short=0.8, p_long=0.2)
-
-
 def test_duration_median_matches_samples():
     mu, sigma = fit_duration_distribution()
     rng = np.random.default_rng(2)
     sample_median = float(np.median(rng.lognormal(mu, sigma, 10_000_000)))
     assert math.exp(mu) == pytest.approx(3.71, abs=0.01)
     assert sample_median == pytest.approx(math.exp(mu), abs=0.01)
+
+
+def test_fit_constants_bit_for_bit():
+    """The fitted constants every manifest records, pinned exactly: alpha
+    is the bisection's, not the closed form's 1.0479516371446924, and xm
+    scales 1.0 - 0.80 (0.19999999999999996, not 0.2).  kb_bits = 8000 is a
+    route no golden output covers."""
+    mu, sigma = 1.3123109980546075, 1.2898727259234637
+    assert fit_duration_distribution() == (mu, sigma)
+    for kb_bits, xm in ((1000.0, 2152.846716641784), (8000.0, 17222.773733134272)):
+        model = TrafficModel.from_config(SimulationConfig(kb_bits=kb_bits))
+        fit = (model.pareto_alpha, model.pareto_xm_bits, model.lognorm_mu, model.lognorm_sigma)
+        assert fit == (1.0479516371164197, xm, mu, sigma)
 
 
 # ---------------------------------------------------------------------------
