@@ -21,6 +21,9 @@ _MAX_POISSON_LAM = int(_MAX_ARRAY_SIZE - 10.0 * math.sqrt(_MAX_ARRAY_SIZE))
 # half the index range, so that a drawn session total, a few standard
 # deviations from its mean, cannot wrap the int64 sum of the cell counts
 _MAX_SESSIONS = _MAX_ARRAY_SIZE // 2
+# bytes of one array with 8 bytes per branch; a grid build holds about a
+# dozen such arrays at once (README, "Library")
+_MAX_BRANCH_BYTES = 2**24
 
 
 @dataclass
@@ -65,6 +68,12 @@ class SimulationConfig:
         _require(self.cell_area_m2 > 0, "cell_area_m2", "> 0", self.cell_area_m2)
         _require(self.density >= 0, "density", ">= 0", self.density)
         _require(self.n_branches >= 1, "n_branches", ">= 1", self.n_branches)
+        _require(
+            self.n_branches <= _MAX_ARRAY_SIZE,
+            "n_branches (branch count)",
+            "<= %r" % _MAX_ARRAY_SIZE,
+            self.n_branches,
+        )
         _require(
             self.topology in TOPOLOGIES,
             "topology",
@@ -120,17 +129,22 @@ class SimulationConfig:
         # sizes a run asks numpy for, and the 10 kb threshold in bits, so
         # that huge finite values fail here rather than overflowing later
         cells = self.density * self.side_m * self.side_m / self.cell_area_m2
+        steps = self.horizon_s / self.dt_s
         arrivals = self.horizon_s / self.mean_interarrival_s
         for fields, size, limit in (
             ("density * side_m**2 / cell_area_m2 (cell count)", cells, _MAX_ARRAY_SIZE),
-            ("horizon_s / dt_s (step count)", self.horizon_s / self.dt_s, _MAX_ARRAY_SIZE),
-            ("n_branches (branch count)", self.n_branches, _MAX_ARRAY_SIZE),
+            ("horizon_s / dt_s (step count)", steps, _MAX_ARRAY_SIZE),
             ("n_branches * horizon_s / dt_s (branch series size)",
-             self.n_branches * self.horizon_s / self.dt_s, _MAX_ARRAY_SIZE),
+             self.n_branches * steps, _MAX_ARRAY_SIZE),
+            ("8 * n_branches (bytes of a per-branch array)",
+             8 * self.n_branches, _MAX_BRANCH_BYTES),
             ("horizon_s / mean_interarrival_s (arrivals per cell)", arrivals, _MAX_POISSON_LAM),
             ("density * side_m**2 / cell_area_m2 * horizon_s / mean_interarrival_s"
              " (session count)", cells * arrivals, _MAX_SESSIONS),
             ("10 * kb_bits (10 kb in bits)", 10.0 * self.kb_bits, sys.float_info.max),
+            # so that no sum of voice rates over the sessions can reach inf
+            ("voice_rate_bps * %d (voice rate summed over the session count bound)"
+             % _MAX_SESSIONS, self.voice_rate_bps * _MAX_SESSIONS, sys.float_info.max),
         ):
             _require(size <= limit, fields, "<= %r" % limit, size)
         return self

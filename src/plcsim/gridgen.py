@@ -28,14 +28,17 @@ were laid (for a bus: each run's spine edge, then its drops).  Per cell
 length, ``branch``, the cell's sector, and ``served``, set by
 `mark_served`.
 
-The ``tree`` and ``chain`` feeders of all sectors are grown in lockstep:
-sector ``s`` is row ``s`` of ``(n_sectors, max_cells)`` arrays, and each
-step wires one more cell in every sector that still has one, so one numpy
-call serves every sector.  The sectors do not interact, so the result is
-bit-identical to growing them one at a time, provided that
+The ``tree`` and ``chain`` feeders of all sectors of all deployments
+given to `build_grids` are grown in lockstep: each occupied (deployment,
+sector) pair is a row of ``(rows, max_cells)`` arrays, the rows are taken
+in blocks of at most ``_ROW_BLOCK``, and each step wires one more cell in
+every row of the block that still has one, so one numpy call serves every
+row.  The rows do not interact, so the result is bit-identical to growing
+each sector alone, whatever the batch or the block, provided that
 
-* unused cell slots hold ``+inf`` coordinates, never NaN (``argmin``
-  would pick a NaN), so a padded slot is never the nearest cell, and
+* unused cell slots, and the growers' copies of wired cells, hold
+  ``+inf`` coordinates, never NaN (``argmin`` would pick a NaN), so
+  neither is ever the nearest cell, and
   unused edge slots hold NaN, whose comparisons are all False, so a
   padded edge never crosses or touches a wire;
 * chain hop lengths and bus spine lengths come from ``math.hypot`` on
@@ -83,29 +86,39 @@ def _in_box(px: float, py: float, ax: float, ay: float, bx: float, by: float) ->
 
 
 def _crosses_any(
-    s: np.ndarray, t: np.ndarray, ea: np.ndarray, eb: np.ndarray
+    s: np.ndarray,
+    t: np.ndarray,
+    ea: np.ndarray,
+    eb: np.ndarray,
+    ab: np.ndarray | None = None,
+    s_ends_last: bool = False,
 ) -> np.ndarray:
     """Row-wise crossing test: does wire s[i]-t[i] cross any wire ea[i, j]-eb[i, j]?
 
-    ``s`` and ``t`` are ``(rows, 2)``, ``ea`` and ``eb`` ``(rows, edges, 2)``;
-    returns one bool per row.  Two closed segments cross when they share a
-    point that is not an endpoint of both: a proper crossing, a T-contact
-    or a collinear overlap.  Wires that only meet at a common endpoint do
-    not cross.  NaN edge slots never cross.
+    ``s`` and ``t`` are ``(rows, 2)``, ``ea`` and ``eb`` ``(rows, edges, 2)``,
+    and ``ab``, if given, is ``eb - ea``; returns one bool per row.  Two
+    closed segments cross when they share a point that is not an endpoint
+    of both: a proper crossing, a T-contact or a collinear overlap.  Wires
+    that only meet at a common endpoint do not cross.  NaN edge slots never
+    cross.  With ``s_ends_last``, every ``s[i]`` is ``eb[i, -1]``, the far
+    endpoint of the row's last wire.
     """
+    if ab is None:
+        ab = eb - ea
     sx, sy = s[:, 0:1], s[:, 1:2]
     tx, ty = t[:, 0:1], t[:, 1:2]
     ax, ay = ea[..., 0], ea[..., 1]
-    bx, by = eb[..., 0], eb[..., 1]
+    abx, aby = ab[..., 0], ab[..., 1]
 
-    abx = bx - ax
-    aby = by - ay
-    d1 = abx * (sy - ay) - aby * (sx - ax)
+    sax = sx - ax
+    say = sy - ay
+    d1 = abx * say - aby * sax
     d2 = abx * (ty - ay) - aby * (tx - ax)
     stx = tx - sx
     sty = ty - sy
-    d3 = stx * (ay - sy) - sty * (ax - sx)
-    d4 = stx * (by - sy) - sty * (bx - sx)
+    # ay - sy and ax - sx are exactly -say and -sax
+    d3 = sty * sax - stx * say
+    d4 = stx * (eb[..., 1] - sy) - sty * (eb[..., 0] - sx)
 
     proper = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0)
     hit = proper.any(axis=1)
@@ -113,6 +126,10 @@ def _crosses_any(
     # Those pairs are rare apart from wires sharing an endpoint, so the
     # endpoint rules run on them one by one.
     zero = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
+    if s_ends_last:
+        # d1 = d4 = 0 on the wire that ends at s, and the shared endpoint
+        # excuses both; only d2 or d3 can make it a contact
+        zero[:, -1] = (d2[:, -1] == 0) | (d3[:, -1] == 0)
     r, j = np.nonzero(zero & ~hit[:, None])
     if r.size:
         s_rows, t_rows = s.tolist(), t.tolist()
@@ -172,9 +189,14 @@ def build_bus(deployment: CellDeployment, config: SimulationConfig) -> PowerGrid
     xy, sector, n = deployment.xy, deployment.sector, len(deployment.xy)
     hub = np.array(deployment.hub, dtype=float)
     nb = config.n_branches
-    width = 2.0 * math.pi / nb
-    bisectors = [config.sector_anchor_rad + (k + 0.5) * width for k in range(nb)]
-    u = np.array([[math.cos(b), math.sin(b)] for b in bisectors])[sector]
+    by_sector, sizes = _by_sector(sector, nb)
+    # the unit bisector of each occupied sector, by scalar cos and sin
+    occupied = np.flatnonzero(sizes)
+    bisectors = (config.sector_anchor_rad + (occupied + 0.5) * (2.0 * math.pi / nb)).tolist()
+    unit = np.zeros((nb, 2))
+    unit[occupied, 0] = list(map(math.cos, bisectors))
+    unit[occupied, 1] = list(map(math.sin, bisectors))
+    u = unit[sector]
     proj = (xy[:, 0] - hub[0]) * u[:, 0] + (xy[:, 1] - hub[1]) * u[:, 1]
     furthest = np.zeros(nb)
     np.maximum.at(furthest, sector, proj)
@@ -196,7 +218,6 @@ def build_bus(deployment: CellDeployment, config: SimulationConfig) -> PowerGrid
     new = np.setdiff1d(np.flatnonzero(spine), on_runs, assume_unique=True)
 
     # node ids: the hub, then per sector its cells and its new junctions
-    by_sector, sizes = _by_sector(sector, nb)
     n_new = np.bincount(run_k[new], minlength=nb)
     node_of = np.empty(n, dtype=np.intp)
     node_of[by_sector] = np.arange(1, n + 1) + np.repeat(np.cumsum(n_new) - n_new, sizes)
@@ -263,40 +284,76 @@ def _node_kinds(node_cell: np.ndarray) -> np.ndarray:
 # with a wire of length[r, k]; wire[r, i] is node i's wire distance and
 # forced[r] the row's forced crossings.
 
-def _build_feeders(deployment: CellDeployment, nb: int, grow) -> PowerGrid:
-    """Grow every sector's feeder with `grow` in lockstep."""
-    sector = deployment.sector
-    cells, sizes = _by_sector(sector, nb)
-    slots = int(sizes.max(initial=0))
-    filled = np.arange(slots) < sizes[:, None]  # (sector, slot)
-    node_xy = np.full((nb, slots + 1, 2), np.inf)
-    node_xy[:, 0] = deployment.hub
-    node_xy[:, 1:][filled] = deployment.xy[cells]
+# rows per grower call, which bounds the (rows, slots) arrays of one call
+_ROW_BLOCK = 256
 
-    rows = np.argsort(-sizes, kind="stable")
-    unsort = np.argsort(rows)
-    grown = grow(node_xy[rows], filled.sum(axis=0).tolist())
-    parent, child, length, wire, forced = (a[unsort] for a in grown)
 
-    # a sector's node i is global node i + (cells in earlier sectors)
-    offset = (np.cumsum(sizes) - sizes)[:, None]
+def _build_feeders(deployments: list[CellDeployment], nb: int, grow) -> list[PowerGrid]:
+    """Grow every sector's feeder of every deployment with `grow`.
+
+    Each occupied (deployment, sector) pair is one row; the rows of all
+    deployments, sorted by cell count, grow _ROW_BLOCK at a time."""
+    cells, sizes = [], []  # per deployment: cell ids by sector, row sizes
+    for d in deployments:
+        ids, per_sector = _by_sector(d.sector, nb)
+        cells.append(ids)
+        sizes.append(per_sector[per_sector > 0])
+    # cells in (deployment, sector, id) order, which is the order of their
+    # nodes, and the rows as runs of that order
+    flat_xy = np.concatenate([d.xy[ids] for d, ids in zip(deployments, cells)])
+    size = np.concatenate(sizes)
+    dep_of = np.repeat(np.arange(len(deployments)), [s.size for s in sizes])
+    start = np.cumsum(size) - size
+    hubs = np.array([d.hub for d in deployments], dtype=float)
+
+    parent = np.empty(len(flat_xy), dtype=np.intp)
+    child = np.empty(len(flat_xy), dtype=np.intp)
+    length = np.empty(len(flat_xy))
+    wire = np.empty(len(flat_xy))
+    forced = np.zeros(len(deployments), dtype=np.intp)
+    order = np.argsort(-size, kind="stable")
+    for lo in range(0, order.size, _ROW_BLOCK):
+        rows = order[lo : lo + _ROW_BLOCK]
+        slots = int(size[rows[0]])
+        filled = np.arange(slots) < size[rows, None]  # (row, slot)
+        at = (start[rows, None] + np.arange(slots))[filled]
+        node_xy = np.full((rows.size, slots + 1, 2), np.inf)
+        node_xy[:, 0] = hubs[dep_of[rows]]
+        node_xy[:, 1:][filled] = flat_xy[at]
+        p, c, h, w, f = grow(node_xy, filled.sum(axis=0).tolist())
+        parent[at], child[at], length[at] = p[filled], c[filled], h[filled]
+        wire[at] = w[:, 1:][filled]
+        np.add.at(forced, dep_of[rows], f)
+
+    # a row's node i is its deployment's node i + (cells in earlier sectors)
+    n = np.array([ids.size for ids in cells], dtype=np.intp)
+    first = np.cumsum(n) - n
+    offset = np.repeat(start - first[dep_of], size)
     parent = np.where(parent == 0, 0, parent + offset)
-    wire_m = np.empty(len(cells))
-    wire_m[cells] = wire[:, 1:][filled]
-    node_cell = np.concatenate(([-1], cells))
-    return PowerGrid(
-        node_xy=np.concatenate(([deployment.hub], deployment.xy[cells])),
-        node_kind=_node_kinds(node_cell),
-        node_cell=node_cell,
-        node_sector=np.concatenate(([-1], sector[cells])),
-        edges=np.column_stack((parent[filled], (child + offset)[filled])),
-        length_m=length[filled],
-        wire_m=wire_m,
-        branch=sector,
-        served=np.zeros(len(cells), dtype=bool),
-        n_branches=nb,
-        forced_crossings=int(forced.sum()),
-    )
+    child += offset
+    grids = []
+    for d, ids, lo, hi, f in zip(
+        deployments, cells, first.tolist(), (first + n).tolist(), forced.tolist()
+    ):
+        wire_m = np.empty(hi - lo)
+        wire_m[ids] = wire[lo:hi]
+        node_cell = np.concatenate(([-1], ids))
+        grids.append(
+            PowerGrid(
+                node_xy=np.concatenate(([d.hub], flat_xy[lo:hi])),
+                node_kind=_node_kinds(node_cell),
+                node_cell=node_cell,
+                node_sector=np.concatenate(([-1], d.sector[ids])),
+                edges=np.column_stack((parent[lo:hi], child[lo:hi])),
+                length_m=length[lo:hi],
+                wire_m=wire_m,
+                branch=d.sector,
+                served=np.zeros(hi - lo, dtype=bool),
+                n_branches=nb,
+                forced_crossings=f,
+            )
+        )
+    return grids
 
 
 def _grow_trees(node_xy: np.ndarray, lives: list[int]):
@@ -306,9 +363,10 @@ def _grow_trees(node_xy: np.ndarray, lives: list[int]):
     rows, slots = node_xy.shape[0], node_xy.shape[1] - 1
     xy = node_xy[:, 1:]
     hub = node_xy[:, 0]
+    # a wired cell's position and distance become +inf, like a padded slot's
+    free = xy.copy()
     dist = np.hypot(xy[..., 0] - hub[:, 0:1], xy[..., 1] - hub[:, 1:2])
     nearest = np.zeros((rows, slots), dtype=np.intp)
-    connected = np.zeros((rows, slots), dtype=bool)
     wire = np.zeros((rows, slots + 1))
     parent = np.zeros((rows, slots), dtype=np.intp)
     child = np.zeros((rows, slots), dtype=np.intp)
@@ -318,17 +376,18 @@ def _grow_trees(node_xy: np.ndarray, lives: list[int]):
     for k, live in enumerate(lives):
         r = all_rows[:live]
         d = dist[:live]
-        c = np.argmin(np.where(connected[:live], np.inf, d), axis=1)
+        c = np.argmin(d, axis=1)
         node = c + 1
         attach = nearest[r, c]
         hop = d[r, c]
         wire[r, node] = wire[r, attach] + hop
-        connected[r, c] = True
         c_xy = xy[r, c]
+        free[r, c] = np.inf
+        d[r, c] = np.inf
         newd = np.hypot(
-            xy[:live, :, 0] - c_xy[:, 0:1], xy[:live, :, 1] - c_xy[:, 1:2]
+            free[:live, :, 0] - c_xy[:, 0:1], free[:live, :, 1] - c_xy[:, 1:2]
         )
-        closer = ~connected[:live] & (newd < d)
+        closer = newd < d
         np.copyto(d, newd, where=closer)
         np.copyto(nearest[:live], node[:, None], where=closer)
         parent[:live, k] = attach
@@ -349,11 +408,12 @@ def _grow_chains(node_xy: np.ndarray, lives: list[int]):
     """
     rows, slots = node_xy.shape[0], node_xy.shape[1] - 1
     xy = node_xy[:, 1:]
-    connected = np.zeros((rows, slots), dtype=bool)
+    # the cells still to wire: a wired cell's position becomes +inf, as
+    # far from the tip as a padded slot
+    free = xy.copy()
     wire = np.zeros((rows, slots + 1))
-    edge_a = np.full((rows, slots, 2), np.nan)
-    edge_b = np.full((rows, slots, 2), np.nan)
-    tip = np.zeros(rows, dtype=np.intp)
+    # hop k's wire runs from edge_a[:, k] to edge_b[:, k] along edge_ab[:, k]
+    edge_a, edge_b, edge_ab = (np.full((rows, slots, 2), np.nan) for _ in range(3))
     parent = np.zeros((rows, slots), dtype=np.intp)
     child = np.zeros((rows, slots), dtype=np.intp)
     length = np.zeros((rows, slots))
@@ -362,37 +422,37 @@ def _grow_chains(node_xy: np.ndarray, lives: list[int]):
 
     for k, live in enumerate(lives):
         r = all_rows[:live]
-        tip_xy = node_xy[r, tip[:live]]
+        # the tip is the hub, then the cell the last hop wired
+        tip_xy = edge_b[:live, k - 1] if k else node_xy[:live, 0]
         d_tip = np.hypot(
-            xy[:live, :, 0] - tip_xy[:, 0:1], xy[:live, :, 1] - tip_xy[:, 1:2]
+            free[:live, :, 0] - tip_xy[:, 0:1], free[:live, :, 1] - tip_xy[:, 1:2]
         )
-        c = np.argmin(np.where(connected[:live], np.inf, d_tip), axis=1)
+        c = np.argmin(d_tip, axis=1)
         c_xy = xy[r, c]
 
-        attach = tip[:live].copy()
         if k:
+            attach = child[:live, k - 1].copy()
+            a_xy = tip_xy.copy()
+            wires = edge_a[:live, :k], edge_b[:live, :k], edge_ab[:live, :k]
             blocked = (d_tip[r, c] > 0.0) & _crosses_any(
-                tip_xy, c_xy, edge_a[:live, :k], edge_b[:live, :k]
+                tip_xy, c_xy, *wires, s_ends_last=True
             )
             for i in np.flatnonzero(blocked).tolist():
                 attach[i], was_forced = _branch_point(
-                    node_xy[i],
-                    connected[i],
-                    int(tip[i]),
-                    c_xy[i],
-                    edge_a[i, :k],
-                    edge_b[i, :k],
+                    node_xy[i], child[i, :k], int(attach[i]), c_xy[i], *(w[i] for w in wires)
                 )
+                a_xy[i] = node_xy[i, attach[i]]
                 forced[i] += was_forced
+        else:
+            attach = np.zeros(live, dtype=np.intp)
+            a_xy = tip_xy
 
         node = c + 1
-        a_xy = node_xy[r, attach]
-        hop = np.array([math.hypot(dx, dy) for dx, dy in (c_xy - a_xy).tolist()])
+        ab = c_xy - a_xy
+        hop = np.array(list(map(math.hypot, *ab.T.tolist())))
         wire[r, node] = wire[r, attach] + hop
-        edge_a[:live, k] = a_xy
-        edge_b[:live, k] = c_xy
-        connected[r, c] = True
-        tip[:live] = node
+        edge_a[:live, k], edge_b[:live, k], edge_ab[:live, k] = a_xy, c_xy, ab
+        free[r, c] = np.inf
         parent[:live, k] = attach
         child[:live, k] = node
         length[:live, k] = hop
@@ -402,27 +462,29 @@ def _grow_chains(node_xy: np.ndarray, lives: list[int]):
 
 def _branch_point(
     node_xy: np.ndarray,
-    connected: np.ndarray,
+    wired: np.ndarray,
     tip: int,
     c_xy: np.ndarray,
     ea: np.ndarray,
     eb: np.ndarray,
+    ab: np.ndarray,
 ) -> tuple[int, bool]:
     """Attachment node for a chain hop to c_xy that is blocked from the tip.
 
-    Returns the nearest connected node (ties: lower node id) whose wire to
-    c_xy crosses none of the wires ea-eb, or, failing that, the nearest
-    node with a forced-crossing flag.
+    ``wired`` lists the cell nodes wired so far.  Returns the nearest of
+    them or the hub (ties: lower node id) whose wire to c_xy crosses none
+    of the wires ea-eb, or, failing that, the nearest node with a
+    forced-crossing flag.
     """
-    ids = np.concatenate(([0], np.flatnonzero(connected) + 1))
+    ids = np.concatenate(([0], wired))
     nd = np.hypot(node_xy[ids, 0] - c_xy[0], node_xy[ids, 1] - c_xy[1])
     order = ids[np.lexsort((ids, nd))]
-    t, wires_a, wires_b = c_xy[None], ea[None], eb[None]
+    t, wires = c_xy[None], (ea[None], eb[None], ab[None])
     for nid in order.tolist():
         if nid == tip:
             continue  # already known to cross
         s = node_xy[nid : nid + 1]
-        if (s == t).all() or not _crosses_any(s, t, wires_a, wires_b)[0]:
+        if (s == t).all() or not _crosses_any(s, t, *wires)[0]:
             return nid, False
     return int(order[0]), True
 
@@ -436,19 +498,29 @@ def build_grid(deployment: CellDeployment, config: SimulationConfig) -> PowerGri
     Sectors are convex for n_branches >= 2, so wires from different
     sectors cannot cross; the merged graph stays a tree rooted at the hub.
     """
-    if any(math.isnan(v) for v in deployment.hub):
-        raise GeometryError("deployment has no hub position")
-    sector = deployment.sector
-    unlabelled = np.flatnonzero((sector < 0) | (sector >= config.n_branches))
-    if unlabelled.size:
-        raise GeometryError(
-            "cell %d has no valid sector label (run assign_sectors first)"
-            % unlabelled[0]
-        )
+    return build_grids([deployment], config)[0]
+
+
+def build_grids(
+    deployments: list[CellDeployment], config: SimulationConfig
+) -> list[PowerGrid]:
+    """build_grid of each deployment, the tree or chain feeders of all of
+    them grown in one lockstep; each grid is the one build_grid gives."""
+    nb = config.n_branches
+    for deployment in deployments:
+        if any(math.isnan(v) for v in deployment.hub):
+            raise GeometryError("deployment has no hub position")
+        sector = deployment.sector
+        unlabelled = np.flatnonzero((sector < 0) | (sector >= nb))
+        if unlabelled.size:
+            raise GeometryError(
+                "cell %d has no valid sector label (run assign_sectors first)"
+                % unlabelled[0]
+            )
     if config.topology == "bus":
-        return build_bus(deployment, config)
+        return [build_bus(deployment, config) for deployment in deployments]
     grow = _grow_trees if config.topology == "tree" else _grow_chains
-    return _build_feeders(deployment, config.n_branches, grow)
+    return _build_feeders(deployments, nb, grow)
 
 
 def mark_served(

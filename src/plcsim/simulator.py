@@ -8,7 +8,11 @@ rate contributions are prorated exactly over the time steps they overlap.
 All randomness flows from one integer seed per replication; sweep
 replications derive their seeds positionally from (master seed, density
 index, topology index, replication index) so any single sweep cell can be
-reproduced in isolation.
+reproduced in isolation.  A replication has a layout half (deploy, then
+build the grid) and a load half (the rest).  Grid building draws no random
+numbers, so a batch of replications can deploy each on its own generator,
+build all the grids at once and then run each load half on its generator,
+with the results of replications run one at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ import numpy as np
 
 from .config import SimulationConfig
 from .deployment import deploy
-from .gridgen import PowerGrid, build_grid, mark_served, reachability_fraction
+from .gridgen import (
+    PowerGrid,
+    build_grid,  # noqa: F401  (a pipeline stage, importable here like the others)
+    build_grids,
+    mark_served,
+    reachability_fraction,
+)
 from .traffic import SessionSet, TrafficModel, generate_traffic
 
 _MASK64 = (1 << 64) - 1
@@ -189,12 +199,11 @@ def compute_metrics(
 # ---------------------------------------------------------------------------
 # replication and sweep
 
-def run_replication(config: SimulationConfig, seed: int) -> MetricsReport:
-    """One full scenario draw under the given seed."""
-    config.validate()
-    rng = np.random.default_rng(seed)
-    deployment = deploy(config, rng)
-    grid = build_grid(deployment, config)
+def _load(
+    config: SimulationConfig, seed: int, rng: np.random.Generator, grid: PowerGrid
+) -> MetricsReport:
+    """The load half of a replication: flag the served cells, draw their
+    sessions on rng, aggregate the rates and summarise."""
     mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
     model = TrafficModel.from_config(config)
     # only served cells load the link, so only they get sessions
@@ -203,6 +212,37 @@ def run_replication(config: SimulationConfig, seed: int) -> MetricsReport:
     sessions.cell_id = served[sessions.cell_id]
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
     return compute_metrics(series, grid, sessions, seed=seed)
+
+
+# replications whose layouts are built together: their tree or chain
+# feeders grow in one lockstep, and their grids are held at once
+_LAYOUT_BATCH = 32
+
+
+def _replicate(scenarios: list[tuple[SimulationConfig, int]]) -> list[MetricsReport]:
+    """Replications of validated (config, seed) scenarios that differ in
+    density at most, _LAYOUT_BATCH at a time.  The layout halves of a batch
+    come first: each scenario deploys on its own seed's generator, then
+    build_grids grows every tree or chain feeder in one lockstep.  Grid
+    building draws no random numbers, so each generator goes on into its
+    load half just as in a replication run alone."""
+    reports = []
+    for lo in range(0, len(scenarios), _LAYOUT_BATCH):
+        batch = scenarios[lo : lo + _LAYOUT_BATCH]
+        rngs = [np.random.default_rng(seed) for _, seed in batch]
+        deployments = [deploy(config, rng) for (config, _), rng in zip(batch, rngs)]
+        grids = build_grids(deployments, batch[0][0])
+        reports += [
+            _load(config, seed, rng, grid)
+            for (config, seed), rng, grid in zip(batch, rngs, grids)
+        ]
+    return reports
+
+
+def run_replication(config: SimulationConfig, seed: int) -> MetricsReport:
+    """One full scenario draw under the given seed."""
+    config.validate()
+    return _replicate([(config, seed)])[0]
 
 
 def _mean_stderr(values: list[float | None]) -> tuple[float | None, float | None]:
@@ -232,14 +272,15 @@ def run_cell(
     topology_index: int,
     replications: int,
 ) -> list[MetricsReport]:
-    """The replications of one sweep cell, replication k under
-    derive_seed(master_seed, density_index, topology_index, k)."""
-    return [
-        run_replication(
-            config, derive_seed(master_seed, density_index, topology_index, k)
-        )
-        for k in range(replications)
-    ]
+    """The replications of one sweep cell of a validated config,
+    replication k under derive_seed(master_seed, density_index,
+    topology_index, k)."""
+    return _replicate(
+        [
+            (config, derive_seed(master_seed, density_index, topology_index, k))
+            for k in range(replications)
+        ]
+    )
 
 
 def run_sweep(
@@ -252,18 +293,32 @@ def run_sweep(
     """Replicated grid of scenarios over densities x topologies.
 
     Each cell's replication seeds come from derive_seed, so results do not
-    depend on the order cells are executed in.  Every scenario is validated
-    before the first replication runs.
+    depend on the order cells are executed in, nor on how they are batched.
+    Every scenario is validated before the first replication runs.  The
+    replications of all densities of one topology run through one
+    _replicate call, so their tree or chain feeders grow in lockstep.
     """
     master = config.master_seed if master_seed is None else master_seed
     scenarios = [
-        (i, j, dataclasses.replace(config, density=density, topology=topology).validate())
-        for i, density in enumerate(densities)
-        for j, topology in enumerate(topologies)
+        [
+            dataclasses.replace(config, density=density, topology=topology).validate()
+            for topology in topologies
+        ]
+        for density in densities
+    ]
+    n = replications
+    # one batch per topology, density-major: cell (i, j) is the slice
+    # [i * n, (i + 1) * n) of batch j
+    by_topology = [
+        _replicate(
+            [(s, derive_seed(master, i, j, k)) for i, s in enumerate(column) for k in range(n)]
+        )
+        for j, column in enumerate(zip(*scenarios))
     ]
     return SweepResult(
         [
-            _summarize(s.density, s.topology, run_cell(s, master, i, j, replications))
-            for i, j, s in scenarios
+            _summarize(s.density, s.topology, by_topology[j][i * n : (i + 1) * n])
+            for i, row in enumerate(scenarios)
+            for j, s in enumerate(row)
         ]
     )

@@ -120,7 +120,9 @@ def sample_data_volumes(
     definition of ``pareto``, vectorised."""
     raw = np.expm1(rng.standard_exponential(n) / model.pareto_alpha)
     raw += 1.0
-    raw *= model.pareto_xm_bits
+    # a huge xm can overflow to inf, which the cap clips like any volume
+    with np.errstate(over="ignore"):
+        raw *= model.pareto_xm_bits
     return np.minimum(raw, model.volume_cap_bits, out=raw)
 
 

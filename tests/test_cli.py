@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,19 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
         ),
         # finite, but 10 kb in bits overflows to inf
         (["generate"], {"kb_bits": 1e308}, ["kb_bits"]),
+        # within the index range, but each per-branch array would need 8 TiB
+        (
+            ["simulate", "--density", "0.05"],
+            {"n_branches": 2**40, "horizon_s": 1, "dt_s": 1},
+            ["n_branches"],
+        ),
+        # a sum of voice rates could overflow to inf; the plot step then
+        # failed after sweep.csv was written
+        (
+            ["sweep", "--densities", "0.1", "--reps", "2", "--horizon", "200"],
+            {"voice_rate_bps": 1e308},
+            ["voice_rate_bps"],
+        ),
     ],
     ids=[
         "side",
@@ -209,6 +223,8 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
         "branches",
         "branch-series",
         "kb-bits",
+        "branch-bytes",
+        "voice-rate",
     ],
 )
 def test_exit_one_on_unallocatable_size(tmp_path, capsys, argv, config, fields):
@@ -224,6 +240,18 @@ def test_exit_one_on_unallocatable_size(tmp_path, capsys, argv, config, fields):
     for field in fields:
         assert field in err
     assert not out.exists()
+
+
+def test_huge_data_volumes_warn_nothing(tmp_path, capsys):
+    """A 10 kb threshold near the largest float overflows some drawn
+    volumes to inf before the cap clips them; the run says nothing of it."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kb_bits": 1.7e307}))
+    argv = ["simulate", "--density", "0.05", "--horizon", "10", "--config", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_exit_two_on_missing_config_file(tmp_path, capsys):

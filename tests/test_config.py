@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plcsim.config import _MAX_POISSON_LAM, SimulationConfig
+from plcsim.config import _MAX_BRANCH_BYTES, _MAX_POISSON_LAM, SimulationConfig
 from plcsim.errors import ConfigError
 from plcsim.traffic import TrafficModel, generate_traffic
 
@@ -47,4 +47,14 @@ def test_arrivals_per_cell_within_poisson_limit():
     assert sessions.cell_id.size == 0
     cfg.horizon_s = np.nextafter(at_limit, np.inf)
     with pytest.raises(ConfigError, match="mean_interarrival_s"):
+        cfg.validate()
+
+
+def test_branch_count_within_byte_budget():
+    """One float64 per branch must fit the documented per-array budget;
+    validate() checks it without allocating anything."""
+    at_limit = _MAX_BRANCH_BYTES // 8
+    cfg = SimulationConfig(n_branches=at_limit, horizon_s=1.0, dt_s=1.0).validate()
+    cfg.n_branches = at_limit + 1
+    with pytest.raises(ConfigError, match="n_branches"):
         cfg.validate()

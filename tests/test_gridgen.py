@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -155,6 +155,51 @@ def test_crosses_any_rows_match_scalar_property(rows):
     got = _crosses_any(*_padded_rows(rows))
     for (query, edges), hit in zip(rows, got):
         assert hit == any(segments_intersect(*query, a, b) for a, b in edges)
+
+
+def _contact(p, q, a, b):
+    """segments_intersect, extended to a zero-length wire a == b: that
+    crosses p-q where it lies on p-q other than at p or q."""
+    if a != b:
+        return segments_intersect(p, q, a, b)
+    on_line = (q[0] - p[0]) * (a[1] - p[1]) == (q[1] - p[1]) * (a[0] - p[0])
+    in_box = (
+        min(p[0], q[0]) <= a[0] <= max(p[0], q[0])
+        and min(p[1], q[1]) <= a[1] <= max(p[1], q[1])
+    )
+    return on_line and in_box and a not in (p, q)
+
+
+@st.composite
+def _chain_step_rows(draw):
+    """Rows as a chain step sees them: each query starts at the far end of
+    the row's last wire, every row has the same number of wires, and wires
+    may have zero length."""
+    point = st.tuples(_coord, _coord)
+    n_wires = draw(st.integers(min_value=1, max_value=8))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        wires = draw(st.lists(st.tuples(point, point), min_size=n_wires, max_size=n_wires))
+        tip = wires[-1][1]
+        rows.append(((tip, draw(point.filter(lambda p: p != tip))), wires))
+    return rows
+
+
+@given(_chain_step_rows())
+@example([(((2, 0), (1, 0)), [((0, 0), (2, 0))])])  # backtrack into the last wire
+@example([(((2, 0), (0, 0)), [((0, 0), (2, 0))])])  # back along all of it
+@example([(((2, 0), (3, 0)), [((0, 0), (2, 0))])])  # collinear continuation
+@example([(((1, 1), (2, 2)), [((1, 1), (1, 1))])])  # zero-length last wire
+@example([(((1, 1), (3, 3)), [((2, 2), (2, 2)), ((0, 0), (1, 1))])])  # a wire inside
+@settings(max_examples=300, deadline=None)
+def test_crosses_any_from_the_last_tip_matches_scalar_property(rows):
+    """The s_ends_last path, which skips the endpoint rules on the wire
+    ending at s unless d2 or d3 vanishes on it, agrees with the scalar
+    predicate."""
+    s, t, ea, eb = _padded_rows(rows)
+    got = _crosses_any(s, t, ea, eb, eb - ea, s_ends_last=True)
+    for (query, wires), hit in zip(rows, got):
+        assert hit == any(_contact(*query, a, b) for a, b in wires)
 
 
 # ---------------------------------------------------------------------------

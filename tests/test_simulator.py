@@ -10,7 +10,7 @@ from oracles import (
     reference_aggregate,
     reference_replication,
 )
-from plcsim import simulator
+from plcsim import gridgen, simulator
 from plcsim.config import SimulationConfig
 from plcsim.deployment import deploy
 from plcsim.errors import ConfigError
@@ -556,17 +556,54 @@ def test_sweep_validates_every_scenario_before_running(
     monkeypatch, densities, topologies, field
 ):
     calls = []
-    real = simulator.run_replication
+    real = simulator.deploy
 
-    def counting(config, seed):
-        calls.append(seed)
-        return real(config, seed)
+    def counting(config, rng):
+        calls.append(config.density)
+        return real(config, rng)
 
-    monkeypatch.setattr(simulator, "run_replication", counting)
+    monkeypatch.setattr(simulator, "deploy", counting)
     cfg = SimulationConfig(horizon_s=1.0)
     with pytest.raises(ConfigError, match=field):
         run_sweep(cfg, densities, topologies, 1)
     assert calls == []
+
+
+def test_sweep_rows_do_not_depend_on_the_row_block(monkeypatch):
+    """Growing the feeders one row, seven rows or every row at a time, with
+    layouts built one, five or all replications at a time, gives the same
+    sweep, and every row is the summary of its replications run alone."""
+    cfg = SimulationConfig(horizon_s=1.0, dt_s=1.0, master_seed=17)
+    densities, topologies = [0.1, 0.25], ["tree", "chain"]
+    results = []
+    for block, batch in ((1, 1), (7, 5), (10**9, 10**9)):
+        monkeypatch.setattr(gridgen, "_ROW_BLOCK", block)
+        monkeypatch.setattr(simulator, "_LAYOUT_BATCH", batch)
+        results.append(run_sweep(cfg, densities, topologies, 3))
+    assert results[0] == results[1] == results[2]
+    cells = [(i, j) for i in range(len(densities)) for j in range(len(topologies))]
+    for row, (i, j) in zip(results[0].rows, cells, strict=True):
+        scenario = dataclasses.replace(cfg, density=densities[i], topology=topologies[j])
+        reports = [run_replication(scenario, derive_seed(17, i, j, k)) for k in range(3)]
+        assert row == simulator._summarize(densities[i], topologies[j], reports)
+
+
+def test_sweep_grows_each_topology_in_one_lockstep(monkeypatch):
+    """Route pin: a sweep grows all the tree (or chain) feeders of all its
+    densities and replications in one grower call, not one per
+    replication."""
+    calls = []
+    for name in ("_grow_trees", "_grow_chains"):
+        real = getattr(gridgen, name)
+
+        def counting(node_xy, lives, real=real, name=name):
+            calls.append(name)
+            return real(node_xy, lives)
+
+        monkeypatch.setattr(gridgen, name, counting)
+    cfg = SimulationConfig(horizon_s=1.0, dt_s=1.0)
+    run_sweep(cfg, [0.1, 0.25], ["bus", "tree", "chain"], 3)
+    assert calls == ["_grow_trees", "_grow_chains"]
 
 
 # ---------------------------------------------------------------------------
