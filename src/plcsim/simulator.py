@@ -114,6 +114,12 @@ def _step_count(horizon_s: float, dt_s: float) -> int:
     return max(int(math.ceil(ratio)), 1)
 
 
+# sessions per np.add.at call: besides the table it reads and the series it
+# returns, aggregation holds a few arrays of this length, whatever the
+# session count
+_CHUNK = 8192
+
+
 def aggregate_rate_series(
     sessions: SessionSet,
     grid: PowerGrid,
@@ -127,44 +133,53 @@ def aggregate_rate_series(
     Sessions of unserved cells contribute nothing.
     """
     steps = _step_count(horizon_s, dt_s)
-    nb = grid.n_branches
     width = steps + 2
+    # row 0: the hub's step differences; row 1 + k: those of branch k
+    diff = np.zeros((grid.n_branches + 1, width))
+    hub, branches = diff[0], diff[1:].reshape(-1)
+    offset = grid.branch * width  # a cell's first index in branches
+    columns = (sessions.cell_id, sessions.start_s, sessions.duration_s, sessions.rate_bps)
+    chunks = range(0, sessions.cell_id.size, _CHUNK)
 
-    # sessions must start inside the observation window
-    keep = (sessions.start_s >= 0.0) & (sessions.start_s < horizon_s)
-    keep &= grid.served[sessions.cell_id]
-    if not keep.all():
-        sessions = sessions.subset(keep)
-    n = sessions.cell_id.size
-    if n == 0:
-        return RateSeries(np.zeros(steps), np.zeros((nb, steps)))
+    def kept(cell, start):
+        # sessions must start inside the observation window, at a served cell
+        return (start >= 0.0) & (start < horizon_s) & grid.served[cell]
 
-    # rows 0 and 1: steps floor(a) and floor(a) + 1 with weights w (1 - f)
-    # and w f, for a = start / dt_s and f its fraction; rows 2 and 3: the
-    # same at the clipped end b, negated.  bincount sums follow this order.
-    w = sessions.rate_bps
-    idx = np.empty((4, n), dtype=np.int64)
-    val = np.empty((4, n))
-    np.divide(sessions.start_s, dt_s, out=val[0])
-    np.add(sessions.start_s, sessions.duration_s, out=val[2])
-    np.minimum(val[2], horizon_s, out=val[2])
-    np.divide(val[2], dt_s, out=val[2])
-    for r in (0, 2):
-        np.floor(val[r], out=val[r + 1])
-        idx[r] = val[r + 1]
-        np.add(idx[r], 1, out=idx[r + 1])
-        np.subtract(val[r], val[r + 1], out=val[r + 1])  # the fraction f
-        np.subtract(1.0, val[r + 1], out=val[r])
-        val[r : r + 2] *= w
-    np.negative(val[2:], out=val[2:])
+    # a table drawn for the served cells keeps every session, and then no
+    # chunk builds a mask
+    masked = not all(
+        kept(sessions.cell_id[lo : lo + _CHUNK], sessions.start_s[lo : lo + _CHUNK]).all()
+        for lo in chunks
+    )
 
-    val = val.ravel()
-    hub = np.cumsum(np.bincount(idx.ravel(), val, minlength=width))[:steps]
-    idx += grid.branch[sessions.cell_id] * width  # now the branch index
-    branch_diff = np.bincount(idx.ravel(), val, minlength=nb * width)
-    branches = np.cumsum(branch_diff.reshape(nb, width), axis=1)[:, :steps]
+    # terms 0 and 1 add w (1 - f) and w f at steps floor(a) and floor(a) + 1,
+    # for a = start / dt_s and f its fraction; terms 2 and 3 the same at the
+    # clipped end b, negated.  Unbuffered np.add.at adds in index order like
+    # bincount, so adding term by term, and within a term in session order,
+    # gives every step the sums of one bincount over the (4, n) term table.
+    for term in range(4):
+        for lo in chunks:
+            cell, start, duration, w = (c[lo : lo + _CHUNK] for c in columns)
+            if masked:
+                keep = kept(cell, start)
+                cell, start, duration, w = (c[keep] for c in (cell, start, duration, w))
+            if term == 2 and not (duration >= 0.0).all():
+                raise ValueError("session durations must be non-negative")
+            x = (start if term < 2 else np.minimum(start + duration, horizon_s)) / dt_s
+            floor = np.floor(x)
+            at = floor.astype(np.int64)
+            x -= floor  # the fraction f
+            if term % 2:
+                at += 1
+            else:
+                np.subtract(1.0, x, out=x)
+            x *= w if term < 2 else -w
+            np.add.at(hub, at, x)
+            at += offset[cell]
+            np.add.at(branches, at, x)
 
-    return RateSeries(hub, branches)
+    np.cumsum(diff, axis=1, out=diff)
+    return RateSeries(diff[0, :steps], diff[1:, :steps])
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +215,21 @@ def compute_metrics(
 # replication and sweep
 
 def _load(
-    config: SimulationConfig, seed: int, rng: np.random.Generator, grid: PowerGrid
+    config: SimulationConfig,
+    model: TrafficModel,
+    seed: int,
+    rng: np.random.Generator,
+    grid: PowerGrid,
 ) -> MetricsReport:
     """The load half of a replication: flag the served cells, draw their
-    sessions on rng, aggregate the rates and summarise."""
+    sessions from model on rng, aggregate the rates and summarise."""
     mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
-    model = TrafficModel.from_config(config)
     # only served cells load the link, so only they get sessions
     served = np.flatnonzero(grid.served)
     sessions = generate_traffic(rng, model, served.size, config.horizon_s)
-    sessions.cell_id = served[sessions.cell_id]
+    # row i of the draw is served cell i; every row is in range, so the
+    # ids map in place with no bounds-checking buffer
+    np.take(served, sessions.cell_id, out=sessions.cell_id, mode="clip")
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
     return compute_metrics(series, grid, sessions, seed=seed)
 
@@ -229,11 +249,13 @@ def _replicate(scenarios: list[tuple[SimulationConfig, int]]) -> list[MetricsRep
     reports = []
     for lo in range(0, len(scenarios), _LAYOUT_BATCH):
         batch = scenarios[lo : lo + _LAYOUT_BATCH]
+        # the traffic model reads no density, so one serves the batch
+        model = TrafficModel.from_config(batch[0][0])
         rngs = [np.random.default_rng(seed) for _, seed in batch]
         deployments = [deploy(config, rng) for (config, _), rng in zip(batch, rngs)]
         grids = build_grids(deployments, batch[0][0])
         reports += [
-            _load(config, seed, rng, grid)
+            _load(config, model, seed, rng, grid)
             for (config, seed), rng, grid in zip(batch, rngs, grids)
         ]
     return reports

@@ -118,7 +118,9 @@ def sample_data_volumes(
     """Pareto volumes in bits, clipped at the volume cap: xm * (1 + L) with
     L = expm1(E / alpha) for standard exponential E, which is numpy's own
     definition of ``pareto``, vectorised."""
-    raw = np.expm1(rng.standard_exponential(n) / model.pareto_alpha)
+    raw = rng.standard_exponential(n)
+    raw /= model.pareto_alpha
+    np.expm1(raw, out=raw)
     raw += 1.0
     # a huge xm can overflow to inf, which the cap clips like any volume
     with np.errstate(over="ignore"):
@@ -157,9 +159,11 @@ def generate_traffic(
     total = int(counts.sum())
     slots = np.arange(counts.max(initial=0)) < counts[:, None]
     table = np.full(slots.shape, np.inf)
-    table[slots] = rng.random(total) * horizon_s
+    table[slots] = rng.random(total)
     table.sort(axis=1)
     starts = table[slots]
+    starts *= horizon_s  # scaling never reorders, so it may follow the sort
+    del table, slots
 
     is_data = rng.random(total) < model.data_fraction
     # integer indices scatter about twice as fast as the boolean mask
@@ -169,7 +173,8 @@ def generate_traffic(
     durations = np.empty(total)
     rates = np.empty(total)
     durations[data] = data_dur
-    rates[data] = volumes / data_dur
+    volumes /= data_dur
+    rates[data] = volumes
     durations[voice] = sample_voice_durations(rng, model, voice.size)
     rates[voice] = model.voice_rate_bps
     return SessionSet(

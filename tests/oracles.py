@@ -149,6 +149,41 @@ def bus_reachability_closed_form(config: SimulationConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
+# mean hub rate in closed form (Campbell's theorem; Kingman, Poisson
+# Processes, 1993)
+
+def mean_hub_rate_closed_form(config: SimulationConfig, served_cells: float) -> float:
+    """E[avg_rate_bps] given `served_cells` served cells.
+
+    Each served cell's sessions start as a Poisson process of rate 1/g on
+    [0, H), so by Campbell's theorem the hub carries on average
+    served_cells (H / g) b bits in H seconds, where b is the mean number of
+    bits a session started uniformly in [0, H) delivers before H:
+
+        b = p_d E[min(V, cap)] E[min(1, (H - s) / D)]
+            + (1 - p_d) r_v (m - m^2 (1 - exp(-H / m)) / H)
+
+    for Pareto volume V, lognormal data duration D, voice rate r_v and mean
+    holding time m.  For u = H - s ~ U(0, H), E[min(1, u / D) | D] is
+    1 - D / 2H when D <= H and H / 2D past it.  The steps must tile the
+    horizon, so that avg_rate_bps is the bits carried over H.
+    """
+    model = TrafficModel.from_config(config)
+    h, m = config.horizon_s, model.voice_mean_duration_s
+    assert _step_count(h, config.dt_s) * config.dt_s == h
+    volume = clipped_pareto_mean_quad(
+        model.pareto_alpha, model.pareto_xm_bits, model.volume_cap_bits
+    )
+    pdf = stats.lognorm(model.lognorm_sigma, scale=math.exp(model.lognorm_mu)).pdf
+    inside, _ = integrate.quad(lambda d: (1.0 - d / (2.0 * h)) * pdf(d), 0.0, h, limit=200)
+    past, _ = integrate.quad(lambda d: h / (2.0 * d) * pdf(d), h, math.inf, limit=200)
+    data = volume * (inside + past)
+    voice = model.voice_rate_bps * (m - m * m * -math.expm1(-h / m) / h)
+    per_session = model.data_fraction * data + (1.0 - model.data_fraction) * voice
+    return served_cells * per_session / model.mean_interarrival_s
+
+
+# ---------------------------------------------------------------------------
 # per-cell session generator
 #
 # generate_traffic as it stood before the one-pass rewrite: each cell in id

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,15 @@ from scipy import stats
 
 from oracles import (
     CountingRng,
+    bus_reachability_closed_form,
     empty_sessions,
+    mean_hub_rate_closed_form,
     reference_aggregate,
     reference_replication,
 )
 from plcsim import gridgen, simulator
 from plcsim.config import SimulationConfig
-from plcsim.deployment import deploy
+from plcsim.deployment import cell_count, deploy
 from plcsim.errors import ConfigError
 from plcsim.gridgen import PowerGrid, build_grid, mark_served
 from plcsim.simulator import (
@@ -155,6 +158,13 @@ def test_session_clipped_at_horizon():
     assert series.hub[9] == pytest.approx(128000.0)
 
 
+@pytest.mark.parametrize("duration", [-1.0, -0.25, np.nan])
+def test_session_duration_must_be_non_negative(duration):
+    sessions = _sessions((0, "data", 0.5, duration, 100.0))
+    with pytest.raises(ValueError, match="non-negative"):
+        aggregate_rate_series(sessions, _all_served_grid(1), 1.0, 4.0)
+
+
 def test_disjoint_sessions_hub_is_branch_sum():
     sessions = _sessions(
         (0, "voice", 0.0, 2.0, 128000.0),
@@ -279,6 +289,17 @@ def test_aggregation_is_linear_in_sessions(topology, offered):
     assert np.allclose(a.branches + b.branches, whole.branches, rtol=0.0, atol=1e-9 * scale)
 
 
+def _pipeline_table(cfg, seed):
+    """A replication's grid and session table, built as run_replication
+    builds them: sessions of served cells only."""
+    rng = np.random.default_rng(seed)
+    grid = mark_served(build_grid(deploy(cfg, rng), cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
+    served = np.flatnonzero(grid.served)
+    sessions = generate_traffic(rng, TrafficModel.from_config(cfg), served.size, cfg.horizon_s)
+    sessions.cell_id = served[sessions.cell_id]
+    return sessions, grid
+
+
 def _assert_aggregate_matches_reference(sessions, grid, dt_s, horizon_s):
     series = aggregate_rate_series(sessions, grid, dt_s, horizon_s)
     hub, branches = reference_aggregate(sessions, grid, dt_s, horizon_s)
@@ -293,14 +314,8 @@ def test_aggregation_matches_reference_on_pipeline_route(topology, dt_s):
     is kept, and the series equal tests/oracles.py:reference_aggregate bit
     for bit."""
     cfg = SimulationConfig(density=1.0, topology=topology, horizon_s=600.0, dt_s=dt_s)
-    model = TrafficModel.from_config(cfg)
     for seed in range(4):
-        rng = np.random.default_rng(derive_seed(23, seed, 0, 0))
-        grid = build_grid(deploy(cfg, rng), cfg)
-        mark_served(grid, cfg.max_wire_m, cfg.max_cells_per_branch)
-        served = np.flatnonzero(grid.served)
-        sessions = generate_traffic(rng, model, served.size, cfg.horizon_s)
-        sessions.cell_id = served[sessions.cell_id]
+        sessions, grid = _pipeline_table(cfg, derive_seed(23, seed, 0, 0))
         assert sessions.cell_id.size > 0
         _assert_aggregate_matches_reference(sessions, grid, cfg.dt_s, cfg.horizon_s)
 
@@ -323,6 +338,82 @@ def test_aggregation_matches_reference_on_masked_route(dt_s):
         assert 0 < grid.served.sum() < grid.served.size
         _assert_aggregate_matches_reference(sessions, grid, cfg.dt_s, cfg.horizon_s)
     _assert_aggregate_matches_reference(empty_sessions(), grid, cfg.dt_s, cfg.horizon_s)
+
+
+def _chunk_cases():
+    """(sessions, grid, dt_s, horizon_s) on every route aggregation takes."""
+    cases = []
+    for dt_s in (1.0, 0.7):
+        cfg = SimulationConfig(density=0.25, horizon_s=40.0, dt_s=dt_s)
+        sessions, grid = _pipeline_table(cfg, derive_seed(31, 0, 0, 0))
+        cases.append((sessions, grid, dt_s, cfg.horizon_s))
+        # the masked route: every cell's sessions, some starts moved out
+        rng = np.random.default_rng(derive_seed(31, 1, 0, 0))
+        grid = mark_served(build_grid(deploy(cfg, rng), cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
+        sessions = generate_traffic(rng, TrafficModel.from_config(cfg), grid.served.size, cfg.horizon_s)
+        sessions.start_s = sessions.start_s * 1.2 - 4.0
+        cases.append((sessions, grid, dt_s, cfg.horizon_s))
+    cases.append((empty_sessions(), grid, 1.0, 40.0))
+    # horizon / dt within 1e-9 above an integer: sessions running past the
+    # horizon end on step `steps`, so their last term lands on index width - 1
+    horizon_s = 30.0 + 4e-10
+    grid = _all_served_grid(40, n_branches=3)
+    sessions = generate_traffic(
+        np.random.default_rng(37), TrafficModel.from_config(SimulationConfig()), 40, horizon_s
+    )
+    end = np.floor(np.minimum(sessions.start_s + sessions.duration_s, horizon_s))
+    assert _step_count(horizon_s, 1.0) == 30 and (end == 30).any()
+    cases.append((sessions, grid, 1.0, horizon_s))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1, 7, simulator._CHUNK, 10**9])
+def test_aggregation_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    """Whatever the chunk, the series equal tests/oracles.py:reference_aggregate
+    bit for bit: on the pipeline and masked routes at dt 1.0 and 0.7, on the
+    empty table and with a last index of width - 1.  No route copies the
+    table through SessionSet.subset."""
+    cases = _chunk_cases()
+    expected = [reference_aggregate(*case) for case in cases]
+    # every table but the empty one spans several chunks of 7
+    assert [case[0].cell_id.size > 7 for case in cases] == [True] * 4 + [False, True]
+
+    def refuse(self, mask):
+        raise AssertionError("SessionSet.subset called")
+
+    monkeypatch.setattr(SessionSet, "subset", refuse)
+    monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    for case, (hub, branches) in zip(cases, expected):
+        series = aggregate_rate_series(*case)
+        assert np.array_equal(series.hub, hub)
+        assert np.array_equal(series.branches, branches)
+
+
+def _traced_aggregation(sessions, grid, cfg):
+    """The tracemalloc peak inside aggregate_rate_series, in bytes, and the
+    bytes of its series."""
+    tracemalloc.start()
+    try:
+        series = aggregate_rate_series(sessions, grid, cfg.dt_s, cfg.horizon_s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, series.hub.nbytes + series.branches.nbytes
+
+
+def test_aggregation_memory_is_bounded_by_the_chunk():
+    """On a density-1.0 bus pipeline table (~75k sessions) aggregation peaks
+    below 1 MB, and doubling the horizon, and so the session count, grows
+    the peak by no more than the series' own growth plus 16 KiB."""
+    peaks = []
+    for horizon_s in (3600.0, 7200.0):
+        cfg = SimulationConfig(density=1.0, topology="bus", horizon_s=horizon_s)
+        sessions, grid = _pipeline_table(cfg, 7)
+        peaks.append((sessions.cell_id.size, *_traced_aggregation(sessions, grid, cfg)))
+    (n1, peak1, out1), (n2, peak2, out2) = peaks
+    assert n1 > 70_000 and n2 > 1.9 * n1
+    assert peak1 < 1_000_000
+    assert peak2 - out2 <= peak1 - out1 + 16 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +576,25 @@ def test_served_only_traffic_matches_reference_in_distribution():
         b = [getattr(r, metric) for r in old]
         assert None not in a + b
         assert stats.ks_2samp(a, b).pvalue > 1e-3, metric
+
+
+def test_bus_hub_rate_matches_closed_form():
+    """avg_rate_bps of 200 bus replications at density 0.25 matches
+    mean_hub_rate_closed_form (Campbell's theorem), both given each
+    replication's served count and with the mean served count of
+    bus_reachability_closed_form; bound |z| <= 4 for each."""
+    cfg = SimulationConfig(density=0.25, topology="bus").validate()
+    reports = simulator.run_cell(cfg, 5, 0, 0, 200)
+    n = cell_count(cfg.density, cfg.side_m, cfg.cell_area_m2)
+    per_cell = mean_hub_rate_closed_form(cfg, 1.0)
+    avg = np.array([r.avg_rate_bps for r in reports])
+    served = np.round(np.array([r.reachability for r in reports]) * n)
+
+    def z(values, expected):
+        return (values.mean() - expected) / (values.std(ddof=1) / np.sqrt(values.size))
+
+    assert abs(z(avg - per_cell * served, 0.0)) <= 4.0
+    assert abs(z(avg, per_cell * n * bus_reachability_closed_form(cfg))) <= 4.0
 
 
 # ---------------------------------------------------------------------------
