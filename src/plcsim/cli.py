@@ -15,12 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
-import itertools
 import json
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -113,19 +112,19 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a uniquely named temporary file in the target
     directory, then rename it into place, so concurrent runs writing to
-    one directory never share a temporary file."""
+    one directory never share a temporary file.  The file is created as
+    a plain open() creates it, so the umask sets its mode."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
+    while True:
+        tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        # mkstemp creates the file private (0600); give it the mode a plain
-        # open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -154,51 +153,74 @@ def _num(value) -> str:
     return repr(float(value))
 
 
-def _record(*fields: str) -> str:
-    """%-template of one layout.json block record from "name format"
-    pairs, laid out as json.dumps(indent=2) lays it out."""
-    lines = ('      "%s": %s' % tuple(field.split()) for field in fields)
-    return "    {\n" + ",\n".join(lines) + "\n    }"
+def _texts(column: np.ndarray, text=json.dumps) -> list[str]:
+    """text(v) for every entry v of a column, called once per distinct v."""
+    values, at = np.unique(column, return_inverse=True)
+    return np.array([text(v) for v in values.tolist()], dtype=object)[at].tolist()
 
 
-_CELL = _record(
-    "id %d", "x_m %r", "y_m %r", "radius_m %r", "sector %d", "wire_distance_m %r", "served %s"
-)
-_NODE = _record("id %d", "x_m %r", "y_m %r", 'kind "%s"', "cell_id %s", "sector %s")
-_EDGE = _record("a %d", "b %d", "length_m %r")
-
-
-def _id_or_null(ids: np.ndarray) -> list[str]:
-    return ["null" if i < 0 else str(i) for i in ids.tolist()]
+def _add_block(text: list[str], name: str, keys: str, *columns: list[str]) -> None:
+    """Append to text the pieces of the layout.json block `name`: an array
+    whose record j holds each of the space-separated keys with text j of
+    its column, laid out as json.dumps(indent=2) lays it out.  Each key and
+    each column fills one slice."""
+    width, rows, lo = 2 * len(columns), len(columns[0]), len(text)
+    if not rows:
+        text.append(',\n  "%s": []' % name)
+        return
+    text += [""] * (width * rows)
+    for i, (key, column) in enumerate(zip(keys.split(), columns)):
+        lead = ",\n      " if i else "\n    },\n    {\n      "
+        text[lo + 2 * i :: width] = [lead + '"%s": ' % key] * rows
+        text[lo + 2 * i + 1 :: width] = column
+    # record 0 opens the block rather than closing a record
+    text[lo] = text[lo].replace("\n    },", ',\n  "%s": [' % name)
+    text.append("\n    }\n  ]")
 
 
 def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> str:
     """The text of layout.json: the header through json.dumps, then the
-    cells, nodes and edges blocks formatted one template per record from
-    the deployment and grid columns.  The bytes are those of
-    ``json.dumps(document, indent=2, allow_nan=False) + "\n"``, and a
-    non-finite float raises ValueError as that call does."""
+    cells, nodes and edges blocks pieced together from columns of text
+    with one join.  Each float is formatted once (a cell node reuses its
+    cell's text: its node_xy row is its cell's xy row), and ids come from
+    one table of int text whose last entry, "null", is where -1 ids land.
+    The bytes are those of ``json.dumps(document, indent=2,
+    allow_nan=False) + "\n"``, and a non-finite float raises ValueError as
+    that call does."""
     floats = (deployment.xy, deployment.radius_m, grid.wire_m, grid.node_xy, grid.length_m)
     if not all(np.isfinite(column).all() for column in floats):
         raise ValueError("Out of range float values are not JSON compliant")
-    cells = zip(
-        itertools.count(), *deployment.xy.T.tolist(),
-        itertools.repeat(float(deployment.radius_m)), deployment.sector.tolist(),
-        grid.wire_m.tolist(), np.where(grid.served, "true", "false").tolist(),
-    )
-    nodes = zip(
-        itertools.count(), *grid.node_xy.T.tolist(), grid.node_kind.tolist(),
-        _id_or_null(grid.node_cell), _id_or_null(grid.node_sector),
-    )
-    edges = zip(*grid.edges.T.tolist(), grid.length_m.tolist())
+    n, node_cell, m = len(deployment.xy), grid.node_cell, len(grid.node_cell)
+    # coordinate text of the cells, then of the hub and junctions (`own`);
+    # node i's is row at[i]
+    own = np.flatnonzero(node_cell < 0)
+    at = node_cell.copy()
+    at[own] = n + np.arange(own.size)
+    xy = np.concatenate((deployment.xy, grid.node_xy[own])).ravel().tolist()
+    x, y = np.array(list(map(repr, xy)), dtype=object).reshape(-1, 2).T
+    ints = np.array([*map(str, range(max(n, m))), "null"], dtype=object)
+    # a sector is bounded by n_branches, not by the node count
+    sectors = np.concatenate((deployment.sector, grid.node_sector))
+    sector = _texts(sectors, lambda k: json.dumps(k if k >= 0 else None))
     hub = {"x_m": deployment.hub[0], "y_m": deployment.hub[1]}
     header = {"manifest": manifest, "hub": hub, "forced_crossings": grid.forced_crossings}
-    text = json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]
-    blocks = (("cells", _CELL, cells), ("nodes", _NODE, nodes), ("edges", _EDGE, edges))
-    for name, template, rows in blocks:
-        records = ",\n".join(template % row for row in rows)
-        text += ',\n  "%s": %s' % (name, "[\n%s\n  ]" % records if records else "[]")
-    return text + "\n}\n"
+    text = [json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]]
+    _add_block(
+        text, "cells", "id x_m y_m radius_m sector wire_distance_m served",
+        ints[:n].tolist(), x[:n].tolist(), y[:n].tolist(), [repr(float(deployment.radius_m))] * n,
+        sector[:n], list(map(repr, grid.wire_m.tolist())), _texts(grid.served),
+    )
+    _add_block(
+        text, "nodes", "id x_m y_m kind cell_id sector",
+        ints[:m].tolist(), x[at].tolist(), y[at].tolist(), _texts(grid.node_kind),
+        ints[node_cell].tolist(), sector[n:],
+    )
+    _add_block(
+        text, "edges", "a b length_m", ints[grid.edges[:, 0]].tolist(),
+        ints[grid.edges[:, 1]].tolist(), list(map(repr, grid.length_m.tolist())),
+    )
+    text.append("\n}\n")
+    return "".join(text)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +336,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     # each scenario flag's dest is its SimulationConfig field
@@ -338,24 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", parents=[common], help="write one grid layout as JSON")
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_sim = sub.add_parser("simulate", parents=[common], help="run replications, write metrics CSV")
-    p_sim.set_defaults(func=cmd_simulate)
-
+    sub.add_parser("generate", parents=[common], help="write one grid layout as JSON")
+    sub.add_parser("simulate", parents=[common], help="run replications, write metrics CSV")
     p_sweep = sub.add_parser("sweep", parents=[common], help="sweep densities x topologies")
     p_sweep.add_argument("--densities", metavar="D1,D2,...", help="comma-separated density list")
     p_sweep.add_argument("--plots", choices=("on", "off"), default="on")
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up per call, so the one parser serves a patched command too
+        return globals()["cmd_" + args.command](args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1

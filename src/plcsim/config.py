@@ -64,68 +64,31 @@ class SimulationConfig:
             setattr(self, f.name, value)
             if isinstance(value, float):
                 _require(math.isfinite(value), f.name, "finite", value)
-        _require(self.side_m > 0, "side_m", "> 0", self.side_m)
-        _require(self.cell_area_m2 > 0, "cell_area_m2", "> 0", self.cell_area_m2)
-        _require(self.density >= 0, "density", ">= 0", self.density)
-        _require(self.n_branches >= 1, "n_branches", ">= 1", self.n_branches)
-        _require(
-            self.n_branches <= _MAX_ARRAY_SIZE,
-            "n_branches (branch count)",
-            "<= %r" % _MAX_ARRAY_SIZE,
-            self.n_branches,
-        )
-        _require(
-            self.topology in TOPOLOGIES,
-            "topology",
-            "one of %s" % (TOPOLOGIES,),
-            self.topology,
-        )
-        _require(self.max_wire_m > 0, "max_wire_m", "> 0", self.max_wire_m)
-        _require(
-            self.max_cells_per_branch >= 1,
-            "max_cells_per_branch",
-            ">= 1",
-            self.max_cells_per_branch,
-        )
-        _require(
-            self.hub_mode in HUB_MODES,
-            "hub_mode",
-            "one of %s" % (HUB_MODES,),
-            self.hub_mode,
-        )
-        _require(
-            -1e9 < self.sector_anchor_rad < 1e9,
-            "sector_anchor_rad",
-            "in (-1e9, 1e9)",
-            self.sector_anchor_rad,
-        )
-        _require(
-            self.mean_interarrival_s > 0,
-            "mean_interarrival_s",
-            "> 0",
-            self.mean_interarrival_s,
-        )
-        _require(self.dt_s > 0, "dt_s", "> 0", self.dt_s)
-        _require(self.horizon_s >= self.dt_s, "horizon_s", ">= dt_s", self.horizon_s)
-        _require(
-            0.0 <= self.data_fraction <= 1.0,
-            "data_fraction",
-            "in [0, 1]",
-            self.data_fraction,
-        )
-        _require(self.voice_rate_bps > 0, "voice_rate_bps", "> 0", self.voice_rate_bps)
-        _require(
-            self.voice_mean_duration_s > 0,
-            "voice_mean_duration_s",
-            "> 0",
-            self.voice_mean_duration_s,
-        )
-        _require(
-            self.volume_cap_bits > 0, "volume_cap_bits", "> 0", self.volume_cap_bits
-        )
-        _require(self.kb_bits > 0, "kb_bits", "> 0", self.kb_bits)
-        _require(self.replications >= 1, "replications", ">= 1", self.replications)
-        _require(self.master_seed >= 0, "master_seed", ">= 0", self.master_seed)
+        for field, ok, bound in (
+            ("side_m", self.side_m > 0, "> 0"),
+            ("cell_area_m2", self.cell_area_m2 > 0, "> 0"),
+            ("density", self.density >= 0, ">= 0"),
+            ("n_branches", self.n_branches >= 1, ">= 1"),
+            ("n_branches (branch count)", self.n_branches <= _MAX_ARRAY_SIZE,
+             "<= %r" % _MAX_ARRAY_SIZE),
+            ("topology", self.topology in TOPOLOGIES, "one of %s" % (TOPOLOGIES,)),
+            ("max_wire_m", self.max_wire_m > 0, "> 0"),
+            ("max_cells_per_branch", self.max_cells_per_branch >= 1, ">= 1"),
+            ("hub_mode", self.hub_mode in HUB_MODES, "one of %s" % (HUB_MODES,)),
+            ("sector_anchor_rad", -1e9 < self.sector_anchor_rad < 1e9, "in (-1e9, 1e9)"),
+            ("mean_interarrival_s", self.mean_interarrival_s > 0, "> 0"),
+            ("dt_s", self.dt_s > 0, "> 0"),
+            ("horizon_s", self.horizon_s >= self.dt_s, ">= dt_s"),
+            ("data_fraction", 0.0 <= self.data_fraction <= 1.0, "in [0, 1]"),
+            ("voice_rate_bps", self.voice_rate_bps > 0, "> 0"),
+            ("voice_mean_duration_s", self.voice_mean_duration_s > 0, "> 0"),
+            ("volume_cap_bits", self.volume_cap_bits > 0, "> 0"),
+            ("kb_bits", self.kb_bits > 0, "> 0"),
+            ("replications", self.replications >= 1, ">= 1"),
+            ("master_seed", self.master_seed >= 0, ">= 0"),
+        ):
+            # the first word of `field` names the field whose value failed
+            _require(ok, field, bound, getattr(self, field.split()[0]))
         # sizes a run asks numpy for, and the 10 kb threshold in bits, so
         # that huge finite values fail here rather than overflowing later
         cells = self.density * self.side_m * self.side_m / self.cell_area_m2

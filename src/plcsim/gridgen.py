@@ -17,7 +17,10 @@ A grid is a set of arrays.  Node ``i`` has position ``node_xy[i]``, kind
 ``node_kind[i]`` (``"hub"``, ``"cell"`` or ``"junction"``), cell id
 ``node_cell[i]`` (-1 for the hub and junctions) and sector
 ``node_sector[i]`` (-1 for the hub).  Node 0 is the hub; then come, sector
-by sector, the sector's cells in id order and then its bus junctions.
+by sector, the sector's cells in id order and then its bus junctions.  A
+cell node's position is its cell's, bit for bit: ``node_xy[i]`` equals
+``xy[node_cell[i]]`` wherever ``node_cell[i] >= 0``, which lets the
+layout.json writer reuse a cell's coordinate text for its node.
 A bus groups a sector's cells into runs of equal spine projection; a run
 gets a new junction unless one of its cells lies on the spine, and the
 junctions are numbered, and the runs laid, in increasing projection.

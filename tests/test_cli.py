@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from plcsim.cli import (
     run_manifest,
 )
 from plcsim.config import SimulationConfig, config_fields
-from plcsim.deployment import deploy
+from plcsim.deployment import CellDeployment, assign_sectors, deploy
 from plcsim.errors import ConfigError
 from plcsim.gridgen import build_grid, mark_served
 from plcsim.simulator import derive_seed, run_replication
@@ -260,6 +261,57 @@ def test_exit_two_on_missing_config_file(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def _fresh_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _outputs(out: Path) -> dict:
+    """Every file under out by name, manifests without their timestamp."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name.endswith("manifest.json"):
+            manifest = json.loads(path.read_text())
+            manifest.pop("created_utc")
+            files[path.name] = manifest
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_one_process_runs_commands_as_fresh_processes(tmp_path, capsys):
+    """main builds its parser once per process: a config error, then a good
+    generate, then a sweep in one process give the exit codes, messages and
+    files that a fresh process gives for each."""
+    runs = [
+        ["generate", "--density", "-1"],
+        ["generate", "--density", "0.05", "--seed", "3"],
+        ["sweep", "--densities", "0.02,0.05", "--reps", "2", "--horizon", "20", "--seed", "3"],
+    ]
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / "here" / str(i), tmp_path / "fresh" / str(i)
+        code = main(argv + ["--out", str(here)])
+        err = capsys.readouterr().err
+        proc = subprocess.run(
+            [sys.executable, "-m", "plcsim.cli", *argv, "--out", str(fresh)],
+            env=_fresh_env(), capture_output=True, text=True,
+        )
+        assert (code, err) == (proc.returncode, proc.stderr)
+        assert here.exists() == fresh.exists() == (code == 0)
+        if code == 0:
+            assert _outputs(here) == _outputs(fresh)
+
+
+def test_cached_parser_dispatches_to_the_current_command(tmp_path, monkeypatch, capsys):
+    """The one parser looks its command up per call, so a command patched
+    after the parser was built is the one that runs."""
+    assert main(["generate", "--out", str(tmp_path), "--density", "0"]) == 0
+    monkeypatch.setattr(cli, "cmd_generate", lambda args: 7)
+    assert main(["generate", "--out", str(tmp_path)]) == 7
+    assert cli._parser() is cli._parser()
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -418,6 +470,104 @@ def test_generate_non_finite_layout_is_internal_error(tmp_path, monkeypatch, cap
     assert main(["generate", "--out", str(tmp_path), "--density", "0.1"]) == 3
     assert "ValueError" in capsys.readouterr().err
     assert not (tmp_path / "layout.json").exists()
+
+
+def _hand_layout(points, topology, n_branches=6, anchor=0.0, hub=(350.0, 350.0)):
+    """Deployment, served grid and manifest for cells at the given points."""
+    config = SimulationConfig(
+        topology=topology, n_branches=n_branches, sector_anchor_rad=anchor
+    ).validate()
+    xy = np.array(points, dtype=float).reshape(-1, 2)
+    dep = CellDeployment(hub, xy, assign_sectors(xy, hub, n_branches, anchor), 11.28)
+    grid = mark_served(build_grid(dep, config), config.max_wire_m, config.max_cells_per_branch)
+    return dep, grid, run_manifest(config, timestamp=False)
+
+
+def _assert_matches_oracle(dep, grid, manifest):
+    text = layout_json(dep, grid, manifest)
+    assert text == json.dumps(layout_dict(dep, grid, manifest), indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("topology", ["bus", "tree", "chain"])
+def test_layout_json_pitfalls_match_dict_oracle(topology):
+    """Cases where reused or tabled text could go wrong give json.dumps'
+    bytes for the dict document."""
+    # one cell, in sector 11 of 12: a sector id above every node id
+    dep, grid, manifest = _hand_layout([[450.0, 349.0]], topology, n_branches=12)
+    assert dep.sector.tolist() == [11] and len(grid.node_xy) < 11
+    _assert_matches_oracle(dep, grid, manifest)
+    # an empty deployment: the hub is the only node
+    dep, grid, manifest = _hand_layout([], topology)
+    assert len(grid.node_xy) == 1 and len(grid.edges) == 0
+    _assert_matches_oracle(dep, grid, manifest)
+    # a hub off the centre
+    _assert_matches_oracle(
+        *_layout(SimulationConfig(topology=topology, density=0.05, hub_mode="uniform", master_seed=9))
+    )
+    # sector 0 of 4 spans [-45, 45) degrees, so the bus spine runs along +x
+    # and two cells lie exactly on it; the third drops onto the outer one
+    points = [[450.0, 350.0], [400.0, 350.0], [450.0, 360.0]]
+    dep, grid, manifest = _hand_layout(points, topology, n_branches=4, anchor=-math.pi / 4)
+    if topology == "bus":
+        assert grid.node_kind.tolist() == ["hub", "cell", "cell", "cell"]
+    _assert_matches_oracle(dep, grid, manifest)
+
+
+def test_layout_json_int_text_grows_with_ids_not_branches():
+    """n_branches = 2**21, which validate() allows, with a few cells: the
+    writer's int text grows with the ids present, not with n_branches.
+    Bound: the writer's traced peak stays under 5 MB."""
+    config = SimulationConfig(
+        topology="tree", density=0.005, n_branches=2**21, master_seed=3
+    ).validate()
+    dep, grid, manifest = _layout(config)
+    assert 0 < len(dep.xy) < 10 and dep.sector.max() > 1000 * len(grid.node_xy)
+    tracemalloc.start()
+    try:
+        text = layout_json(dep, grid, manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert text == json.dumps(layout_dict(dep, grid, manifest), indent=2, allow_nan=False) + "\n"
+
+
+def _refuse(*args):
+    raise AssertionError("called")
+
+
+def test_write_atomic_leaves_the_umask_alone(tmp_path, monkeypatch):
+    """The temporary file is created with mode 0o666 for the kernel to
+    apply the umask to, as a plain open() is: the process umask is never
+    switched, and no chmod follows."""
+    umask = os.umask(0)
+    os.umask(umask)
+    monkeypatch.setattr(os, "umask", _refuse)
+    monkeypatch.setattr(os, "chmod", _refuse)
+    cli._write_atomic(tmp_path / "out.txt", "text\n")
+    monkeypatch.undo()
+    assert (tmp_path / "out.txt").read_text() == "text\n"
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o666 & ~umask
+
+
+def test_write_atomic_retries_a_taken_name_and_cleans_up_on_failure(tmp_path, monkeypatch):
+    taken = tmp_path / ("out.txt.%s.tmp" % ("00" * 6))
+    taken.write_text("not ours")
+    real = os.urandom
+    tokens = iter([bytes(6), bytes(6), b"\x01" * 6])
+    monkeypatch.setattr(os, "urandom", lambda k: next(tokens, None) or real(k))
+    cli._write_atomic(tmp_path / "out.txt", "ours")
+    assert taken.read_text() == "not ours"
+    assert (tmp_path / "out.txt").read_text() == "ours"
+
+    def fail(*args):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        cli._write_atomic(tmp_path / "other.txt", "lost")
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([taken.name, "out.txt"])
 
 
 # ---------------------------------------------------------------------------

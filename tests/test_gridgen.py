@@ -408,6 +408,19 @@ def test_build_grid_is_spanning_tree(topology):
             assert grid.wire_m[cell] == pytest.approx(dist[node], rel=1e-6)
 
 
+@pytest.mark.parametrize("density", [0.1, 1.0])
+@pytest.mark.parametrize("topology", ["bus", "tree", "chain"])
+def test_cell_node_position_is_its_cell_position(topology, density):
+    """A cell node's node_xy row is its cell's xy row, bit for bit (the
+    layout.json writer formats each cell's coordinates once for both)."""
+    cfg = SimulationConfig(topology=topology, density=density, hub_mode="uniform", master_seed=6)
+    dep = deploy(cfg, np.random.default_rng(6))
+    grid = build_grid(dep, cfg)
+    is_cell = grid.node_cell >= 0
+    assert is_cell.sum() == len(dep.xy)
+    assert grid.node_xy[is_cell].tobytes() == dep.xy[grid.node_cell[is_cell]].tobytes()
+
+
 def test_build_grid_wire_at_least_euclidean():
     cfg = SimulationConfig(topology="tree", density=0.1, master_seed=6)
     dep = deploy(cfg, np.random.default_rng(6))
@@ -701,3 +714,23 @@ def test_bus_reach_saturates_at_the_cap():
     assert bus_reachability_closed_form(cfg) == pytest.approx(210 / 1225, rel=1e-9)
     for seed in range(5):
         assert _bus_reach(cfg, seed) == 210 / 1225
+
+
+@pytest.mark.parametrize(
+    "case, density, n_branches, max_wire_m",
+    [(1, 0.4, 6, 300.0), (2, 0.5, 6, 300.0), (3, 0.25, 4, 250.0), (4, 0.25, 8, 300.0)],
+)
+def test_bus_reach_matches_closed_form_across_cap_onset_and_geometry(
+    case, density, n_branches, max_wire_m
+):
+    """The closed form holds where the fan-out cap starts to bind (density
+    0.4, 0.5; the mean sector count passes 35 near 0.425) and for other
+    sector counts and reaches inside its validity condition; mean over 200
+    layouts, bound |z| <= 4."""
+    cfg = SimulationConfig(
+        density=density, topology="bus", n_branches=n_branches, max_wire_m=max_wire_m
+    )
+    reach = [_bus_reach(cfg, derive_seed(99, case, 0, k)) for k in range(200)]
+    stderr = np.std(reach, ddof=1) / math.sqrt(len(reach))
+    z = (np.mean(reach) - bus_reachability_closed_form(cfg)) / stderr
+    assert abs(z) <= 4.0
