@@ -21,9 +21,14 @@ _MAX_POISSON_LAM = int(_MAX_ARRAY_SIZE - 10.0 * math.sqrt(_MAX_ARRAY_SIZE))
 # half the index range, so that a drawn session total, a few standard
 # deviations from its mean, cannot wrap the int64 sum of the cell counts
 _MAX_SESSIONS = _MAX_ARRAY_SIZE // 2
-# bytes of one array with 8 bytes per branch; a grid build holds about a
-# dozen such arrays at once (README, "Library")
+# byte budgets (README, "Library"): a grid build holds about a dozen arrays
+# with 8 bytes per branch at once, and a run about 2 KB per cell, its
+# layout.json text included; a load half holds one rate series and one
+# block of sessions, at least one cell's, at about 100 bytes per session
 _MAX_BRANCH_BYTES = 2**24
+_MAX_CELL_BYTES = 2**21
+_MAX_SERIES_BYTES = 2**28
+_MAX_ROW_BYTES = 2**24
 
 
 @dataclass
@@ -89,21 +94,23 @@ class SimulationConfig:
         ):
             # the first word of `field` names the field whose value failed
             _require(ok, field, bound, getattr(self, field.split()[0]))
-        # sizes a run asks numpy for, and the 10 kb threshold in bits, so
-        # that huge finite values fail here rather than overflowing later
+        # sizes and bytes a run asks numpy for, and the 10 kb threshold in
+        # bits, so that huge finite values fail here rather than overflowing
+        # or running out of memory later
         cells = self.density * self.side_m * self.side_m / self.cell_area_m2
-        steps = self.horizon_s / self.dt_s
         arrivals = self.horizon_s / self.mean_interarrival_s
         for fields, size, limit in (
-            ("density * side_m**2 / cell_area_m2 (cell count)", cells, _MAX_ARRAY_SIZE),
-            ("horizon_s / dt_s (step count)", steps, _MAX_ARRAY_SIZE),
-            ("n_branches * horizon_s / dt_s (branch series size)",
-             self.n_branches * steps, _MAX_ARRAY_SIZE),
-            ("8 * n_branches (bytes of a per-branch array)",
-             8 * self.n_branches, _MAX_BRANCH_BYTES),
+            ("8 * (n_branches + 1) * (horizon_s / dt_s + 2) (bytes of the rate series)",
+             8 * (self.n_branches + 1) * (self.horizon_s / self.dt_s + 2), _MAX_SERIES_BYTES),
             ("horizon_s / mean_interarrival_s (arrivals per cell)", arrivals, _MAX_POISSON_LAM),
             ("density * side_m**2 / cell_area_m2 * horizon_s / mean_interarrival_s"
              " (session count)", cells * arrivals, _MAX_SESSIONS),
+            ("8 * density * side_m**2 / cell_area_m2 (bytes of a per-cell array)",
+             8 * cells, _MAX_CELL_BYTES),
+            ("8 * n_branches (bytes of a per-branch array)",
+             8 * self.n_branches, _MAX_BRANCH_BYTES),
+            ("8 * horizon_s / mean_interarrival_s (bytes of one cell's session starts)",
+             8 * arrivals if cells > 0 else 0, _MAX_ROW_BYTES),
             ("10 * kb_bits (10 kb in bits)", 10.0 * self.kb_bits, sys.float_info.max),
             # so that no sum of voice rates over the sessions can reach inf
             ("voice_rate_bps * %d (voice rate summed over the session count bound)"

@@ -4,6 +4,9 @@ A replication is one random scenario end to end: drop cells, synthesize
 the feeder grid, flag served cells, generate the served cells' sessions,
 then accumulate per-step aggregate rates at the hub and per branch.  Session
 rate contributions are prorated exactly over the time steps they overlap.
+Sessions are drawn, aggregated and tallied for the mean wait one block of
+cells at a time (traffic.session_blocks), so a replication holds one
+block and its rate series, whatever its session count.
 
 All randomness flows from one integer seed per replication; sweep
 replications derive their seeds positionally from (master seed, density
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,13 @@ from .gridgen import (
     mark_served,
     reachability_fraction,
 )
-from .traffic import SessionSet, TrafficModel, generate_traffic
+from .traffic import (
+    BLOCK_SESSIONS,
+    SessionSet,
+    TrafficModel,
+    generate_traffic,  # noqa: F401  (importable here like the other stages)
+    session_blocks,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -114,14 +124,12 @@ def _step_count(horizon_s: float, dt_s: float) -> int:
     return max(int(math.ceil(ratio)), 1)
 
 
-# sessions per np.add.at call: besides the table it reads and the series it
-# returns, aggregation holds a few arrays of this length, whatever the
-# session count
-_CHUNK = 8192
+# sessions per np.add.at call: the window of a drawn block
+_CHUNK = BLOCK_SESSIONS
 
 
 def aggregate_rate_series(
-    sessions: SessionSet,
+    sessions: SessionSet | Iterable[SessionSet],
     grid: PowerGrid,
     dt_s: float,
     horizon_s: float,
@@ -130,20 +138,42 @@ def aggregate_rate_series(
 
     A session holding rate r over [start, start+duration), clipped at the
     horizon, adds r weighted by its fractional overlap with each step.
-    Sessions of unserved cells contribute nothing.
+    Sessions of unserved cells contribute nothing.  sessions is one
+    SessionSet, or an iterable of them (the blocks of session_blocks),
+    added one after another; each is read once, in order, and dropped
+    before the next is asked for.
     """
     steps = _step_count(horizon_s, dt_s)
     width = steps + 2
     # row 0: the hub's step differences; row 1 + k: those of branch k
     diff = np.zeros((grid.n_branches + 1, width))
-    hub, branches = diff[0], diff[1:].reshape(-1)
     offset = grid.branch * width  # a cell's first index in branches
+    blocks = [sessions] if isinstance(sessions, SessionSet) else sessions
+    for block in blocks:
+        _add_block(diff, offset, block, grid.served, dt_s, horizon_s)
+        del block  # so that the next block is drawn with this one gone
+    np.cumsum(diff, axis=1, out=diff)
+    return RateSeries(diff[0, :steps], diff[1:, :steps])
+
+
+def _add_block(
+    diff: np.ndarray,
+    offset: np.ndarray,
+    sessions: SessionSet,
+    served: np.ndarray,
+    dt_s: float,
+    horizon_s: float,
+) -> None:
+    """Add one SessionSet's step differences into diff, _CHUNK sessions per
+    np.add.at call: besides the table it reads, this holds a few arrays of
+    that length, whatever the session count."""
+    hub, branches = diff[0], diff[1:].reshape(-1)
     columns = (sessions.cell_id, sessions.start_s, sessions.duration_s, sessions.rate_bps)
     chunks = range(0, sessions.cell_id.size, _CHUNK)
 
     def kept(cell, start):
         # sessions must start inside the observation window, at a served cell
-        return (start >= 0.0) & (start < horizon_s) & grid.served[cell]
+        return (start >= 0.0) & (start < horizon_s) & served[cell]
 
     # a table drawn for the served cells keeps every session, and then no
     # chunk builds a mask
@@ -178,35 +208,38 @@ def aggregate_rate_series(
             at += offset[cell]
             np.add.at(branches, at, x)
 
-    np.cumsum(diff, axis=1, out=diff)
-    return RateSeries(diff[0, :steps], diff[1:, :steps])
-
 
 # ---------------------------------------------------------------------------
 # metrics
 
-def _pooled_wait(ss: SessionSet, served: np.ndarray) -> float | None:
-    """Mean inter-arrival gap pooled over the served cells' sessions."""
-    if ss.cell_id.size < 2:
-        return None
-    same = (ss.cell_id[1:] == ss.cell_id[:-1]) & served[ss.cell_id[1:]]
-    if not same.any():
-        return None
-    return float((ss.start_s[1:] - ss.start_s[:-1])[same].mean())
+def gap_tally(sessions: SessionSet, served: np.ndarray) -> tuple[float, int]:
+    """Sum and count of the start gaps between consecutive sessions of one
+    served cell.  Blocks never split a cell, so the tallies of a block
+    stream add up to that of the blocks joined."""
+    ids = sessions.cell_id
+    same = (ids[1:] == ids[:-1]) & served[ids[1:]]
+    gaps = (sessions.start_s[1:] - sessions.start_s[:-1])[same]
+    return float(gaps.sum()), gaps.size
 
 
 def compute_metrics(
     series: RateSeries,
     grid: PowerGrid,
-    sessions: SessionSet,
+    sessions: SessionSet | tuple[float, int],
     seed: int | None = None,
 ) -> MetricsReport:
+    """One replication's metrics from its series, its grid and the sessions
+    aggregated: their SessionSet, or the gap_tally sums of their blocks.
+    mean_wait_s is the mean gap, pooled over the served cells' sessions."""
+    if isinstance(sessions, SessionSet):
+        sessions = gap_tally(sessions, grid.served)
+    gap_sum, gaps = sessions
     return MetricsReport(
         seed=seed,
         reachability=reachability_fraction(grid),
         avg_rate_bps=float(series.hub.mean()),
         max_rate_bps=float(series.hub.max()),
-        mean_wait_s=_pooled_wait(sessions, grid.served),
+        mean_wait_s=gap_sum / gaps if gaps else None,
         forced_crossings=grid.forced_crossings,
     )
 
@@ -221,17 +254,28 @@ def _load(
     rng: np.random.Generator,
     grid: PowerGrid,
 ) -> MetricsReport:
-    """The load half of a replication: flag the served cells, draw their
-    sessions from model on rng, aggregate the rates and summarise."""
+    """The load half of a replication: flag the served cells, then draw
+    their sessions from model on rng one block at a time, each aggregated
+    and tallied for the mean wait before the next is drawn, and
+    summarise."""
     mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
     # only served cells load the link, so only they get sessions
     served = np.flatnonzero(grid.served)
-    sessions = generate_traffic(rng, model, served.size, config.horizon_s)
-    # row i of the draw is served cell i; every row is in range, so the
-    # ids map in place with no bounds-checking buffer
-    np.take(served, sessions.cell_id, out=sessions.cell_id, mode="clip")
-    series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
-    return compute_metrics(series, grid, sessions, seed=seed)
+    tally = [0.0, 0]
+
+    def blocks():
+        for block in session_blocks(rng, model, served.size, config.horizon_s):
+            # row i of the draw is served cell i; every row is in range, so
+            # the ids map in place with no bounds-checking buffer
+            np.take(served, block.cell_id, out=block.cell_id, mode="clip")
+            gap_sum, gaps = gap_tally(block, grid.served)
+            tally[0] += gap_sum
+            tally[1] += gaps
+            yield block
+            del block  # before the next block is drawn
+
+    series = aggregate_rate_series(blocks(), grid, config.dt_s, config.horizon_s)
+    return compute_metrics(series, grid, tuple(tally), seed=seed)
 
 
 # replications whose layouts are built together: their tree or chain

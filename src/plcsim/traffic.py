@@ -10,19 +10,27 @@ fixed codec rate with exponentially distributed holding times.
 The four fitted facts are fixed; a config only rescales the 10 kb
 threshold through ``kb_bits``.  The data fraction, voice rate, voice
 holding time, mean arrival gap and volume cap are config fields.  The
-fitted model is immutable.  generate_traffic draws every cell's sessions
-into one SessionSet.
+fitted model is immutable.  session_blocks draws the sessions of
+consecutive whole cells in blocks that start every BLOCK_SESSIONS
+sessions, and generate_traffic joins the same blocks into one SessionSet.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
 
 from .config import SimulationConfig
+
+# a block of session_blocks holds the cells whose first sessions fall in one
+# window of this many sessions; a load half draws and aggregates one block
+# at a time, so it holds a few arrays of about this length whatever the
+# session count
+BLOCK_SESSIONS = 8192
 
 
 @dataclass(frozen=True)
@@ -140,22 +148,46 @@ def sample_voice_durations(
     return rng.exponential(model.voice_mean_duration_s, n)
 
 
-def generate_traffic(
+def session_blocks(
     rng: np.random.Generator,
     model: TrafficModel,
     n_cells: int,
     horizon_s: float,
-) -> SessionSet:
-    """Sessions for every cell 0..n_cells-1 starting inside [0, horizon),
-    sorted by (cell id, start).  One draw each, in this order,
-    whatever n_cells is: every cell's Poisson(horizon / mean gap) count,
-    every start uniform on [0, horizon), each session's class, the data
-    volumes, the data durations and the voice durations.  Given its count,
-    a Poisson process's arrivals are sorted uniforms (the order-statistic
-    property), so each cell's starts are sorted as a row of a table padded
-    with +inf.  Data sessions carry a Pareto volume over a lognormal
-    duration; voice sessions run at exactly the codec rate."""
+) -> Iterator[SessionSet]:
+    """Sessions for every cell 0..n_cells-1 starting inside [0, horizon), as
+    consecutive blocks of whole cells, each sorted by (cell id, start).
+
+    One Poisson(horizon / mean gap) draw gives every cell's session count.
+    Cell i goes to block floor(S_i / BLOCK_SESSIONS), where S_i counts the
+    sessions of cells 0..i-1, so no cell is split.  Each block then draws,
+    in this order and for its own sessions only: every start uniform on
+    [0, horizon), each session's class, the data volumes, the data
+    durations and the voice durations.  Given its count, a Poisson
+    process's arrivals are sorted uniforms (the order-statistic property),
+    so each cell's starts are sorted as a row of a table padded with +inf.
+    Data sessions carry a Pareto volume over a lognormal duration; voice
+    sessions run at exactly the codec rate.  With no cells, or when every
+    cell starts before session BLOCK_SESSIONS, there is one block.  Each
+    block is drawn when it is asked for, so a consumer that drops each
+    block before asking for the next holds one at a time.
+    """
     counts = rng.poisson(horizon_s / model.mean_interarrival_s, n_cells)
+    key = (np.cumsum(counts) - counts) // BLOCK_SESSIONS
+    edges = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), n_cells]
+    del key
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        yield _draw_block(rng, model, lo, counts[lo:hi], horizon_s)
+
+
+def _draw_block(
+    rng: np.random.Generator,
+    model: TrafficModel,
+    first_cell: int,
+    counts: np.ndarray,
+    horizon_s: float,
+) -> SessionSet:
+    """The sessions of cells first_cell, first_cell + 1, ... with the given
+    counts: the five draws of one block of session_blocks."""
     total = int(counts.sum())
     slots = np.arange(counts.max(initial=0)) < counts[:, None]
     table = np.full(slots.shape, np.inf)
@@ -177,6 +209,19 @@ def generate_traffic(
     rates[data] = volumes
     durations[voice] = sample_voice_durations(rng, model, voice.size)
     rates[voice] = model.voice_rate_bps
+    cell_id = np.repeat(np.arange(first_cell, first_cell + counts.size), counts)
+    return SessionSet(cell_id, is_data, starts, durations, rates)
+
+
+def generate_traffic(
+    rng: np.random.Generator,
+    model: TrafficModel,
+    n_cells: int,
+    horizon_s: float,
+) -> SessionSet:
+    """The blocks of session_blocks joined into one SessionSet, sorted by
+    (cell id, start)."""
+    blocks = list(session_blocks(rng, model, n_cells, horizon_s))
     return SessionSet(
-        np.repeat(np.arange(n_cells), counts), is_data, starts, durations, rates
+        *(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(SessionSet))
     )

@@ -28,7 +28,7 @@ from plcsim.simulator import (
     aggregate_rate_series,
     compute_metrics,
 )
-from plcsim.traffic import SessionSet, TrafficModel, generate_traffic
+from plcsim.traffic import SessionSet, TrafficModel, generate_traffic, sample_data_volumes
 
 Point = tuple[float, float]
 
@@ -246,6 +246,58 @@ def reference_traffic(
     return SessionSet(
         np.repeat(np.arange(n_cells), counts), *(np.concatenate(c) for c in zip(*cols))
     )
+
+
+# ---------------------------------------------------------------------------
+# the one-pass session generator (v2)
+#
+# generate_traffic as it stood before it drew sessions in blocks of cells:
+# the same Poisson counts, then each of the five later draws once for every
+# session of every cell.  A replication whose cells all start before session
+# BLOCK_SESSIONS makes one block, and then the library's stream equals this
+# one bit for bit; longer ones are compared in distribution.
+
+def reference_traffic_v2(
+    rng: np.random.Generator,
+    model: TrafficModel,
+    n_cells: int,
+    horizon_s: float,
+) -> SessionSet:
+    counts = rng.poisson(horizon_s / model.mean_interarrival_s, n_cells)
+    total = int(counts.sum())
+    slots = np.arange(counts.max(initial=0)) < counts[:, None]
+    table = np.full(slots.shape, np.inf)
+    table[slots] = rng.random(total)
+    table.sort(axis=1)
+    starts = table[slots] * horizon_s
+
+    is_data = rng.random(total) < model.data_fraction
+    volumes = sample_data_volumes(rng, model, int(is_data.sum()))
+    data_dur = rng.lognormal(model.lognorm_mu, model.lognorm_sigma, volumes.size)
+    durations = np.empty(total)
+    rates = np.empty(total)
+    durations[is_data] = data_dur
+    rates[is_data] = volumes / data_dur
+    durations[~is_data] = rng.exponential(model.voice_mean_duration_s, total - volumes.size)
+    rates[~is_data] = model.voice_rate_bps
+    return SessionSet(
+        np.repeat(np.arange(n_cells), counts), is_data, starts, durations, rates
+    )
+
+
+def reference_replication_v2(config: SimulationConfig, seed: int) -> MetricsReport:
+    """run_replication with the sessions of its served cells drawn by
+    reference_traffic_v2."""
+    config.validate()
+    rng = np.random.default_rng(seed)
+    grid = build_grid(deploy(config, rng), config)
+    mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
+    served = np.flatnonzero(grid.served)
+    model = TrafficModel.from_config(config)
+    sessions = reference_traffic_v2(rng, model, served.size, config.horizon_s)
+    sessions.cell_id = served[sessions.cell_id]
+    series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
+    return compute_metrics(series, grid, sessions, seed=seed)
 
 
 class CountingRng:

@@ -243,6 +243,35 @@ def test_exit_one_on_unallocatable_size(tmp_path, capsys, argv, config, fields):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, fields",
+    [
+        # 1.2e12 cells: each per-cell array would need 9.8 TB
+        (["generate", "--topology", "bus"], {"density": 1e9, "horizon_s": 1}, ["density"]),
+        # 1e12 steps: the rate series would need 56 TB
+        (
+            ["simulate", "--topology", "bus", "--reps", "1"],
+            {"density": 0.05, "horizon_s": 1e12, "dt_s": 1},
+            ["horizon_s", "dt_s"],
+        ),
+    ],
+    ids=["cell-bytes", "series-bytes"],
+)
+def test_exit_one_over_memory_budget(tmp_path, capsys, argv, config, fields):
+    """Sizes numpy could index but no run could hold fail as config errors
+    that name the fields, before anything is allocated; both exited 3 with
+    a MemoryError under a 1.5 GB address-space limit."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "bytes" in err
+    for field in fields:
+        assert field in err
+    assert not out.exists()
+
+
 def test_huge_data_volumes_warn_nothing(tmp_path, capsys):
     """A 10 kb threshold near the largest float overflows some drawn
     volumes to inf before the cap clips them; the run says nothing of it."""
@@ -516,9 +545,10 @@ def test_layout_json_pitfalls_match_dict_oracle(topology):
 def test_layout_json_int_text_grows_with_ids_not_branches():
     """n_branches = 2**21, which validate() allows, with a few cells: the
     writer's int text grows with the ids present, not with n_branches.
-    Bound: the writer's traced peak stays under 5 MB."""
+    Bound: the writer's traced peak stays under 5 MB.  The horizon is one
+    step, so that the 2**21 branch series fit the rate series budget."""
     config = SimulationConfig(
-        topology="tree", density=0.005, n_branches=2**21, master_seed=3
+        topology="tree", density=0.005, n_branches=2**21, horizon_s=1.0, master_seed=3
     ).validate()
     dep, grid, manifest = _layout(config)
     assert 0 < len(dep.xy) < 10 and dep.sector.max() > 1000 * len(grid.node_xy)

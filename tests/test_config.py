@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from plcsim.config import _MAX_BRANCH_BYTES, _MAX_POISSON_LAM, SimulationConfig
+from plcsim.config import (
+    _MAX_BRANCH_BYTES,
+    _MAX_CELL_BYTES,
+    _MAX_POISSON_LAM,
+    _MAX_ROW_BYTES,
+    _MAX_SERIES_BYTES,
+    SimulationConfig,
+)
 from plcsim.errors import ConfigError
 from plcsim.traffic import TrafficModel, generate_traffic
 
@@ -39,9 +46,10 @@ def test_validate_normalises_types():
 
 def test_arrivals_per_cell_within_poisson_limit():
     """With no cells there are no sessions, but numpy's Poisson sampler
-    still rejects a mean above its limit, so validate() bounds the mean."""
+    still rejects a mean above its limit, so validate() bounds the mean.
+    dt_s equals the horizon, so the rate series has one step."""
     at_limit = float(_MAX_POISSON_LAM)
-    cfg = SimulationConfig(density=0.0, dt_s=100.0, mean_interarrival_s=1.0, horizon_s=at_limit)
+    cfg = SimulationConfig(density=0.0, dt_s=at_limit, mean_interarrival_s=1.0, horizon_s=at_limit)
     model = TrafficModel.from_config(cfg.validate())
     sessions = generate_traffic(np.random.default_rng(0), model, 0, cfg.horizon_s)
     assert sessions.cell_id.size == 0
@@ -57,4 +65,35 @@ def test_branch_count_within_byte_budget():
     cfg = SimulationConfig(n_branches=at_limit, horizon_s=1.0, dt_s=1.0).validate()
     cfg.n_branches = at_limit + 1
     with pytest.raises(ConfigError, match="n_branches"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "field, at_limit, over, base",
+    [
+        # 8 bytes per cell: side_m**2 / cell_area_m2 cells at density 1
+        ("density", _MAX_CELL_BYTES // 8, _MAX_CELL_BYTES // 8 + 1,
+         {"side_m": 1.0, "cell_area_m2": 1.0}),
+        # 8 * 7 bytes per step with the default six branches, two steps added
+        ("horizon_s", _MAX_SERIES_BYTES // 56 - 2, _MAX_SERIES_BYTES // 56 - 1,
+         {"density": 0.0}),
+        # one cell whose start row holds 8 bytes per expected arrival, over
+        # a one-step horizon of _MAX_ROW_BYTES / 8 seconds
+        ("mean_interarrival_s", 1.0, np.nextafter(1.0, 0.0),
+         {"side_m": 1.0, "cell_area_m2": 1.0, "density": 1.0,
+          "horizon_s": _MAX_ROW_BYTES / 8, "dt_s": _MAX_ROW_BYTES / 8}),
+    ],
+    ids=["cell-arrays", "rate-series", "start-row"],
+)
+def test_memory_budget_at_its_limit(field, at_limit, over, base):
+    """Each byte budget admits a config exactly at its limit and rejects
+    one just over it, naming the field; validate() allocates nothing."""
+    cfg = SimulationConfig(**base, **{field: float(at_limit)}).validate()
+    setattr(cfg, field, float(over))
+    with pytest.raises(ConfigError, match=field):
+        cfg.validate()
+
+
+def test_defaults_and_one_day_run_fit_the_budget():
+    for cfg in (SimulationConfig(), SimulationConfig(density=1.0, horizon_s=86_400.0)):
         cfg.validate()

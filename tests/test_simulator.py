@@ -12,6 +12,7 @@ from oracles import (
     mean_hub_rate_closed_form,
     reference_aggregate,
     reference_replication,
+    reference_replication_v2,
 )
 from plcsim import gridgen, simulator
 from plcsim.config import SimulationConfig
@@ -24,11 +25,12 @@ from plcsim.simulator import (
     aggregate_rate_series,
     compute_metrics,
     derive_seed,
+    gap_tally,
     generate_traffic,
     run_replication,
     run_sweep,
 )
-from plcsim.traffic import TrafficModel
+from plcsim.traffic import BLOCK_SESSIONS, TrafficModel, session_blocks
 
 
 def _grid(branch, served, n_branches=2):
@@ -416,6 +418,35 @@ def test_aggregation_memory_is_bounded_by_the_chunk():
     assert peak2 - out2 <= peak1 - out1 + 16 * 1024
 
 
+def _traced_load(cfg, seed):
+    """The tracemalloc peak of one load half (simulator._load) of a
+    replication under seed, in bytes."""
+    rng = np.random.default_rng(seed)
+    grid = build_grid(deploy(cfg, rng), cfg)
+    model = TrafficModel.from_config(cfg)
+    tracemalloc.start()
+    try:
+        simulator._load(cfg, model, seed, rng, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_half_memory_is_bounded_by_the_block():
+    """At the shape of a default density-1.0 bus simulate (~75k sessions,
+    ten blocks) one load half peaks at most 1.5 MB, and doubling the
+    horizon, and so the session count, grows the peak by no more than the
+    rate series' own growth plus 32 KiB: sessions are held one block at a
+    time."""
+    peaks = []
+    for horizon_s in (3600.0, 7200.0):
+        cfg = SimulationConfig(density=1.0, topology="bus", horizon_s=horizon_s).validate()
+        peaks.append(_traced_load(cfg, 7))
+    series_growth = 8 * (SimulationConfig().n_branches + 1) * 3600
+    assert peaks[0] <= 1_500_000
+    assert peaks[1] - peaks[0] <= series_growth + 32 * 1024
+
+
 # ---------------------------------------------------------------------------
 # wait-time metrics
 
@@ -542,6 +573,80 @@ def test_replication_equals_hand_built_pipeline():
     series = aggregate_rate_series(sessions, grid, cfg.dt_s, cfg.horizon_s)
     expected = compute_metrics(series, grid, sessions, seed=8)
     assert dataclasses.asdict(run_replication(cfg, 8)) == dataclasses.asdict(expected)
+
+
+def test_replication_equals_hand_built_block_route():
+    """A replication that spans several blocks equals the library route fed
+    with the block stream, bit for bit: session_blocks for the served
+    cells, aggregate_rate_series over the blocks and compute_metrics over
+    their summed gap tallies."""
+    cfg = SimulationConfig(density=1.0, topology="bus", horizon_s=600.0)
+    rng = np.random.default_rng(8)
+    grid = build_grid(deploy(cfg, rng), cfg)
+    mark_served(grid, cfg.max_wire_m, cfg.max_cells_per_branch)
+    served = np.flatnonzero(grid.served)
+    model = TrafficModel.from_config(cfg)
+    blocks = list(session_blocks(rng, model, served.size, cfg.horizon_s))
+    assert len(blocks) >= 2
+    for block in blocks:
+        block.cell_id = served[block.cell_id]
+    series = aggregate_rate_series(iter(blocks), grid, cfg.dt_s, cfg.horizon_s)
+    tallies = [gap_tally(block, grid.served) for block in blocks]
+    tally = (sum(t for t, _ in tallies), sum(n for _, n in tallies))
+    expected = compute_metrics(series, grid, tally, seed=8)
+    assert dataclasses.asdict(run_replication(cfg, 8)) == dataclasses.asdict(expected)
+
+
+@pytest.mark.parametrize("topology", ["bus", "tree"])
+def test_streamed_route_conserves_bits(monkeypatch, topology):
+    """The checks the bench's tracer makes on a session table, on the
+    blocks that run_replication streams through aggregation: the hub
+    carries exactly the bits the sessions deliver before the horizon,
+    within 1e-9 relative, and the branch series add up to the hub series.
+    The step (0.7 s) does not divide the horizon."""
+    seen, results = [], []
+    real = simulator.aggregate_rate_series
+
+    def teeing(sessions, grid, dt_s, horizon_s):
+        def tee():
+            for block in sessions:
+                seen.append(block)
+                yield block
+
+        results.append(real(tee(), grid, dt_s, horizon_s))
+        return results[-1]
+
+    monkeypatch.setattr(simulator, "aggregate_rate_series", teeing)
+    cfg = SimulationConfig(density=1.0, topology=topology, horizon_s=600.0, dt_s=0.7)
+    run_replication(cfg, 11)
+    (series,) = results
+    assert len(seen) >= 2
+    delivered = 0.0
+    for block in seen:
+        assert ((block.start_s >= 0.0) & (block.start_s < cfg.horizon_s)).all()
+        end = np.minimum(block.start_s + block.duration_s, cfg.horizon_s)
+        delivered += float(np.sum(block.rate_bps * (end - block.start_s)))
+    assert float(series.hub.sum()) * cfg.dt_s == pytest.approx(delivered, rel=1e-9)
+    scale = float(np.abs(series.hub).max())
+    assert np.allclose(series.branches.sum(axis=0), series.hub, rtol=0.0, atol=1e-9 * scale)
+
+
+def test_block_stream_matches_one_pass_in_distribution():
+    """At density 1.0 on bus over 600 s a replication draws ~12.6k sessions,
+    two blocks.  avg_rate_bps, max_rate_bps and mean_wait_s of 200
+    replications match 200 of the one-pass route
+    (tests/oracles.py:reference_replication_v2) by two-sample KS tests,
+    p > 1e-3 for each, under fixed seeds."""
+    cfg = SimulationConfig(density=1.0, topology="bus", horizon_s=600.0).validate()
+    new = simulator.run_cell(cfg, 43, 0, 0, 200)
+    old = [reference_replication_v2(cfg, derive_seed(43, 0, 1, k)) for k in range(200)]
+    n = cell_count(cfg.density, cfg.side_m, cfg.cell_area_m2)
+    sessions = min(r.reachability for r in new) * n * cfg.horizon_s / cfg.mean_interarrival_s
+    assert sessions > 1.2 * BLOCK_SESSIONS
+    for metric in ("avg_rate_bps", "max_rate_bps", "mean_wait_s"):
+        a = [getattr(r, metric) for r in new]
+        b = [getattr(r, metric) for r in old]
+        assert stats.ks_2samp(a, b).pvalue > 1e-3, metric
 
 
 def test_replication_with_no_served_cell():

@@ -18,15 +18,18 @@ from oracles import (
     pareto_alpha_closed_form,
     pareto_xm,
     reference_traffic,
+    reference_traffic_v2,
 )
 from plcsim.config import SimulationConfig
 from plcsim.traffic import (
+    BLOCK_SESSIONS,
     TrafficModel,
     fit_duration_distribution,
     fit_size_distribution,
     generate_traffic,
     sample_data_volumes,
     sample_voice_durations,
+    session_blocks,
 )
 
 
@@ -210,15 +213,51 @@ def test_offered_rate_per_cell_converges():
     assert per_cell == pytest.approx(target, rel=0.15)
 
 
-def test_draw_calls_do_not_grow_with_cells():
+def test_draw_calls_are_one_plus_five_per_block():
+    """One Poisson draw, then exactly five draws per block of cells, the
+    block count worked out from the Poisson counts alone: one block up to
+    100 cells at 100 s, about twelve at 10,000 cells."""
     model = _default_model()
-    calls = []
+    blocks = []
     for n_cells in (1, 100, 10_000):
         rng = CountingRng(np.random.default_rng(4))
         ss = generate_traffic(rng, model, n_cells, 100.0)
         assert ss.cell_id.size > 0
-        calls.append(len(rng.draws))
-    assert calls[0] == calls[1] == calls[2]
+        counts = np.random.default_rng(4).poisson(100.0 / model.mean_interarrival_s, n_cells)
+        n_blocks = np.unique((np.cumsum(counts) - counts) // BLOCK_SESSIONS).size
+        assert [name for name, _ in rng.draws] == ["poisson"] + [
+            "random", "random", "standard_exponential", "lognormal", "exponential"
+        ] * n_blocks
+        blocks.append(n_blocks)
+    assert blocks[:2] == [1, 1] and blocks[2] >= 10
+
+
+def _assert_same_table(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+
+
+def test_one_block_equals_the_one_pass_reference():
+    """When every cell starts before session BLOCK_SESSIONS, the cells make
+    one block and every column equals the one-pass generator
+    (tests/oracles.py:reference_traffic_v2) bit for bit: on a seed corpus,
+    and at seed 143, where 820 cells at 100 s put the last cell's first
+    session at 8,191.  At seed 68 it lands on 8,192, and the last cell
+    opens a second block of its own."""
+    model = TrafficModel.from_config(SimulationConfig(data_fraction=0.8))
+    shapes = [(0, 100.0), (1, 1000.0), (30, 600.0), (200, 300.0)]
+    corpus = [(seed, n, h) for seed in range(8) for n, h in shapes] + [(143, 820, 100.0)]
+    for seed, n_cells, horizon in corpus:
+        blocks = list(session_blocks(np.random.default_rng(seed), model, n_cells, horizon))
+        assert len(blocks) == 1
+        new = generate_traffic(np.random.default_rng(seed), model, n_cells, horizon)
+        _assert_same_table(new, reference_traffic_v2(np.random.default_rng(seed), model, n_cells, horizon))
+    for seed, first_of_last in ((143, 8191), (68, 8192)):
+        counts = np.random.default_rng(seed).poisson(10.0, 820)
+        assert counts[:-1].sum() == first_of_last
+    blocks = list(session_blocks(np.random.default_rng(68), model, 820, 100.0))
+    assert [np.unique(b.cell_id).tolist() for b in blocks][1:] == [[819]]
 
 
 @settings(max_examples=100, deadline=None)
