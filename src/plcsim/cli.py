@@ -264,21 +264,6 @@ def _parse_densities(text: str) -> list[float]:
     return values
 
 
-def _plot_series(
-    label: str,
-    topology: str,
-    densities: list[float],
-    rows: list[SweepRow],
-    field: str,
-    scale: float = 1.0,
-    dash: str | None = None,
-) -> PlotSeries:
-    """One topology's line: a field of its SweepRows (one per density), scaled."""
-    ys = [getattr(row, field) for row in rows]
-    ys = [None if y is None else scale * y for y in ys]
-    return PlotSeries(label, TOPOLOGY_COLORS[topology], list(densities), ys, dash=dash)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     densities = (
@@ -299,10 +284,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for j, t in enumerate(topologies):
             # rows are density-major: topology j's row for each density
             cells = result.rows[j :: len(topologies)]
-            reach_series.append(_plot_series(t, t, densities, cells, "reachability_mean", 100.0))
+            color = TOPOLOGY_COLORS[t]
+            reach = [
+                None if r.reachability_mean is None else 100.0 * r.reachability_mean
+                for r in cells
+            ]
+            reach_series.append(PlotSeries(t, color, densities, reach))
             traffic_series += [
-                _plot_series(t + " avg", t, densities, cells, "avg_rate_bps_mean"),
-                _plot_series(t + " max", t, densities, cells, "max_rate_bps_mean", dash="6,4"),
+                PlotSeries(t + " avg", color, densities, [r.avg_rate_bps_mean for r in cells]),
+                PlotSeries(
+                    t + " max", color, densities, [r.max_rate_bps_mean for r in cells], dash="6,4"
+                ),
             ]
         plots = {
             "reachability_vs_density.svg": line_plot(

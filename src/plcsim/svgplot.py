@@ -2,7 +2,10 @@
 
 Hand-rolled on purpose: output must be diffable and byte-stable across
 runs, with no rendering toolchain behind it.  Every data series becomes
-exactly one <polyline>; axes, ticks and grid use <line> elements.
+exactly one <polyline>; axes, ticks and grid use <line> elements.  Each
+element kind has one template; `_esc` uses `str.replace`, as `import html`
+would slow every CLI start.  `format_si` takes its SI unit from the value
+rounded to its three printed digits, so 999600 reads "1M", not "1e+03k".
 """
 
 from __future__ import annotations
@@ -12,6 +15,13 @@ from dataclasses import dataclass
 
 _W, _H = 640.0, 440.0
 _ML, _MR, _MT, _MB = 80.0, 26.0, 46.0, 58.0
+
+_LINE = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="%s"%s/>'
+_TEXT = (
+    '<text x="%.2f" y="%.2f"%s font-family="Helvetica,Arial,sans-serif" '
+    'font-size="%d" fill="%s">%s</text>'
+)
+_DASH = ' stroke-dasharray="%s"'
 
 
 @dataclass
@@ -24,20 +34,14 @@ class PlotSeries:
 
 
 def format_si(value: float) -> str:
-    """Compact SI-prefixed label: 12500000 -> '12.5M'."""
+    """Compact SI-prefixed label: 12500000 -> '12.5M', 999600 -> '1M'."""
     if value == 0:
         return "0"
-    mag = abs(value)
+    mag = abs(float("%.3g" % value))
     for unit, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
         if mag >= unit:
-            return _trim("%.3g" % (value / unit)) + suffix
-    return _trim("%.3g" % value)
-
-
-def _trim(text: str) -> str:
-    if "." in text and "e" not in text and "E" not in text:
-        text = text.rstrip("0").rstrip(".")
-    return text
+            return "%.3g" % (value / unit) + suffix
+    return "%.3g" % value
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -96,40 +100,18 @@ def line_plot(
 
     for t in xt:
         x = px(t)
-        out.append(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#dddddd" '
-            'stroke-width="1"/>' % (x, _MT, x, _H - _MB)
-        )
-        out.append(
-            '<text x="%.2f" y="%.2f" text-anchor="middle" font-family="Helvetica,'
-            'Arial,sans-serif" font-size="12" fill="#444">%s</text>'
-            % (x, _H - _MB + 18, _trim("%g" % t))
-        )
+        out.append(_LINE % (x, _MT, x, _H - _MB, "#dddddd", "1", ""))
+        out.append(_TEXT % (x, _H - _MB + 18, ' text-anchor="middle"', 12, "#444", "%g" % t))
     for t in yt:
         y = py(t)
-        label = format_si(t) if y_si else _trim("%g" % t)
-        out.append(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#dddddd" '
-            'stroke-width="1"/>' % (_ML, y, _W - _MR, y)
-        )
-        out.append(
-            '<text x="%.2f" y="%.2f" text-anchor="end" font-family="Helvetica,'
-            'Arial,sans-serif" font-size="12" fill="#444">%s</text>'
-            % (_ML - 8, y + 4, label)
-        )
+        label = format_si(t) if y_si else "%g" % t
+        out.append(_LINE % (_ML, y, _W - _MR, y, "#dddddd", "1", ""))
+        out.append(_TEXT % (_ML - 8, y + 4, ' text-anchor="end"', 12, "#444", label))
 
+    out.append(_LINE % (_ML, _H - _MB, _W - _MR, _H - _MB, "#222222", "1.5", ""))
+    out.append(_LINE % (_ML, _MT, _ML, _H - _MB, "#222222", "1.5", ""))
     out.append(
-        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#222222" '
-        'stroke-width="1.5"/>' % (_ML, _H - _MB, _W - _MR, _H - _MB)
-    )
-    out.append(
-        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#222222" '
-        'stroke-width="1.5"/>' % (_ML, _MT, _ML, _H - _MB)
-    )
-    out.append(
-        '<text x="%.2f" y="%.2f" text-anchor="middle" font-family="Helvetica,Arial,'
-        'sans-serif" font-size="13" fill="#222">%s</text>'
-        % ((_ML + _W - _MR) / 2, _H - 14, _esc(xlabel))
+        _TEXT % ((_ML + _W - _MR) / 2, _H - 14, ' text-anchor="middle"', 13, "#222", _esc(xlabel))
     )
     out.append(
         '<text x="20" y="%.2f" text-anchor="middle" font-family="Helvetica,Arial,'
@@ -137,33 +119,23 @@ def line_plot(
         "%s</text>" % ((_MT + _H - _MB) / 2, (_MT + _H - _MB) / 2, _esc(ylabel))
     )
 
-    for s in series:
+    lx = _W - _MR - 130
+    legend = []
+    for i, s in enumerate(series):
+        dash = _DASH % s.dash if s.dash else ""
         pts = [
             "%.2f,%.2f" % (px(x), py(y))
             for x, y in zip(s.xs, s.ys)
             if y is not None
         ]
-        dash = ' stroke-dasharray="%s"' % s.dash if s.dash else ""
         out.append(
             '<polyline fill="none" stroke="%s" stroke-width="2"%s points="%s"/>'
             % (s.color, dash, " ".join(pts))
         )
-
-    for i, s in enumerate(series):
         ly = _MT + 16 + 17 * i
-        lx = _W - _MR - 130
-        dash = ' stroke-dasharray="%s"' % s.dash if s.dash else ""
-        out.append(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" '
-            'stroke-width="2"%s/>' % (lx, ly - 4, lx + 22, ly - 4, s.color, dash)
-        )
-        out.append(
-            '<text x="%.2f" y="%.2f" font-family="Helvetica,Arial,sans-serif" '
-            'font-size="12" fill="#222">%s</text>' % (lx + 28, ly, _esc(s.label))
-        )
-
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        legend.append(_LINE % (lx, ly - 4, lx + 22, ly - 4, s.color, "2", dash))
+        legend.append(_TEXT % (lx + 28, ly, "", 12, "#222", _esc(s.label)))
+    return "\n".join(out + legend + ["</svg>"]) + "\n"
 
 
 def _esc(text: str) -> str:
