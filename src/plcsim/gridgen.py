@@ -34,20 +34,16 @@ length, ``branch``, the cell's sector, and ``served``, set by
 The ``tree`` and ``chain`` feeders of all sectors of all deployments
 given to `build_grids` are grown in lockstep: each occupied (deployment,
 sector) pair is a row of ``(rows, max_cells)`` arrays, the rows are taken
-in blocks of at most ``_ROW_BLOCK``, and each step wires one more cell in
-every row of the block that still has one, so one numpy call serves every
-row.  The rows do not interact, so the result is bit-identical to growing
-each sector alone, whatever the batch or the block, provided that
-
-* unused cell slots, and the growers' copies of wired cells, hold
-  ``+inf`` coordinates, never NaN (``argmin`` would pick a NaN), so
-  neither is ever the nearest cell, and
-  unused edge slots hold NaN, whose comparisons are all False, so a
-  padded edge never crosses or touches a wire;
-* chain hop lengths and bus spine lengths come from ``math.hypot`` on
-  scalars, which defines them (``np.hypot`` can differ from it in the last
-  ulp); tree hop lengths are the ``np.hypot`` distances its nearest-node
-  search holds.
+in blocks of at most ``_ROW_BLOCK``, and one numpy call serves every row
+of a block.  A tree wires one more cell per row at each step; a chain is
+grown in three phases (see `plcsim.chain`).  The rows do not interact, so
+the result is bit-identical to growing each sector alone, whatever the
+batch or the block, provided that unused cell slots, and the tree's copies
+of wired cells, hold ``+inf`` coordinates, never NaN (``argmin`` would pick
+a NaN), so neither is ever the nearest cell.  Bus spine lengths come from
+``math.hypot`` on scalars, which defines them (``np.hypot`` can differ from
+it in the last ulp); tree hop lengths are the ``np.hypot`` distances its
+nearest-node search holds.
 """
 
 from __future__ import annotations
@@ -57,6 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import crosses_any as _crosses_any  # noqa: F401  (tests import it from here)
+from .chain import grow_chains as _grow_chains
 from .config import SimulationConfig
 from .deployment import CellDeployment
 from .errors import GeometryError
@@ -78,99 +76,6 @@ class PowerGrid:
     served: np.ndarray
     n_branches: int
     forced_crossings: int = 0
-
-
-# ---------------------------------------------------------------------------
-# segment crossing
-
-def _in_box(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
-    """Point p within the bounding box of segment ab."""
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-
-
-def _crosses_any(
-    s: np.ndarray,
-    t: np.ndarray,
-    ea: np.ndarray,
-    eb: np.ndarray,
-    ab: np.ndarray | None = None,
-    s_ends_last: bool = False,
-) -> np.ndarray:
-    """Row-wise crossing test: does wire s[i]-t[i] cross any wire ea[i, j]-eb[i, j]?
-
-    ``s`` and ``t`` are ``(rows, 2)``, ``ea`` and ``eb`` ``(rows, edges, 2)``,
-    and ``ab``, if given, is ``eb - ea``; returns one bool per row.  Two
-    closed segments cross when they share a point that is not an endpoint
-    of both: a proper crossing, a T-contact or a collinear overlap.  Wires
-    that only meet at a common endpoint do not cross.  NaN edge slots never
-    cross.  With ``s_ends_last``, every ``s[i]`` is ``eb[i, -1]``, the far
-    endpoint of the row's last wire.
-    """
-    if ab is None:
-        ab = eb - ea
-    sx, sy = s[:, 0:1], s[:, 1:2]
-    tx, ty = t[:, 0:1], t[:, 1:2]
-    ax, ay = ea[..., 0], ea[..., 1]
-    abx, aby = ab[..., 0], ab[..., 1]
-
-    sax = sx - ax
-    say = sy - ay
-    d1 = abx * say - aby * sax
-    d2 = abx * (ty - ay) - aby * (tx - ax)
-    stx = tx - sx
-    sty = ty - sy
-    # ay - sy and ax - sx are exactly -say and -sax
-    d3 = sty * sax - stx * say
-    d4 = stx * (eb[..., 1] - sy) - sty * (eb[..., 0] - sx)
-
-    proper = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0)
-    hit = proper.any(axis=1)
-    # Every contact other than a proper crossing has a zero orientation.
-    # Those pairs are rare apart from wires sharing an endpoint, so the
-    # endpoint rules run on them one by one.
-    zero = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-    if s_ends_last:
-        # d1 = d4 = 0 on the wire that ends at s, and the shared endpoint
-        # excuses both; only d2 or d3 can make it a contact
-        zero[:, -1] = (d2[:, -1] == 0) | (d3[:, -1] == 0)
-    r, j = np.nonzero(zero & ~hit[:, None])
-    if r.size:
-        s_rows, t_rows = s.tolist(), t.tolist()
-        for i, e in zip(r.tolist(), j.tolist()):
-            px, py = s_rows[i]
-            qx, qy = t_rows[i]
-            ax, ay = ea[i, e].tolist()
-            bx, by = eb[i, e].tolist()
-            p_is_a = px == ax and py == ay
-            p_is_b = px == bx and py == by
-            q_is_a = qx == ax and qy == ay
-            q_is_b = qx == bx and qy == by
-            if (
-                (p_is_a and q_is_b)
-                or (p_is_b and q_is_a)
-                or (
-                    d1[i, e] == 0
-                    and not (p_is_a or p_is_b)
-                    and _in_box(px, py, ax, ay, bx, by)
-                )
-                or (
-                    d2[i, e] == 0
-                    and not (q_is_a or q_is_b)
-                    and _in_box(qx, qy, ax, ay, bx, by)
-                )
-                or (
-                    d3[i, e] == 0
-                    and not (p_is_a or q_is_a)
-                    and _in_box(ax, ay, px, py, qx, qy)
-                )
-                or (
-                    d4[i, e] == 0
-                    and not (p_is_b or q_is_b)
-                    and _in_box(bx, by, px, py, qx, qy)
-                )
-            ):
-                hit[i] = True
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +186,9 @@ def _node_kinds(node_cell: np.ndarray) -> np.ndarray:
 #
 # A grower takes node_xy, (rows, slots + 1, 2): the hub in slot 0, then the
 # row's cells in id order, then +inf padding, with rows sorted by cell count
-# (descending) so the rows still growing at step k are a prefix; and lives,
-# that prefix length per step.  Node i is the hub for i == 0, else cell
-# slot i - 1.  Hop k of row r wires node child[r, k] to node parent[r, k]
+# (descending) so the rows still growing at step k are a prefix; and filled,
+# (rows, slots), true at the row's cells.  Node i is the hub for i == 0,
+# else cell slot i - 1.  Hop k of row r wires node child[r, k] to node parent[r, k]
 # with a wire of length[r, k]; wire[r, i] is node i's wire distance and
 # forced[r] the row's forced crossings.
 
@@ -323,7 +228,7 @@ def _build_feeders(deployments: list[CellDeployment], nb: int, grow) -> list[Pow
         node_xy = np.full((rows.size, slots + 1, 2), np.inf)
         node_xy[:, 0] = hubs[dep_of[rows]]
         node_xy[:, 1:][filled] = flat_xy[at]
-        p, c, h, w, f = grow(node_xy, filled.sum(axis=0).tolist())
+        p, c, h, w, f = grow(node_xy, filled)
         parent[at], child[at], length[at] = p[filled], c[filled], h[filled]
         wire[at] = w[:, 1:][filled]
         np.add.at(forced, dep_of[rows], f)
@@ -359,16 +264,18 @@ def _build_feeders(deployments: list[CellDeployment], nb: int, grow) -> list[Pow
     return grids
 
 
-def _grow_trees(node_xy: np.ndarray, lives: list[int]):
+def _grow_trees(node_xy: np.ndarray, filled: np.ndarray):
     """Accretion trees: repeatedly wire the unconnected cell closest to any
     already-connected node (ties: lower cell id; equidistant targets:
     earliest-connected node)."""
-    rows, slots = node_xy.shape[0], node_xy.shape[1] - 1
+    rows, slots = filled.shape
     xy = node_xy[:, 1:]
     hub = node_xy[:, 0]
-    # a wired cell's position and distance become +inf, like a padded slot's
-    free = xy.copy()
+    # a wired cell's x and distance become +inf, like a padded slot's,
+    # whose distance is never updated
+    fx, fy = xy[..., 0].copy(), xy[..., 1].copy()
     dist = np.hypot(xy[..., 0] - hub[:, 0:1], xy[..., 1] - hub[:, 1:2])
+    newd = np.full((rows, slots), np.inf)
     nearest = np.zeros((rows, slots), dtype=np.intp)
     wire = np.zeros((rows, slots + 1))
     parent = np.zeros((rows, slots), dtype=np.intp)
@@ -376,7 +283,7 @@ def _grow_trees(node_xy: np.ndarray, lives: list[int]):
     length = np.zeros((rows, slots))
     all_rows = np.arange(rows)
 
-    for k, live in enumerate(lives):
+    for k, live in enumerate(filled.sum(axis=0).tolist()):
         r = all_rows[:live]
         d = dist[:live]
         c = np.argmin(d, axis=1)
@@ -384,112 +291,19 @@ def _grow_trees(node_xy: np.ndarray, lives: list[int]):
         attach = nearest[r, c]
         hop = d[r, c]
         wire[r, node] = wire[r, attach] + hop
-        c_xy = xy[r, c]
-        free[r, c] = np.inf
+        c_x, c_y = fx[r, c, None], fy[r, c, None]
+        fx[r, c] = np.inf
         d[r, c] = np.inf
-        newd = np.hypot(
-            free[:live, :, 0] - c_xy[:, 0:1], free[:live, :, 1] - c_xy[:, 1:2]
-        )
-        closer = newd < d
-        np.copyto(d, newd, where=closer)
+        nd = newd[:live]
+        np.hypot(fx[:live] - c_x, fy[:live] - c_y, out=nd, where=filled[:live])
+        closer = nd < d
+        np.copyto(d, nd, where=closer)
         np.copyto(nearest[:live], node[:, None], where=closer)
         parent[:live, k] = attach
         child[:live, k] = node
         length[:live, k] = hop
 
     return parent, child, length, wire, np.zeros(rows, dtype=np.intp)
-
-
-def _grow_chains(node_xy: np.ndarray, lives: list[int]):
-    """Serpentine chains: keep extending from the last-wired cell to the
-    nearest unconnected cell; when that hop would cross an existing wire,
-    branch from the candidate's nearest crossing-free node instead.
-
-    If every attachment would cross (possible only in pathological
-    layouts), the nearest node is used anyway and the row's forced
-    crossing count is bumped.
-    """
-    rows, slots = node_xy.shape[0], node_xy.shape[1] - 1
-    xy = node_xy[:, 1:]
-    # the cells still to wire: a wired cell's position becomes +inf, as
-    # far from the tip as a padded slot
-    free = xy.copy()
-    wire = np.zeros((rows, slots + 1))
-    # hop k's wire runs from edge_a[:, k] to edge_b[:, k] along edge_ab[:, k]
-    edge_a, edge_b, edge_ab = (np.full((rows, slots, 2), np.nan) for _ in range(3))
-    parent = np.zeros((rows, slots), dtype=np.intp)
-    child = np.zeros((rows, slots), dtype=np.intp)
-    length = np.zeros((rows, slots))
-    forced = np.zeros(rows, dtype=np.intp)
-    all_rows = np.arange(rows)
-
-    for k, live in enumerate(lives):
-        r = all_rows[:live]
-        # the tip is the hub, then the cell the last hop wired
-        tip_xy = edge_b[:live, k - 1] if k else node_xy[:live, 0]
-        d_tip = np.hypot(
-            free[:live, :, 0] - tip_xy[:, 0:1], free[:live, :, 1] - tip_xy[:, 1:2]
-        )
-        c = np.argmin(d_tip, axis=1)
-        c_xy = xy[r, c]
-
-        if k:
-            attach = child[:live, k - 1].copy()
-            a_xy = tip_xy.copy()
-            wires = edge_a[:live, :k], edge_b[:live, :k], edge_ab[:live, :k]
-            blocked = (d_tip[r, c] > 0.0) & _crosses_any(
-                tip_xy, c_xy, *wires, s_ends_last=True
-            )
-            for i in np.flatnonzero(blocked).tolist():
-                attach[i], was_forced = _branch_point(
-                    node_xy[i], child[i, :k], int(attach[i]), c_xy[i], *(w[i] for w in wires)
-                )
-                a_xy[i] = node_xy[i, attach[i]]
-                forced[i] += was_forced
-        else:
-            attach = np.zeros(live, dtype=np.intp)
-            a_xy = tip_xy
-
-        node = c + 1
-        ab = c_xy - a_xy
-        hop = np.array(list(map(math.hypot, *ab.T.tolist())))
-        wire[r, node] = wire[r, attach] + hop
-        edge_a[:live, k], edge_b[:live, k], edge_ab[:live, k] = a_xy, c_xy, ab
-        free[r, c] = np.inf
-        parent[:live, k] = attach
-        child[:live, k] = node
-        length[:live, k] = hop
-
-    return parent, child, length, wire, forced
-
-
-def _branch_point(
-    node_xy: np.ndarray,
-    wired: np.ndarray,
-    tip: int,
-    c_xy: np.ndarray,
-    ea: np.ndarray,
-    eb: np.ndarray,
-    ab: np.ndarray,
-) -> tuple[int, bool]:
-    """Attachment node for a chain hop to c_xy that is blocked from the tip.
-
-    ``wired`` lists the cell nodes wired so far.  Returns the nearest of
-    them or the hub (ties: lower node id) whose wire to c_xy crosses none
-    of the wires ea-eb, or, failing that, the nearest node with a
-    forced-crossing flag.
-    """
-    ids = np.concatenate(([0], wired))
-    nd = np.hypot(node_xy[ids, 0] - c_xy[0], node_xy[ids, 1] - c_xy[1])
-    order = ids[np.lexsort((ids, nd))]
-    t, wires = c_xy[None], (ea[None], eb[None], ab[None])
-    for nid in order.tolist():
-        if nid == tip:
-            continue  # already known to cross
-        s = node_xy[nid : nid + 1]
-        if (s == t).all() or not _crosses_any(s, t, *wires)[0]:
-            return nid, False
-    return int(order[0]), True
 
 
 # ---------------------------------------------------------------------------

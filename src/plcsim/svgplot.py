@@ -5,7 +5,8 @@ runs, with no rendering toolchain behind it.  Every data series becomes
 exactly one <polyline>; axes, ticks and grid use <line> elements.  Each
 element kind has one template; `_esc` uses `str.replace`, as `import html`
 would slow every CLI start.  `format_si` takes its SI unit from the value
-rounded to its three printed digits, so 999600 reads "1M", not "1e+03k".
+rounded to its printed digits, so 999600 reads "1M", not "1e+03k"; an SI
+axis prints more than three digits only where ticks would share a label.
 """
 
 from __future__ import annotations
@@ -33,15 +34,26 @@ class PlotSeries:
     dash: str | None = None
 
 
-def format_si(value: float) -> str:
-    """Compact SI-prefixed label: 12500000 -> '12.5M', 999600 -> '1M'."""
+def format_si(value: float, digits: int = 3) -> str:
+    """Compact SI-prefixed label with ``digits`` significant digits:
+    12500000 -> '12.5M', 999600 -> '1M'."""
     if value == 0:
         return "0"
-    mag = abs(float("%.3g" % value))
+    mag = abs(float("%.*g" % (digits, value)))
     for unit, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
         if mag >= unit:
-            return "%.3g" % (value / unit) + suffix
-    return "%.3g" % value
+            return "%.*g" % (digits, value / unit) + suffix
+    return "%.*g" % (digits, value)
+
+
+def _si_labels(ticks: list[float]) -> list[str]:
+    """format_si of each tick, with more than three significant digits
+    only where two distinct ticks would otherwise share a label."""
+    for digits in range(3, 18):
+        labels = [format_si(t, digits) for t in ticks]
+        if len(set(labels)) == len(ticks):
+            break
+    return labels
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -54,12 +66,13 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag + 1e-12)
     # the axis spans the last tick <= lo to the first tick >= hi, so every
-    # data point lies inside the plot area
+    # data point lies inside the plot area; + 0.0 turns a tick rounded to
+    # -0.0 into 0.0, which %g prints as 0
     t = math.floor(lo / step) * step
-    ticks = [round(t, 12)]
+    ticks = [round(t, 12) + 0.0]
     while t < hi - step * 1e-9:
         t += step
-        ticks.append(round(t, 12))
+        ticks.append(round(t, 12) + 0.0)
     return ticks
 
 
@@ -102,9 +115,8 @@ def line_plot(
         x = px(t)
         out.append(_LINE % (x, _MT, x, _H - _MB, "#dddddd", "1", ""))
         out.append(_TEXT % (x, _H - _MB + 18, ' text-anchor="middle"', 12, "#444", "%g" % t))
-    for t in yt:
+    for t, label in zip(yt, _si_labels(yt) if y_si else ["%g" % t for t in yt]):
         y = py(t)
-        label = format_si(t) if y_si else "%g" % t
         out.append(_LINE % (_ML, y, _W - _MR, y, "#dddddd", "1", ""))
         out.append(_TEXT % (_ML - 8, y + 4, ' text-anchor="end"', 12, "#444", label))
 

@@ -558,6 +558,22 @@ def reference_chain(xy, ids, hub: Point):
     return edges, wire, forced
 
 
+def reference_tour(xy, ids, hub: Point) -> list[int]:
+    """Cell ids of one sector in the order a greedy walk from the hub visits
+    them: each step on to the nearest unvisited cell (np.hypot distance,
+    ties: lower id), whatever wire the chain lays to it."""
+    ids, xy = _by_id(xy, ids)
+    left = list(range(len(ids)))
+    x, y = hub
+    tour = []
+    while left:
+        d = np.hypot(xy[left, 0] - x, xy[left, 1] - y)
+        c = left.pop(int(np.argmin(d)))
+        tour.append(ids[c])
+        x, y = xy[c]
+    return tour
+
+
 def reference_feeders(deployment, topology: str, n_branches: int):
     """Build each sector's tree or chain on its own and merge them like
     build_grid: (edges, wire distance by cell id, forced crossings)."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     reference_chain,
     reference_feeders,
     reference_mark_served,
+    reference_tour,
     reference_tree,
     segments_intersect,
 )
@@ -24,6 +26,7 @@ from plcsim.gridgen import (
     _crosses_any,
     build_bus,
     build_grid,
+    build_grids,
     mark_served,
     reachability_fraction,
 )
@@ -534,6 +537,123 @@ def test_single_sector_builders_match_reference():
                 assert _edge_list(grid) == edges
                 assert _wire(grid) == wire
                 assert grid.forced_crossings == forced
+
+
+def _visit_order(grid):
+    """Per sector, the cell ids in the order the grid's hops wire them."""
+    child = grid.node_cell[grid.edges[:, 1]]
+    return [child[grid.branch[child] == k].tolist() for k in range(grid.n_branches)]
+
+
+def test_chain_visits_cells_in_greedy_tour_order():
+    """A chain wires its cells in the greedy nearest-neighbour order from the
+    hub, whether each hop is laid from the tip or branches."""
+    rng = np.random.default_rng(23)
+    deployments = [
+        deploy(SimulationConfig(density=d), np.random.default_rng(derive_seed(3, i, 2, 0)))
+        for i, d in enumerate((0.1, 0.25, 0.5, 1.0))
+    ]
+    deployments.append(_deployment(rng.integers(-5, 6, size=(90, 2)).tolist()))
+    grids = build_grids(deployments, SimulationConfig(topology="chain"))
+    branched = 0
+    for deployment, grid in zip(deployments, grids):
+        for k, order in enumerate(_visit_order(grid)):
+            ids = np.flatnonzero(deployment.sector == k)
+            assert order == reference_tour(deployment.xy[ids], ids, deployment.hub)
+        # hops that do not start at the cell wired just before them
+        hop_start = grid.node_cell[grid.edges[:, 0]]
+        branched += int(np.count_nonzero(hop_start[1:] != grid.node_cell[grid.edges[:-1, 1]]))
+    assert branched > 20  # the order holds across branching hops
+
+
+@st.composite
+def _integer_layouts(draw):
+    """A batch of integer-grid layouts: collinear hops, T-contacts, duplicate
+    cells and forced crossings."""
+    n_branches = draw(st.sampled_from([1, 2, 6]))
+    span = draw(st.integers(1, 5))
+    coord = st.integers(-span, span)
+    layouts = draw(
+        st.lists(st.lists(st.tuples(coord, coord), min_size=1, max_size=30), min_size=1, max_size=3)
+    )
+    hub = draw(st.sampled_from([(0.0, 0.0), (1.0, -1.0)]))
+    return n_branches, [_deployment(points, hub, n_branches) for points in layouts]
+
+
+@given(_integer_layouts())
+@settings(max_examples=200, deadline=None)
+def test_chains_match_reference_on_integer_layouts(case):
+    n_branches, deployments = case
+    grids = build_grids(deployments, SimulationConfig(topology="chain", n_branches=n_branches))
+    for deployment, grid in zip(deployments, grids):
+        edges, wire, forced = reference_feeders(deployment, "chain", n_branches)
+        assert _edge_list(grid) == edges
+        assert _wire(grid) == wire
+        assert grid.forced_crossings == forced
+
+
+# one sector where a later tour hop crosses a blocked tour hop, but not the
+# wire that replaces it from a branch point
+_RELAID = [
+    (4.9, 2.6), (4.1, 1.8), (0.8, 1.3), (0.0, 2.6), (7.2, 0.0), (6.1, 1.9), (4.9, 1.1),
+    (6.6, 2.0), (3.4, 3.7), (1.1, 2.7), (7.6, 2.3), (1.6, 0.7), (2.1, 4.1), (7.1, 1.9),
+    (6.4, 2.6), (9.0, 3.2), (3.8, 4.1), (3.1, 7.7), (5.5, 1.8), (8.2, 2.0), (3.6, 2.9),
+    (1.7, 3.1), (7.8, 7.8), (8.5, 5.6), (1.0, 5.0), (0.8, 1.9), (4.6, 3.8),
+]
+
+
+def test_relaid_hop_no_longer_blocks_later_hops():
+    _assert_matches_reference(_deployment(_RELAID, n_branches=1), "chain", n_branches=1)
+
+
+def test_chains_do_not_depend_on_the_band_or_chunk_size(monkeypatch):
+    """The crossing counts come in bands of _BAND pairs and the repairs test
+    and recount _PAIRS hop pairs at a time; neither size changes a grid."""
+    rng = np.random.default_rng(29)
+    deployments = [
+        deploy(SimulationConfig(density=d), np.random.default_rng(derive_seed(5, i, 2, 0)))
+        for i, d in enumerate((0.1, 0.5))
+    ]
+    deployments.append(_deployment(rng.integers(-4, 5, size=(60, 2)).tolist(), n_branches=6))
+    cfg = SimulationConfig(topology="chain")
+
+    def digest():
+        return [
+            (_edge_list(g), g.wire_m.tobytes(), g.forced_crossings)
+            for g in build_grids(deployments, cfg)
+        ]
+
+    expected = digest()
+    for band, pairs in ((1, 1), (7, 3), (10**9, 10**9)):
+        monkeypatch.setattr("plcsim.chain._BAND", band)
+        monkeypatch.setattr("plcsim.chain._PAIRS", pairs)
+        assert digest() == expected
+
+
+# bound on the tracemalloc peak of one build_grids call on a reach-sweep
+# batch, in MiB
+_GROWTH_PEAK_MIB = {"chain": 0.95, "tree": 0.77}
+
+
+@pytest.mark.parametrize("topology", ["chain", "tree"])
+def test_growth_memory_stays_at_its_bound(topology):
+    """One replication per density at the bench's reach-sweep shape (4
+    densities, one lockstep batch), seeds 1-3."""
+    j = ("bus", "tree", "chain").index(topology)
+    cfg = SimulationConfig(topology=topology, horizon_s=1.0, dt_s=1.0)
+    for seed in (1, 2, 3):
+        deployments = [
+            deploy(SimulationConfig(density=d), np.random.default_rng(derive_seed(seed, i, j, 0)))
+            for i, d in enumerate((0.1, 0.25, 0.5, 1.0))
+        ]
+        build_grids(deployments, cfg)
+        tracemalloc.start()
+        try:
+            build_grids(deployments, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= _GROWTH_PEAK_MIB[topology], (seed, peak)
 
 
 def test_tree_is_minimum_spanning_tree():

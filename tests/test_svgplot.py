@@ -1,3 +1,4 @@
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -8,6 +9,17 @@ from plcsim.svgplot import PlotSeries, _nice_ticks, format_si, line_plot
 
 # the plot area: left/right and top/bottom margins inside the 640 x 440 canvas
 X_MIN, X_MAX, Y_MIN, Y_MAX = 80.0, 614.0, 46.0, 382.0
+
+
+def test_no_tick_is_negative_zero():
+    # the running sum from -0.8 by 0.2 ends at -5.6e-17, which rounds to -0.0
+    ticks = _nice_ticks(-0.7, 0.2)
+    assert ticks == [-0.8, -0.6, -0.4, -0.2, 0.0, 0.2]
+    assert all(math.copysign(1.0, t) > 0 for t in ticks if t == 0)
+    plots = [PlotSeries("s", "red", [-0.7, 0.2], [-0.7, 0.2])]
+    svg = line_plot(plots, "t", "x", "y")
+    for anchor in ("middle", "end"):
+        assert _tick_labels(svg, anchor) == ["-0.8", "-0.6", "-0.4", "-0.2", "0", "0.2"]
 
 
 def test_nice_ticks_end_at_or_above_the_top():
@@ -86,10 +98,11 @@ def test_format_si_takes_its_unit_from_the_rounded_value():
         assert format_si(value) == label
         _check_label(label, si=True)
         _check_label("%g" % value, si=False)
-    # ticks 999,200 .. 999,800: the upper two round to 1,000,000
+    # ticks 999,200 .. 999,800: at three digits the upper two would round
+    # to 1,000,000 and the lower two to 999,000, so the axis gets a fourth
     plots = [PlotSeries("s", "red", [0.0, 1.0], [999_200.0, 999_800.0])]
     labels = _tick_labels(line_plot(plots, "t", "x", "y", y_si=True), "end")
-    assert "1M" in labels
+    assert labels == ["999.2k", "999.4k", "999.6k", "999.8k"]
     for label in labels:
         _check_label(label, si=True)
 
@@ -143,3 +156,27 @@ def test_every_document_parses_with_one_polyline_and_legend_entry_per_series(
     assert [e.text or "" for e in legend_texts] == [p.label for p in plots]
     for polyline, line, p in zip(root.findall(_NS + "polyline"), legend_lines, plots):
         assert polyline.get("stroke-dasharray") == line.get("stroke-dasharray") == p.dash
+
+
+def test_si_labels_get_digits_only_where_ticks_would_share_one():
+    for lo, hi, expected in (
+        (1_000_200, 1_000_900, ["1.0002M", "1.0004M", "1.0006M", "1.0008M", "1.001M"]),
+        (0.0, 8e6, ["0", "2M", "4M", "6M", "8M"]),
+        (3.1e6, 7.4e6, ["3M", "4M", "5M", "6M", "7M", "8M"]),
+    ):
+        plots = [PlotSeries("s", "red", [0.0, 1.0], [lo, hi])]
+        assert _tick_labels(line_plot(plots, "t", "x", "y", y_si=True), "end") == expected
+
+
+@given(st.floats(-1e9, 1e9, allow_nan=False), st.floats(1e-3, 1e7, allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_si_labels_are_distinct_and_three_digit_where_that_suffices(lo, span):
+    plots = [PlotSeries("s", "red", [0.0, 1.0], [lo, lo + span])]
+    labels = _tick_labels(line_plot(plots, "t", "x", "y", y_si=True), "end")
+    ticks = _nice_ticks(lo, lo + span)
+    assert len(set(labels)) == len(labels) == len(ticks)
+    three = [format_si(t) for t in ticks]
+    if len(set(three)) == len(three):
+        assert labels == three
+    for label in labels:
+        _check_label(label, si=True)
