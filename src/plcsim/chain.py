@@ -8,14 +8,16 @@ row per sector, in three phases:
 1. *Tour.*  The tip is always the cell wired last, and a cell is wired
    whether its hop from the tip is blocked or not, so the order in which a
    chain wires its cells does not depend on where any of them attaches: it
-   is the greedy nearest-neighbour tour from the hub, computed in lockstep
-   with the sequential search's own ``np.hypot``/``argmin``.
+   is the greedy nearest-neighbour tour from the hub, grown by the tree's
+   loop (`plcsim.nearest`), whose every step picks the cell an ``argmin``
+   over ``np.hypot`` distances picks.
 2. *Crossing counts.*  For each hop, the number of earlier tour hops its
-   wire crosses, from one orientation matrix ``M[e, m]`` (point m against
-   hop e) built in bands.  Hop j against hop i has the orientations
-   ``M[i, j]``, ``M[i, j + 1]``, ``M[j, i]`` and ``M[j, i + 1]`` bit for
-   bit: swapping the factors of an IEEE product leaves it unchanged, and
-   swapping the operands of a difference only negates it.
+   wire crosses.  Hops whose closed bounding boxes do not meet share no
+   point (NaN padding meets no box) and are skipped; only rounding on four
+   nearly collinear points could make their orientations claim a crossing.
+   Hop j against hop i has the orientations M[i, j], M[i, j + 1], M[j, i]
+   and M[j, i + 1] (M[e, m]: point m against hop e) bit for bit, as swapping
+   an IEEE product's factors keeps it, and a difference's operands negates it.
 3. *Repairs.*  A hop is blocked when it moves and its count is positive.
    Each round branches the first blocked hop of every row: the hops before
    it are final, so its count is exact, and re-laying its wire adds
@@ -35,6 +37,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .nearest import grow_nearest
 
 
 def _in_box(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
@@ -106,26 +110,14 @@ def _hits(sg, s, t, ea, eb, tail=False) -> np.ndarray:
     return hit
 
 
-def crosses_any(
-    s: np.ndarray,
-    t: np.ndarray,
-    ea: np.ndarray,
-    eb: np.ndarray,
-    ab: np.ndarray | None = None,
-    s_ends_last: bool = False,
-) -> np.ndarray:
-    """Row-wise crossing test: does wire s[i]-t[i] cross any wire ea[i, j]-eb[i, j]?
-
-    ``s`` and ``t`` are ``(rows, 2)``, ``ea`` and ``eb`` ``(rows, edges, 2)``,
-    and ``ab``, if given, is ``eb - ea``; returns one bool per row, crossing
-    as in `_hits`.  NaN edge slots never cross.  With ``s_ends_last``, every
-    ``s[i]`` is ``eb[i, -1]``, the far endpoint of the row's last wire.
-    """
+def crosses_any(s, t, ea, eb, ab=None) -> np.ndarray:
+    """Per row i, does wire s[i]-t[i] cross any wire ea[i, j]-eb[i, j], as in
+    `_hits`?  ``s`` and ``t`` are ``(rows, 2)``, ``ea`` and ``eb`` and
+    ``ab = eb - ea``, if given, ``(rows, edges, 2)``; NaN edges never cross."""
     if ab is None:
         ab = eb - ea
     s, t = s[:, None], t[:, None]
-    tail = s_ends_last and np.arange(ea.shape[1]) == ea.shape[1] - 1
-    return _hits(_orient(s, t, ea, eb, ab), s, t, ea, eb, tail).any(axis=1)
+    return _hits(_orient(s, t, ea, eb, ab), s, t, ea, eb).any(axis=1)
 
 
 def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
@@ -145,7 +137,7 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
     # cells in wiring order, then the padding (NaN in P, as is the extra
     # last column); hop k runs from P[:, k] to P[:, k + 1]
     nid = np.zeros((rows, slots + 1), dtype=np.intp)
-    nid[:, 1:] = _tour(node_xy, filled, lives) + 1
+    nid[:, 1:] = grow_nearest(node_xy, filled, lives, tree=False)
     P = np.full((rows, slots + 2, 2), np.nan)
     P[:, :-1] = node_xy[all_rows, nid]
     P[:, 1:-1][~filled] = np.nan
@@ -154,7 +146,7 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
     # hop k starts at tour position at[:, k]: its tip, unless it branches
     at = np.tile(np.arange(slots), (rows, 1))
     moved = (P[:, 1:-1] != P[:, :-2]).any(axis=2)
-    crossings = _tour_crossings(P[:, :-1], lives)
+    crossings = _tour_crossings(P, lives)
     forced = np.zeros(rows, dtype=np.intp)
     hop = np.arange(slots)
     final = np.zeros(rows, dtype=np.intp)  # the hops up to it are final
@@ -204,39 +196,8 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
     r, k = np.nonzero(filled)
     hops = P[r, k + 1] - P[r, at[r, k]]
     length = np.zeros((rows, slots))
-    length[r, k] = list(map(math.hypot, *hops.T.tolist()))
-    wire = np.zeros((rows, slots + 1))
-    for r, size in enumerate(n.tolist()):
-        w = [0.0]
-        for a, h in zip(at[r, :size].tolist(), length[r, :size].tolist()):
-            w.append(w[a] + h)
-        wire[r, nid[r, : size + 1]] = w
-    return nid[all_rows, at], nid[:, 1:], length, wire, forced
-
-
-def _tour(node_xy: np.ndarray, filled: np.ndarray, lives: list[int]) -> np.ndarray:
-    """The chain's visiting order, (rows, slots) cell slots: from the hub,
-    always on to the nearest unvisited cell (ties: lower cell id), past the
-    row's end the padding slots in order.  Where each cell attaches does not
-    move the tip, so this is the order in which the chain wires them."""
-    rows, slots = filled.shape
-    fx, fy = node_xy[:, 1:, 0].copy(), node_xy[:, 1:, 1].copy()
-    tip_x, tip_y = node_xy[:, :1, 0].copy(), node_xy[:, :1, 1].copy()
-    dist = np.full((rows, slots), np.inf)
-    tour = np.tile(np.arange(slots), (rows, 1))
-    all_rows = np.arange(rows)
-    for k, live in enumerate(lives):
-        r = all_rows[:live]
-        d = dist[:live]
-        # a visited cell's x is +inf, so its distance is too, like a padded
-        # slot's, which is never computed
-        np.hypot(fx[:live] - tip_x[:live], fy[:live] - tip_y[:live], out=d, where=filled[:live])
-        c = d.argmin(axis=1)
-        tour[:live, k] = c
-        tip_x[:live, 0] = fx[r, c]
-        tip_y[:live, 0] = fy[r, c]
-        fx[r, c] = np.inf
-    return tour
+    length[r, k] = np.fromiter(map(math.hypot, *hops.T.tolist()), float, r.size)
+    return nid[all_rows, at], nid[:, 1:], length, forced
 
 
 # pairs per orientation band of _tour_crossings, and per _hop_pairs chunk,
@@ -257,28 +218,31 @@ def _hop_pairs(first: np.ndarray, stop: np.ndarray):
 
 def _tour_crossings(P: np.ndarray, lives: list[int]) -> np.ndarray:
     """Per row and hop k, the number of earlier tour hops that hop k's wire
-    crosses, were every hop laid from its tip (P[:, k] to P[:, k + 1]), from
-    M[e, m], point m against hop e in `_orient`'s d1 formula (see the module
-    docstring), built in bands of hops of about _BAND pairs each."""
-    rows, slots = P.shape[0], P.shape[1] - 1
+    crosses, were every hop laid from its tip (P[:, k] to P[:, k + 1]), in
+    bands of about _BAND pairs of hops whose closed bounding boxes meet."""
+    rows, width = P.shape[:2]
+    slots = width - 2
     crossings = np.zeros((rows, slots), dtype=np.intp)
+    Q = P.reshape(-1, 2)
+    lo, hi = np.minimum(P[:, :-2], P[:, 1:-1]), np.maximum(P[:, :-2], P[:, 1:-1])
+    lox, loy, hix, hiy = lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
     j0 = 1
     while j0 < slots:
         live = lives[j0]
-        width = int((math.sqrt(j0 * j0 + 4 * _BAND / live) - j0) / 2)
-        j1 = min(slots, j0 + max(1, width))
-        Q = P[:live]
-        # pair (j, i) for hops j in [j0, j1) and i in [0, j1 - 1)
-        s, t = Q[:, j0:j1, None], Q[:, j0 + 1 : j1 + 1, None]
-        a, b = Q[:, None, : j1 - 1], Q[:, None, 1:j1]
-        mj = _orient_points(s, t, Q[:, None, :j1])
-        mi = _orient_points(a, b, Q[:, j0 : j1 + 1, None])
-        # NaN marks the pairs with i >= j, through d1 = M[i, j]
-        m, i = np.ogrid[j0 : j1 + 1, : j1 - 1]
-        np.copyto(mi, np.nan, where=i >= m)
-        sg = mi[:, :-1], mi[:, 1:], mj[..., :-1], mj[..., 1:]
-        hit = _hits(sg, s, t, a, b, i == m[:-1] - 1)
-        crossings[:live, j0:j1] = hit.sum(axis=2)
+        band = int((math.sqrt(j0 * j0 + 4 * _BAND / live) - j0) / 2)
+        j1 = min(slots, j0 + max(1, band))
+        # pair (j, i) for hops j in [j0, j1) and i < j
+        J, I = (slice(live), slice(j0, j1), None), (slice(live), None, slice(j1 - 1))
+        ov = np.arange(j1 - 1) < np.arange(j0, j1)[:, None]
+        for a, b in ((lox[J], hix[I]), (lox[I], hix[J]), (loy[J], hiy[I]), (loy[I], hiy[J])):
+            ov = ov & (a <= b)
+        r, j, i = np.nonzero(ov)
+        j += j0
+        s, t, a, b = (Q.take(r * width + m, axis=0) for m in (j, j + 1, i, i + 1))
+        sg = _orient_points(a, b, s), _orient_points(a, b, t)
+        sg += _orient_points(s, t, a), _orient_points(s, t, b)
+        hit = _hits(sg, s, t, a, b, i == j - 1)
+        np.add.at(crossings, (r[hit], j[hit]), 1)
         j0 = j1
     return crossings
 

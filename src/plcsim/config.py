@@ -29,6 +29,9 @@ _MAX_BRANCH_BYTES = 2**24
 _MAX_CELL_BYTES = 2**21
 _MAX_SERIES_BYTES = 2**28
 _MAX_ROW_BYTES = 2**24
+# a replication's scenario, report and CSV row, kept to the end of its run
+_REPLICATION_BYTES = 2**11
+_MAX_RUN_BYTES = 2**28
 
 
 @dataclass
@@ -117,10 +120,18 @@ class SimulationConfig:
              % _MAX_SESSIONS, self.voice_rate_bps * _MAX_SESSIONS, sys.float_info.max),
         ):
             _require(size <= limit, fields, "<= %r" % limit, size)
+        check_replications(self.replications)
         return self
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def check_replications(count: int, fields: str = "replications") -> None:
+    """Bound the bytes of a run's reports and CSV rows; `fields` name `count`."""
+    size = count * _REPLICATION_BYTES
+    fields += " * %d (bytes of its reports and CSV rows)" % _REPLICATION_BYTES
+    _require(size <= _MAX_RUN_BYTES, fields, "<= %r" % _MAX_RUN_BYTES, size)
 
 
 _TYPE_NOUNS = {int: "an integer", float: "a number", str: "a string"}

@@ -38,12 +38,12 @@ in blocks of at most ``_ROW_BLOCK``, and one numpy call serves every row
 of a block.  A tree wires one more cell per row at each step; a chain is
 grown in three phases (see `plcsim.chain`).  The rows do not interact, so
 the result is bit-identical to growing each sector alone, whatever the
-batch or the block, provided that unused cell slots, and the tree's copies
-of wired cells, hold ``+inf`` coordinates, never NaN (``argmin`` would pick
-a NaN), so neither is ever the nearest cell.  Bus spine lengths come from
-``math.hypot`` on scalars, which defines them (``np.hypot`` can differ from
-it in the last ulp); tree hop lengths are the ``np.hypot`` distances its
-nearest-node search holds.
+batch or the block, provided that unused cell slots hold ``+inf``
+coordinates, never NaN (``argmin`` would pick a NaN), so that no padding is
+ever the nearest cell.  Trees and tours compare squared distances, and
+``np.hypot`` within a margin (`plcsim.nearest`), so each choice is the one
+``np.hypot`` makes.  Bus spine lengths come from ``math.hypot`` on scalars,
+which defines them (``np.hypot`` can differ from it in the last ulp).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .chain import grow_chains as _grow_chains
 from .config import SimulationConfig
 from .deployment import CellDeployment
 from .errors import GeometryError
+from .nearest import grow_nearest
 
 
 @dataclass
@@ -187,10 +188,9 @@ def _node_kinds(node_cell: np.ndarray) -> np.ndarray:
 # A grower takes node_xy, (rows, slots + 1, 2): the hub in slot 0, then the
 # row's cells in id order, then +inf padding, with rows sorted by cell count
 # (descending) so the rows still growing at step k are a prefix; and filled,
-# (rows, slots), true at the row's cells.  Node i is the hub for i == 0,
-# else cell slot i - 1.  Hop k of row r wires node child[r, k] to node parent[r, k]
-# with a wire of length[r, k]; wire[r, i] is node i's wire distance and
-# forced[r] the row's forced crossings.
+# (rows, slots), true at the row's cells.  Node i is the hub for i == 0, else
+# cell slot i - 1.  Hop k of row r wires node child[r, k] to node parent[r, k]
+# with length[r, k] of wire; forced[r] counts the row's forced crossings.
 
 # rows per grower call, which bounds the (rows, slots) arrays of one call
 _ROW_BLOCK = 256
@@ -228,9 +228,9 @@ def _build_feeders(deployments: list[CellDeployment], nb: int, grow) -> list[Pow
         node_xy = np.full((rows.size, slots + 1, 2), np.inf)
         node_xy[:, 0] = hubs[dep_of[rows]]
         node_xy[:, 1:][filled] = flat_xy[at]
-        p, c, h, w, f = grow(node_xy, filled)
+        p, c, h, f = grow(node_xy, filled)
         parent[at], child[at], length[at] = p[filled], c[filled], h[filled]
-        wire[at] = w[:, 1:][filled]
+        wire[at] = _wire(p, c, h, filled.sum(axis=0).tolist())[:, 1:][filled]
         np.add.at(forced, dep_of[rows], f)
 
     # a row's node i is its deployment's node i + (cells in earlier sectors)
@@ -264,46 +264,26 @@ def _build_feeders(deployments: list[CellDeployment], nb: int, grow) -> list[Pow
     return grids
 
 
+def _wire(parent, child, length, lives: list[int]) -> np.ndarray:
+    """Wire distance of each (row, node), summed in hop order."""
+    rows, slots = parent.shape
+    at = np.arange(rows)[:, None] * (slots + 1)  # flat (row, node) indices
+    pT, cT, hT = (parent + at).T.copy(), (child + at).T.copy(), length.T.copy()
+    w = np.zeros(rows * (slots + 1))
+    for k, live in enumerate(lives):
+        w.put(cT[k, :live], w.take(pT[k, :live]) + hT[k, :live])
+    return w.reshape(rows, slots + 1)
+
+
 def _grow_trees(node_xy: np.ndarray, filled: np.ndarray):
     """Accretion trees: repeatedly wire the unconnected cell closest to any
     already-connected node (ties: lower cell id; equidistant targets:
-    earliest-connected node)."""
-    rows, slots = filled.shape
-    xy = node_xy[:, 1:]
-    hub = node_xy[:, 0]
-    # a wired cell's x and distance become +inf, like a padded slot's,
-    # whose distance is never updated
-    fx, fy = xy[..., 0].copy(), xy[..., 1].copy()
-    dist = np.hypot(xy[..., 0] - hub[:, 0:1], xy[..., 1] - hub[:, 1:2])
-    newd = np.full((rows, slots), np.inf)
-    nearest = np.zeros((rows, slots), dtype=np.intp)
-    wire = np.zeros((rows, slots + 1))
-    parent = np.zeros((rows, slots), dtype=np.intp)
-    child = np.zeros((rows, slots), dtype=np.intp)
-    length = np.zeros((rows, slots))
-    all_rows = np.arange(rows)
-
-    for k, live in enumerate(filled.sum(axis=0).tolist()):
-        r = all_rows[:live]
-        d = dist[:live]
-        c = np.argmin(d, axis=1)
-        node = c + 1
-        attach = nearest[r, c]
-        hop = d[r, c]
-        wire[r, node] = wire[r, attach] + hop
-        c_x, c_y = fx[r, c, None], fy[r, c, None]
-        fx[r, c] = np.inf
-        d[r, c] = np.inf
-        nd = newd[:live]
-        np.hypot(fx[:live] - c_x, fy[:live] - c_y, out=nd, where=filled[:live])
-        closer = nd < d
-        np.copyto(d, nd, where=closer)
-        np.copyto(nearest[:live], node[:, None], where=closer)
-        parent[:live, k] = attach
-        child[:live, k] = node
-        length[:live, k] = hop
-
-    return parent, child, length, wire, np.zeros(rows, dtype=np.intp)
+    earliest-connected node), each hop as long as the ``np.hypot``
+    distance that chose it."""
+    child, parent = grow_nearest(node_xy, filled, filled.sum(axis=0).tolist(), tree=True)
+    rows = np.arange(len(filled))[:, None]
+    hop = node_xy[rows, child] - node_xy[rows, parent]  # +inf past a row's end
+    return parent, child, np.hypot(hop[..., 0], hop[..., 1]), np.zeros(len(filled), dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimulationConfig
+from .config import SimulationConfig, check_replications
 from .deployment import deploy
 from .gridgen import (
     PowerGrid,
@@ -360,11 +360,13 @@ def run_sweep(
 
     Each cell's replication seeds come from derive_seed, so results do not
     depend on the order cells are executed in, nor on how they are batched.
-    Every scenario is validated before the first replication runs.  The
+    Every scenario and the replication count are validated first.  The
     replications of all densities of one topology run through one
     _replicate call, so their tree or chain feeders grow in lockstep.
     """
     master = config.master_seed if master_seed is None else master_seed
+    cells = len(densities) * len(topologies)
+    check_replications(replications * cells, "replications * densities * topologies")
     scenarios = [
         [
             dataclasses.replace(config, density=density, topology=topology).validate()

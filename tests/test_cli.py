@@ -3,9 +3,11 @@ import json
 import math
 import os
 import re
+import resource
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -270,6 +272,36 @@ def test_exit_one_over_memory_budget(tmp_path, capsys, argv, config, fields):
     for field in fields:
         assert field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--reps", "100000000", "--horizon", "1", "--density", "0.01"],
+        ["sweep", "--reps", "30000000", "--horizon", "1", "--density", "0.01", "--plots", "off"],
+        # within validate()'s bound, but not times 2 densities and 3 topologies
+        ["sweep", "--reps", "30000", "--horizon", "1", "--densities", "0.01,0.02"],
+    ],
+    ids=["simulate", "sweep", "sweep-cells"],
+)
+def test_exit_one_on_replications_over_budget(tmp_path, argv):
+    """Under a 1.5 GB address-space limit, replication counts whose reports
+    could not be held fail as config errors naming `replications` before
+    anything runs; the first two exited 3 with a MemoryError."""
+    limit = (1_500_000_000, 1_500_000_000)
+    # one BLAS thread, so that numpy's start-up fits the limit on any core count
+    env = dict(_fresh_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "plcsim.cli", *argv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 1, proc.stderr
+    assert "config error: replications" in proc.stderr
+    assert elapsed < 5.0  # about 0.2 s: interpreter and numpy start-up
+    assert not (tmp_path / "out").exists()
 
 
 def test_huge_data_volumes_warn_nothing(tmp_path, capsys):

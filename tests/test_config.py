@@ -6,8 +6,11 @@ from plcsim.config import (
     _MAX_CELL_BYTES,
     _MAX_POISSON_LAM,
     _MAX_ROW_BYTES,
+    _MAX_RUN_BYTES,
     _MAX_SERIES_BYTES,
+    _REPLICATION_BYTES,
     SimulationConfig,
+    check_replications,
 )
 from plcsim.errors import ConfigError
 from plcsim.traffic import TrafficModel, generate_traffic
@@ -92,6 +95,21 @@ def test_memory_budget_at_its_limit(field, at_limit, over, base):
     setattr(cfg, field, float(over))
     with pytest.raises(ConfigError, match=field):
         cfg.validate()
+
+
+def test_replications_within_byte_budget():
+    """The reports and CSV rows of a run fit one budget: validate() admits
+    the replication count at its limit and rejects one more, naming it, and
+    check_replications bounds a sweep's replications x densities x
+    topologies the same way."""
+    at_limit = _MAX_RUN_BYTES // _REPLICATION_BYTES
+    cfg = SimulationConfig(replications=at_limit).validate()
+    cfg.replications = at_limit + 1
+    with pytest.raises(ConfigError, match="replications"):
+        cfg.validate()
+    check_replications(at_limit, "replications * densities * topologies")
+    with pytest.raises(ConfigError, match=r"replications \* densities \* topologies"):
+        check_replications(at_limit + 1, "replications * densities * topologies")
 
 
 def test_defaults_and_one_day_run_fit_the_budget():

@@ -1,4 +1,6 @@
+import collections
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from oracles import (
     reference_tree,
     segments_intersect,
 )
+from plcsim import chain, nearest
 from plcsim.config import SimulationConfig
 from plcsim.deployment import CellDeployment, assign_sectors, deploy, place_cells
 from plcsim.errors import GeometryError
@@ -171,38 +174,6 @@ def _contact(p, q, a, b):
         and min(p[1], q[1]) <= a[1] <= max(p[1], q[1])
     )
     return on_line and in_box and a not in (p, q)
-
-
-@st.composite
-def _chain_step_rows(draw):
-    """Rows as a chain step sees them: each query starts at the far end of
-    the row's last wire, every row has the same number of wires, and wires
-    may have zero length."""
-    point = st.tuples(_coord, _coord)
-    n_wires = draw(st.integers(min_value=1, max_value=8))
-    rows = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        wires = draw(st.lists(st.tuples(point, point), min_size=n_wires, max_size=n_wires))
-        tip = wires[-1][1]
-        rows.append(((tip, draw(point.filter(lambda p: p != tip))), wires))
-    return rows
-
-
-@given(_chain_step_rows())
-@example([(((2, 0), (1, 0)), [((0, 0), (2, 0))])])  # backtrack into the last wire
-@example([(((2, 0), (0, 0)), [((0, 0), (2, 0))])])  # back along all of it
-@example([(((2, 0), (3, 0)), [((0, 0), (2, 0))])])  # collinear continuation
-@example([(((1, 1), (2, 2)), [((1, 1), (1, 1))])])  # zero-length last wire
-@example([(((1, 1), (3, 3)), [((2, 2), (2, 2)), ((0, 0), (1, 1))])])  # a wire inside
-@settings(max_examples=300, deadline=None)
-def test_crosses_any_from_the_last_tip_matches_scalar_property(rows):
-    """The s_ends_last path, which skips the endpoint rules on the wire
-    ending at s unless d2 or d3 vanishes on it, agrees with the scalar
-    predicate."""
-    s, t, ea, eb = _padded_rows(rows)
-    got = _crosses_any(s, t, ea, eb, eb - ea, s_ends_last=True)
-    for (query, wires), hit in zip(rows, got):
-        assert hit == any(_contact(*query, a, b) for a, b in wires)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +563,29 @@ def test_chains_match_reference_on_integer_layouts(case):
         assert grid.forced_crossings == forced
 
 
+@st.composite
+def _tail_layouts(draw):
+    """One sector of cells on a line through the hub, a few off it, and
+    duplicates: the tour runs on along its last wire, back over it, or
+    stands still, so hops touch the previous hop's tail."""
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]))
+    steps = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=12))
+    off = draw(st.lists(st.tuples(_coord, _coord), max_size=4))
+    return _deployment([(k * dx, k * dy) for k in steps] + off, n_branches=1)
+
+
+@given(_tail_layouts())
+@example(_deployment([(2, 0), (-3, 0)], n_branches=1))  # back over the last wire
+@example(_deployment([(2, 0), (3, 0)], n_branches=1))  # on along it
+@example(_deployment([(1, 1), (1, 1), (2, 2)], n_branches=1))  # a zero-length hop
+@example(_deployment([(1, 1), (1, 1), (0, 3), (1, 1)], n_branches=1))
+@settings(max_examples=300, deadline=None)
+def test_chains_match_reference_where_hops_touch_the_last_wire(deployment):
+    """A hop's wire against the previous hop's, which ends where it starts,
+    is decided by the endpoint rules for tail pairs."""
+    _assert_matches_reference(deployment, "chain", n_branches=1)
+
+
 # one sector where a later tour hop crosses a blocked tour hop, but not the
 # wire that replaces it from a branch point
 _RELAID = [
@@ -630,6 +624,145 @@ def test_chains_do_not_depend_on_the_band_or_chunk_size(monkeypatch):
         assert digest() == expected
 
 
+# ---------------------------------------------------------------------------
+# the screens: squared distances before np.hypot, boxes before crossing tests
+
+class _HypotCalls:
+    """numpy as plcsim.nearest sees it, counting np.hypot calls by the
+    function that makes them: `grow_nearest` for the near-tie and update
+    fallbacks, `keys` for a batch past the range guard."""
+
+    def __init__(self):
+        self.by = collections.Counter()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def hypot(self, *args, **kwargs):
+        self.by[sys._getframe(1).f_code.co_name] += 1
+        return np.hypot(*args, **kwargs)
+
+
+def _screened(monkeypatch, deployments, n_branches=6):
+    """Assert that build_grids' trees and chains of one batch match
+    reference_feeders; return plcsim.nearest's np.hypot calls per topology."""
+    calls = {}
+    for topology in ("tree", "chain"):
+        calls[topology] = _HypotCalls()
+        monkeypatch.setattr(nearest, "np", calls[topology])
+        cfg = SimulationConfig(topology=topology, n_branches=n_branches)
+        grids = build_grids(deployments, cfg)
+        monkeypatch.undo()
+        for deployment, grid in zip(deployments, grids):
+            edges, wire, forced = reference_feeders(deployment, topology, n_branches)
+            assert _edge_list(grid) == edges
+            assert _wire(grid) == wire
+            assert grid.forced_crossings == forced
+    return {topology: c.by for topology, c in calls.items()}
+
+
+def test_screens_fall_back_on_integer_lattice_ties(monkeypatch):
+    rng = np.random.default_rng(41)
+    layouts = [rng.integers(-4, 5, size=(40, 2)).tolist() for _ in range(4)]
+    for n_branches in (1, 6):
+        calls = _screened(monkeypatch, [_deployment(p, n_branches=n_branches) for p in layouts])
+        for by in calls.values():
+            assert by["grow_nearest"] > 0 and by["keys"] == 0
+
+
+def test_screens_fall_back_on_one_decimal_coordinates(monkeypatch):
+    """Squares of one-decimal differences round, so near ties whose squares
+    differ in the last bits fall back as well as exact ones."""
+    rng = np.random.default_rng(43)
+    layouts = [(rng.integers(-40, 41, size=(60, 2)) / 10).tolist() for _ in range(4)]
+    calls = _screened(monkeypatch, [_deployment(p, hub=(0.1, 0.3)) for p in layouts])
+    for by in calls.values():
+        assert by["grow_nearest"] > 0 and by["keys"] == 0
+
+
+def test_tree_update_falls_back_on_an_equidistant_node(monkeypatch):
+    """(1, 5) is as far from (2, 0) as from the hub: it stays on the hub."""
+    calls = _screened(monkeypatch, [_deployment([(2, 0), (1, 5)], n_branches=1)], 1)
+    assert calls["tree"] == {"grow_nearest": 2}
+
+
+def test_screens_step_aside_past_the_range_guard(monkeypatch):
+    """Squares of 1e300-scale differences overflow, and of 1e-310-scale ones
+    lose their precision: a batch holding either decides on np.hypot."""
+    rng = np.random.default_rng(47)
+    points = [rng.integers(-9, 10, size=(30, 2)) * 0.7 for _ in range(2)]
+    deployments = [_deployment(points[0] * 1e300), _deployment(points[1] * 1e-310)]
+    # the chains' crossing orientations of 1e300-scale wires overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        calls = _screened(monkeypatch, deployments)
+    for by in calls.values():
+        assert by["keys"] > 0
+
+
+def _count_crossings(tours):
+    """Per tour and hop, the earlier hops its wire touches, pairwise."""
+    counts = []
+    for tour in tours:
+        hops = list(zip(tour, tour[1:]))
+        counts.append([sum(_touch(*h, *e) for e in hops[:j]) for j, h in enumerate(hops)])
+    return counts
+
+
+def _touch(p, q, a, b):
+    """_contact, extended to a zero-length hop p == q; two zero-length hops
+    at one point are identical wires, which cross."""
+    if p == q:
+        return p == a if a == b else _contact(a, b, p, q)
+    return _contact(p, q, a, b)
+
+
+def _crossings_and_count(tours):
+    """chain._tour_crossings of the tours, longest first and NaN-padded, and
+    the pairwise count of the same."""
+    tours = sorted(tours, key=len, reverse=True)
+    slots = len(tours[0]) - 1
+    P = np.full((len(tours), slots + 2, 2), np.nan)
+    for r, tour in enumerate(tours):
+        P[r, : len(tour)] = tour
+    lives = [sum(len(t) > k + 1 for t in tours) for k in range(slots)]
+    count = [c + [0] * (slots - len(c)) for c in _count_crossings(tours)]
+    return chain._tour_crossings(P, lives).tolist(), count
+
+
+def _boxes_touch(p, q, a, b):
+    return all(
+        min(p[x], q[x]) <= max(a[x], b[x]) and min(a[x], b[x]) <= max(p[x], q[x])
+        for x in (0, 1)
+    )
+
+
+def test_tour_crossings_pass_touching_boxes_to_the_exact_test(monkeypatch):
+    """Hops that touch on a box edge, overlap collinearly or have no length
+    reach the orientation test; NaN padding never does."""
+    tours = [
+        [(0, 0), (2, 0), (2, 2), (1, 0), (1, -1)],  # a T-contact on a flat box
+        [(0, 0), (4, 0), (4, 1), (2, 0), (6, 0)],  # collinear overlap
+        [(0, 0), (1, 1), (1, 1), (2, 0), (0, 2)],  # a zero-length hop
+        [(0, 0), (2, 1), (3, 3), (2, 3), (2, 1)],  # boxes sharing a corner
+        [(0, 0), (3, 0)],
+    ]
+    tested = []
+    hits = chain._hits
+    monkeypatch.setattr(chain, "_hits", lambda sg, *a: tested.append(sg[0].size) or hits(sg, *a))
+    got, count = _crossings_and_count(tours)
+    assert got == count
+    hops = [list(zip(t, t[1:])) for t in tours]
+    assert sum(tested) == sum(_boxes_touch(*h[j], *e) for h in hops for j in range(len(h)) for e in h[:j])
+    assert 0 < sum(tested) < 4 * 6
+
+
+@given(st.lists(st.lists(st.tuples(_coord, _coord), min_size=2, max_size=9), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_tour_crossings_match_pairwise_count_property(tours):
+    got, count = _crossings_and_count(tours)
+    assert got == count
+
+
 # bound on the tracemalloc peak of one build_grids call on a reach-sweep
 # batch, in MiB
 _GROWTH_PEAK_MIB = {"chain": 0.95, "tree": 0.77}
@@ -654,6 +787,29 @@ def test_growth_memory_stays_at_its_bound(topology):
         finally:
             tracemalloc.stop()
         assert peak / 2**20 <= _GROWTH_PEAK_MIB[topology], (seed, peak)
+
+
+# the same bound on one paper-scale batch (32 replications at density 1.0,
+# seed 1), measured before the squared-distance screens: chain 10.665 MiB,
+# tree 8.409 MiB
+_PAPER_PEAK_MIB = {"chain": 10.7, "tree": 8.45}
+
+
+@pytest.mark.parametrize("topology", ["chain", "tree"])
+def test_paper_scale_growth_memory_stays_at_its_bound(topology):
+    j = ("bus", "tree", "chain").index(topology)
+    cfg = SimulationConfig(topology=topology, density=1.0)
+    deployments = [
+        deploy(cfg, np.random.default_rng(derive_seed(1, 3, j, k))) for k in range(32)
+    ]
+    build_grids(deployments, cfg)
+    tracemalloc.start()
+    try:
+        build_grids(deployments, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= _PAPER_PEAK_MIB[topology], peak
 
 
 def test_tree_is_minimum_spanning_tree():
