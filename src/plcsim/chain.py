@@ -12,23 +12,33 @@ row per sector, in three phases:
    loop (`plcsim.nearest`), whose every step picks the cell an ``argmin``
    over ``np.hypot`` distances picks.
 2. *Crossing counts.*  For each hop, the number of earlier tour hops its
-   wire crosses.  Hops whose closed bounding boxes do not meet share no
-   point (NaN padding meets no box) and are skipped; only rounding on four
-   nearly collinear points could make their orientations claim a crossing.
-   Hop j against hop i has the orientations M[i, j], M[i, j + 1], M[j, i]
-   and M[j, i + 1] (M[e, m]: point m against hop e) bit for bit, as swapping
-   an IEEE product's factors keeps it, and a difference's operands negates it.
+   wire crosses.  One sorted join (`_meeting`) finds the pairs of wires of
+   a row whose closed bounding boxes meet; wires whose boxes do not meet
+   share no point, and only rounding on four nearly collinear points could
+   make their orientations claim a crossing.  A pair's four orientations
+   are the scalar test's bit for bit whichever wire it takes as the query,
+   as swapping an IEEE product's factors keeps it, and a difference's
+   operands negates it.  Two wires share a node only as the later one's
+   start, so a pair that shares one by node id runs the endpoint rules only
+   if an orientation that node does not zero is zero.
 3. *Repairs.*  A hop is blocked when it moves and its count is positive.
-   Each round branches the first blocked hop of every row: the hops before
-   it are final, so its count is exact, and re-laying its wire adds
-   (crossings of the new wire) - (crossings of the old) to the counts of
-   the row's later hops.  By induction over the rounds, every decision is
+   Each round re-lays every blocked hop of every row from its nearest wired
+   node but the tip, and one join tests the new wires against their rows'
+   wires: the earlier as laid so far, the later from their tips, whose
+   counts change by (crossings of the new wire) - (crossings of the old).
+   A row keeps its blocked hops up to the first that must wait for the
+   next round: one at or before which a kept re-lay changes a count, whose
+   new wire crosses an earlier new wire of the round, or, unless it is the
+   row's first, that crosses a wire laid so far.  A kept hop is still
+   blocked, the hops between are not, and its new wire crosses none of the
+   wires laid before it; the row's first blocked hop has an exact count and
+   is always decided, its branch point searched if its new wire crosses
+   (and laid next round).  By induction over the rounds, every decision is
    the one the cell-by-cell growth makes.
 
 So each chain is bit-identical to one grown alone, cell by cell, whatever
-the batch, the block, the band or the chunk, given that unused cell slots
-hold ``+inf`` (never nearest) and unused tour points NaN (no orientation
-sign, so never crossing), that hop lengths come from ``math.hypot`` on
+the batch, the block or the chunk sizes, given that unused cell slots
+hold ``+inf`` (never nearest), that hop lengths come from ``math.hypot`` on
 scalars, and that wire distances are summed in hop order.
 """
 
@@ -46,54 +56,35 @@ def _in_box(px: float, py: float, ax: float, ay: float, bx: float, by: float) ->
     return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
-def _orient(s, t, ea, eb, ab) -> tuple[np.ndarray, ...]:
-    """Signs of the four orientations of wire s-t against wire ea-eb, whose
-    vector is ``ab``: of s (d1) and t (d2) against ea-eb, and of ea (d3) and
-    eb (d4) against s-t.  The points are ``(..., 2)`` arrays that broadcast
-    to one pair shape."""
-    sx, sy = s[..., 0], s[..., 1]
-    tx, ty = t[..., 0], t[..., 1]
-    ax, ay = ea[..., 0], ea[..., 1]
-    abx, aby = ab[..., 0], ab[..., 1]
-    sax = sx - ax
-    say = sy - ay
-    d1 = abx * say - aby * sax
-    d2 = abx * (ty - ay) - aby * (tx - ax)
-    stx = tx - sx
-    sty = ty - sy
-    # ay - sy and ax - sx are exactly -say and -sax
-    d3 = sty * sax - stx * say
-    del sax, say
-    d4 = stx * (eb[..., 1] - sy) - sty * (eb[..., 0] - sx)
-    return tuple(np.sign(d, out=d) for d in (d1, d2, d3, d4))
-
-
-def _hits(sg, s, t, ea, eb, tail=False) -> np.ndarray:
+def _hits(sg, s, t, ea, eb, ends=None) -> np.ndarray:
     """Per pair: does wire s-t cross wire ea-eb, given the signs ``sg`` of
     their orientations (`_orient`; a NaN sign never crosses)?  The points
-    broadcast to the pair shape (plus an axis of 2); ``tail`` marks pairs
-    whose ``eb`` is ``s``.  Wires cross when they share a point that is not
-    an endpoint of both: a proper crossing, T-contact or collinear overlap.
+    broadcast to the pair shape (plus an axis of 2); ``ends``, if given, is
+    a (head, tail) pair of masks of the pairs whose ``ea``, respectively
+    ``eb``, is ``s``.  Wires cross when they share a point that is not an
+    endpoint of both: a proper crossing, T-contact or collinear overlap.
     """
     sg1, sg2, sg3, sg4 = sg
     p12, p34 = sg1 * sg2, sg3 * sg4
     hit = (p12 < 0) & (p34 < 0)
     # Every contact other than a proper crossing has a zero orientation.
     # Those pairs are rare apart from wires sharing an endpoint, so the
-    # endpoint rules run on them one by one.  On a tail pair d1 = d4 = 0,
-    # excused by the shared endpoint: only d2 or d3 can make a contact.
+    # endpoint rules run on them one by one.  The shared endpoint s makes
+    # d1 = 0 and, on a head pair, d3 = 0, on a tail pair d4 = 0, all
+    # excused by it: only the other two can make a contact.
     p12 *= p34
-    if tail is not False:
-        np.copyto(p12, sg2 * sg3, where=tail)
+    if ends is not None:
+        np.copyto(p12, sg2 * sg4, where=ends[0])
+        np.copyto(p12, sg2 * sg3, where=ends[1])
     zero = p12 == 0
     idx = np.nonzero(zero)
     if not idx[0].size:
         return hit
     shape = zero.shape
-    ends = [np.broadcast_to(p, shape + (2,))[idx].tolist() for p in (s, t, ea, eb)]
+    pts = [np.broadcast_to(p, shape + (2,))[idx].tolist() for p in (s, t, ea, eb)]
     flat = [(np.broadcast_to(x, shape)[idx] == 0).tolist() for x in sg]
     found = []
-    for (px, py), (qx, qy), (ax, ay), (bx, by), z1, z2, z3, z4 in zip(*ends, *flat):
+    for (px, py), (qx, qy), (ax, ay), (bx, by), z1, z2, z3, z4 in zip(*pts, *flat):
         p_is_a = px == ax and py == ay
         p_is_b = px == bx and py == by
         q_is_a = qx == ax and qy == ay
@@ -110,141 +101,11 @@ def _hits(sg, s, t, ea, eb, tail=False) -> np.ndarray:
     return hit
 
 
-def crosses_any(s, t, ea, eb, ab=None) -> np.ndarray:
-    """Per row i, does wire s[i]-t[i] cross any wire ea[i, j]-eb[i, j], as in
-    `_hits`?  ``s`` and ``t`` are ``(rows, 2)``, ``ea`` and ``eb`` and
-    ``ab = eb - ea``, if given, ``(rows, edges, 2)``; NaN edges never cross."""
-    if ab is None:
-        ab = eb - ea
-    s, t = s[:, None], t[:, None]
-    return _hits(_orient(s, t, ea, eb, ab), s, t, ea, eb).any(axis=1)
-
-
-def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
-    """Serpentine chains: keep extending from the last-wired cell to the
-    nearest unconnected cell; when that hop would cross an existing wire,
-    branch from the candidate's nearest crossing-free node instead.
-
-    If every attachment would cross (possible only in pathological
-    layouts), the nearest node is used anyway and the row's forced
-    crossing count is bumped.
-    """
-    rows, slots = filled.shape
-    all_rows = np.arange(rows)[:, None]
-    lives = filled.sum(axis=0).tolist()
-    n = filled.sum(axis=1)
-    # tour position p holds node nid[:, p] at P[:, p]: the hub, then the
-    # cells in wiring order, then the padding (NaN in P, as is the extra
-    # last column); hop k runs from P[:, k] to P[:, k + 1]
-    nid = np.zeros((rows, slots + 1), dtype=np.intp)
-    nid[:, 1:] = grow_nearest(node_xy, filled, lives, tree=False)
-    P = np.full((rows, slots + 2, 2), np.nan)
-    P[:, :-1] = node_xy[all_rows, nid]
-    P[:, 1:-1][~filled] = np.nan
-    pos = np.empty_like(nid)
-    pos[all_rows, nid] = np.arange(slots + 1)
-    # hop k starts at tour position at[:, k]: its tip, unless it branches
-    at = np.tile(np.arange(slots), (rows, 1))
-    moved = (P[:, 1:-1] != P[:, :-2]).any(axis=2)
-    crossings = _tour_crossings(P, lives)
-    forced = np.zeros(rows, dtype=np.intp)
-    hop = np.arange(slots)
-    final = np.zeros(rows, dtype=np.intp)  # the hops up to it are final
-
-    # Each round branches the first blocked hop of every row.  The hops
-    # before it are final, so its crossing count is exact; re-laying its
-    # wire changes the counts of the later hops only.
-    while True:
-        pending = moved & (crossings > 0) & (hop > final[:, None])
-        rr = np.flatnonzero(pending.any(axis=1))
-        if not rr.size:
-            break
-        j = pending[rr].argmax(axis=1)
-        final[rr] = j
-        c_xy = P[rr, j + 1]
-        # the nearest wired node but the tip, ties to the lower node id
-        nd = np.full((rr.size, slots + 1), np.inf)
-        dx, dy = node_xy[rr, :, 0] - c_xy[:, 0:1], node_xy[rr, :, 1] - c_xy[:, 1:2]
-        attach = np.hypot(dx, dy, out=nd, where=pos[rr] < j[:, None]).argmin(axis=1)
-        a_xy = node_xy[rr, attach]
-        # its wire against the wires laid so far
-        crossed = np.zeros(rr.size, dtype=bool)
-        for w, k in _hop_pairs(np.zeros_like(j), j):
-            r = rr[w]
-            s, t, ea, eb = a_xy[w], c_xy[w], P[r, at[r, k]], P[r, k + 1]
-            crossed[w[_hits(_orient(s, t, ea, eb, eb - ea), s, t, ea, eb)]] = True
-        for i in np.flatnonzero(crossed & (a_xy != c_xy).any(axis=1)).tolist():
-            r, k = rr[i], j[i]
-            ea, eb = P[r, at[r, :k]], P[r, 1 : k + 1]
-            attach[i], was_forced = _branch_point(
-                node_xy[r], nid[r, 1 : k + 1], nid[r, k], c_xy[i], ea, eb, eb - ea
-            )
-            forced[r] += was_forced
-        a_xy = node_xy[rr, attach]
-        old_xy = P[rr, j]
-        at[rr, j] = pos[rr, attach]
-
-        # later hops: crossings of the new wire minus those of the old one
-        for w, k in _hop_pairs(j + 1, n[rr]):
-            r = rr[w]
-            s, t = P[r, k], P[r, k + 1]
-            a = np.stack((a_xy[w], old_xy[w]))
-            b = c_xy[w]
-            crossed = _hits(_orient(s, t, a, b, b - a), s, t, a, b, k == j[w] + 1)
-            crossings[r, k] += crossed[0].view(np.int8) - crossed[1].view(np.int8)
-
-    r, k = np.nonzero(filled)
-    hops = P[r, k + 1] - P[r, at[r, k]]
-    length = np.zeros((rows, slots))
-    length[r, k] = np.fromiter(map(math.hypot, *hops.T.tolist()), float, r.size)
-    return nid[all_rows, at], nid[:, 1:], length, forced
-
-
-# pairs per orientation band of _tour_crossings, and per _hop_pairs chunk,
-# which bound their memory
-_BAND = 1 << 13
-_PAIRS = 1 << 10
-
-
-def _hop_pairs(first: np.ndarray, stop: np.ndarray):
-    """(i, k) for every i and hop k in [first[i], stop[i]), as index arrays
-    of at most _PAIRS pairs."""
-    count = stop - first
-    which = np.repeat(np.arange(count.size), count)
-    hops = np.arange(which.size) + np.repeat(first - np.cumsum(count) + count, count)
-    for lo in range(0, which.size, _PAIRS):
-        yield which[lo : lo + _PAIRS], hops[lo : lo + _PAIRS]
-
-
-def _tour_crossings(P: np.ndarray, lives: list[int]) -> np.ndarray:
-    """Per row and hop k, the number of earlier tour hops that hop k's wire
-    crosses, were every hop laid from its tip (P[:, k] to P[:, k + 1]), in
-    bands of about _BAND pairs of hops whose closed bounding boxes meet."""
-    rows, width = P.shape[:2]
-    slots = width - 2
-    crossings = np.zeros((rows, slots), dtype=np.intp)
-    Q = P.reshape(-1, 2)
-    lo, hi = np.minimum(P[:, :-2], P[:, 1:-1]), np.maximum(P[:, :-2], P[:, 1:-1])
-    lox, loy, hix, hiy = lo[..., 0], lo[..., 1], hi[..., 0], hi[..., 1]
-    j0 = 1
-    while j0 < slots:
-        live = lives[j0]
-        band = int((math.sqrt(j0 * j0 + 4 * _BAND / live) - j0) / 2)
-        j1 = min(slots, j0 + max(1, band))
-        # pair (j, i) for hops j in [j0, j1) and i < j
-        J, I = (slice(live), slice(j0, j1), None), (slice(live), None, slice(j1 - 1))
-        ov = np.arange(j1 - 1) < np.arange(j0, j1)[:, None]
-        for a, b in ((lox[J], hix[I]), (lox[I], hix[J]), (loy[J], hiy[I]), (loy[I], hiy[J])):
-            ov = ov & (a <= b)
-        r, j, i = np.nonzero(ov)
-        j += j0
-        s, t, a, b = (Q.take(r * width + m, axis=0) for m in (j, j + 1, i, i + 1))
-        sg = _orient_points(a, b, s), _orient_points(a, b, t)
-        sg += _orient_points(s, t, a), _orient_points(s, t, b)
-        hit = _hits(sg, s, t, a, b, i == j - 1)
-        np.add.at(crossings, (r[hit], j[hit]), 1)
-        j0 = j1
-    return crossings
+def _orient(s, t, ea, eb) -> tuple[np.ndarray, ...]:
+    """Signs of the four orientations of wire s-t against wire ea-eb: of s
+    (d1) and t (d2) against ea-eb, and of ea (d3) and eb (d4) against s-t.
+    The points are ``(..., 2)`` arrays that broadcast to one pair shape."""
+    return _orient_points(ea, eb, s), _orient_points(ea, eb, t), _orient_points(s, t, ea), _orient_points(s, t, eb)
 
 
 def _orient_points(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -258,6 +119,188 @@ def _orient_points(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.sign(dy, out=np.empty(dy.shape, np.float32))
 
 
+def crosses_any(s, t, ea, eb) -> np.ndarray:
+    """Per row i, does wire s[i]-t[i] cross any wire ea[i, j]-eb[i, j], as in
+    `_hits`?  ``s`` and ``t`` are ``(rows, 2)``, ``ea`` and ``eb``
+    ``(rows, edges, 2)``; NaN edges never cross."""
+    s, t = s[:, None], t[:, None]
+    return _hits(_orient(s, t, ea, eb), s, t, ea, eb).any(axis=1)
+
+
+def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
+    """Serpentine chains: keep extending from the last-wired cell to the
+    nearest unconnected cell; when that hop would cross an existing wire,
+    branch from the candidate's nearest crossing-free node instead.
+
+    If every attachment would cross (possible only in pathological
+    layouts), the nearest node is used anyway and the row's forced
+    crossing count is bumped.
+    """
+    rows, slots = filled.shape
+    # tour position p holds node nid[:, p]: the hub, then the cells in
+    # wiring order, then the padding; hop k wires node nid[:, k + 1] from
+    # node src[:, k], its tip nid[:, k] unless it branches
+    nid = np.zeros((rows, slots + 1), dtype=np.intp)
+    nid[:, 1:] = grow_nearest(node_xy, filled, filled.sum(axis=0).tolist(), tree=False)
+    pos = np.empty_like(nid)
+    pos[np.arange(rows)[:, None], nid] = np.arange(slots + 1)
+    src = nid[:, :-1].copy()
+    # per-hop arrays are flat, hop k of row r at r * slots + k
+    hr, hk = np.nonzero(filled)
+    hop = hr * slots + hk
+    moved = np.zeros(rows * slots, dtype=bool)
+    moved[hop] = (node_xy[hr, nid[hr, hk]] != node_xy[hr, nid[hr, hk + 1]]).any(axis=1)
+    e, w = _crossings(node_xy, hr, src[hr, hk], nid[hr, hk + 1], hk)
+    old_e, old_w = hop[e], hop[w]  # tour hops that cross, old_e's first
+    crossings = np.bincount(old_w, minlength=rows * slots)
+    relaid = np.zeros(rows * slots, dtype=bool)
+    branch = np.full(rows * slots, -1)  # a blocked first hop's branch point
+    forced = np.zeros(rows, dtype=np.intp)
+
+    # Each round re-lays every blocked hop at once and keeps, per row, the
+    # hops before the first that an earlier re-lay of the round may disturb.
+    while True:
+        f = np.flatnonzero(moved & (crossings > 0) & ~relaid)
+        if not f.size:
+            break
+        r, j = np.divmod(f, slots)
+        first = np.diff(r, prepend=-1) != 0
+        c = nid[r, j + 1]
+        c_xy = node_xy[r, c]
+        a = branch[f]
+        new = a < 0
+        a[new] = _nearest_but_tip(node_xy, pos, r[new], j[new], c_xy[new])
+        long = (node_xy[r, a] != c_xy).any(axis=1)
+        # the new wires (index n0 on) against their rows' wires as laid now
+        h = np.flatnonzero(np.bincount(r, minlength=rows)[hr])
+        n0 = h.size
+        wires = np.stack((hr[h], src[hr[h], hk[h]], nid[hr[h], hk[h] + 1], hk[h]))
+        wires = np.concatenate((wires, (r, a, c, j)), axis=1)
+        e, w = _crossings(node_xy, *wires, n0)
+        del wires
+        later = w >= n0  # the new wire is the later one
+        crossed = (np.bincount(w[later & (e < n0)] - n0, minlength=f.size) > 0) & long & new
+        met = (np.bincount(w[later & (e >= n0)] - n0, minlength=f.size) > 0) & long
+        # count changes on later hops: +1 where the new wire crosses, -1
+        # where the tip's did
+        k = np.searchsorted(f, old_e).clip(max=f.size - 1)  # old_e's place in f
+        old = np.flatnonzero(f[k] == old_e)
+        dj = np.concatenate((e[~later] - n0, k[old]))
+        dk = np.concatenate((hop[h[w[~later]]], old_w[old]))
+        dv = np.repeat((1, -1), (dj.size - old.size, old.size))
+        pair, at = np.unique(dj * (rows * slots) + dk, return_inverse=True)
+        changed = pair[np.bincount(at, dv) != 0] % (rows * slots)
+        limit = np.full(rows, rows * slots)
+        np.minimum.at(limit, changed // slots, changed)
+        ok = _kept(first, f >= limit[r], met, crossed)
+        relaid[f[ok]] = True
+        src.ravel()[f[ok]] = a[ok]
+        np.add.at(crossings, dk[ok[dj]], dv[ok[dj]])
+        # a first blocked hop whose new wire crosses is laid next round, from
+        # the branch point it searches now
+        for i in np.flatnonzero(crossed & first).tolist():
+            ri, ji = r[i], j[i]
+            wired = nid[ri, 1 : ji + 1]
+            branch[f[i]], was_forced = _branch_point(
+                node_xy[ri], wired, nid[ri, ji], c_xy[i], node_xy[ri, src[ri, :ji]], node_xy[ri, wired]
+            )
+            forced[ri] += was_forced
+
+    hops = node_xy[hr, nid[hr, hk + 1]] - node_xy[hr, src[hr, hk]]
+    length = np.zeros((rows, slots))
+    length[hr, hk] = np.fromiter(map(math.hypot, *hops.T.tolist()), float, hr.size)
+    return src, nid[:, 1:], length, forced
+
+
+def _nearest_but_tip(node_xy, pos, r, j, c_xy) -> np.ndarray:
+    """Per blocked hop j of row r, to c_xy: the nearest node wired before its
+    tip, ties to the lower node id, _HOPS hops at a time."""
+    attach = np.empty(r.size, dtype=np.intp)
+    for lo in range(0, r.size, _HOPS):
+        i = slice(lo, lo + _HOPS)
+        x, y = (node_xy[..., k].take(r[i], axis=0) - c_xy[i, k, None] for k in (0, 1))
+        wired = pos.take(r[i], axis=0) < j[i, None]
+        attach[i] = np.hypot(x, y, out=np.full(x.shape, np.inf), where=wired).argmin(axis=1)
+    return attach
+
+
+def _kept(first: np.ndarray, *reasons: np.ndarray) -> np.ndarray:
+    """Per hop of a round, by row then hop (``first`` marks each row's
+    first): whether no reason to defer holds for it or an earlier hop of
+    its row."""
+    bad = np.concatenate(([0], np.cumsum(np.logical_or.reduce(reasons))))
+    return bad[1:] == bad[np.maximum.accumulate(np.where(first, np.arange(first.size), 0))]
+
+
+# wires per row group and candidate pairs per chunk of _meeting, and blocked
+# hops per chunk of _nearest_but_tip: they bound the memory of each
+_WIRES = 1 << 13
+_PAIRS = 1 << 12
+_HOPS = 1 << 5
+
+
+def _crossings(xy, r, u, v, hop, fixed=0):
+    """The pairs (e, w) of wires that cross, e's hop before w's, skipping
+    pairs of two wires below index ``fixed``.  Wire i of hop hop[i] runs
+    from node u[i] to node v[i] of row r[i] (``xy``: (rows, nodes, 2)); two
+    wires share a node only as the later one's start (`_hits`' ends)."""
+    u, v, xy = u + r * xy.shape[1], v + r * xy.shape[1], xy.reshape(-1, 2)
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp))]
+    for p, q in _meeting(xy, r, u, v, fixed):
+        e, w = np.where(hop[p] < hop[q], (p, q), (q, p))
+        e, w = e[hop[e] != hop[w]], w[hop[e] != hop[w]]
+        s, t, ea, eb = (xy.take(i, axis=0) for i in (u[w], v[w], u[e], v[e]))
+        hit = _hits(_orient(s, t, ea, eb), s, t, ea, eb, (u[w] == u[e], u[w] == v[e]))
+        found.append((e[hit], w[hit]))
+    return tuple(map(np.concatenate, zip(*found)))
+
+
+def _meeting(xy, r, u, v, fixed):
+    """Index pairs (p, q) of wires of one row (`_crossings`, ``fixed`` too)
+    whose closed bounding boxes meet, once each: sorted by (row, x-min), a
+    box's candidates are the boxes after it whose x-min is at most its x-max."""
+    cut = np.searchsorted(np.cumsum(np.bincount(r)), np.arange(_WIRES, r.size, _WIRES)) + 1
+    cut = [0, *cut.tolist(), int(r.max()) + 1]
+    for r0, r1 in zip(cut[:-1], cut[1:]):
+        sel = np.flatnonzero((r >= r0) & (r < r1))
+        a, b = xy.take(u[sel], axis=0), xy.take(v[sel], axis=0)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        del a, b
+        key = lo[:, 0] * 1j
+        key += r[sel]  # complex numbers sort by real, then imaginary part
+        order = np.argsort(key)
+        key = key[order]
+        end = hi[order, 0] * 1j
+        end += r[sel][order]
+        end = np.searchsorted(key, end, "right")
+        ylo, yhi, n = lo[order, 1], hi[order, 1], sel.size
+        del key, lo, hi
+        # the candidates of sorted position p are pool[start[p]:end[p]]: all
+        # positions, or for a fixed wire only those of the wires not fixed
+        free = sel[order] >= fixed
+        before = np.cumsum(free) + n  # pool index past the free positions so far
+        pool = np.concatenate((np.arange(n), np.flatnonzero(free)))
+        start = np.where(free, np.arange(1, n + 1), before)
+        np.copyto(end, before[end - 1], where=~free)
+        del free, before
+        cum = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(end - start, out=cum[1:])
+        start -= cum[:-1]  # pair g of position p is candidate pool[g + start[p]]
+        order = sel[order]
+        for g0 in range(0, cum[-1], _PAIRS):
+            g1 = min(g0 + _PAIRS, cum[-1])
+            p0, p1 = np.searchsorted(cum, (g0, g1 - 1), "right")
+            p = np.repeat(np.arange(p0 - 1, p1), np.minimum(cum[p0 : p1 + 1], g1) - np.maximum(cum[p0 - 1 : p1], g0))
+            q = start[p]
+            q += np.arange(g0, g1)
+            q = pool[q]
+            meet = ylo[p] <= yhi[q]
+            meet &= ylo[q] <= yhi[p]
+            p, q = order[p[meet]], order[q[meet]]
+            del meet
+            yield p, q
+
+
 def _branch_point(
     node_xy: np.ndarray,
     wired: np.ndarray,
@@ -265,7 +308,6 @@ def _branch_point(
     c_xy: np.ndarray,
     ea: np.ndarray,
     eb: np.ndarray,
-    ab: np.ndarray,
 ) -> tuple[int, bool]:
     """Attachment node for a chain hop to c_xy that is blocked from the tip.
 
@@ -277,7 +319,7 @@ def _branch_point(
     ids = np.concatenate(([0], wired))
     nd = np.hypot(node_xy[ids, 0] - c_xy[0], node_xy[ids, 1] - c_xy[1])
     order = ids[np.lexsort((ids, nd))]
-    t, wires = c_xy[None], (ea[None], eb[None], ab[None])
+    t, wires = c_xy[None], (ea[None], eb[None])
     for nid in order.tolist():
         if nid == tip:
             continue  # already known to cross

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import crosses_any as _crosses_any  # noqa: F401  (tests import it from here)
+from .chain import crosses_any as _crosses_any  # noqa: F401  (test_acceptance.py imports it from here)
 from .chain import grow_chains as _grow_chains
 from .config import SimulationConfig
 from .deployment import CellDeployment

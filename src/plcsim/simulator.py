@@ -225,15 +225,13 @@ def gap_tally(sessions: SessionSet, served: np.ndarray) -> tuple[float, int]:
 def compute_metrics(
     series: RateSeries,
     grid: PowerGrid,
-    sessions: SessionSet | tuple[float, int],
+    tally: tuple[float, int],
     seed: int | None = None,
 ) -> MetricsReport:
-    """One replication's metrics from its series, its grid and the sessions
-    aggregated: their SessionSet, or the gap_tally sums of their blocks.
-    mean_wait_s is the mean gap, pooled over the served cells' sessions."""
-    if isinstance(sessions, SessionSet):
-        sessions = gap_tally(sessions, grid.served)
-    gap_sum, gaps = sessions
+    """One replication's metrics from its series, its grid and the
+    gap_tally sums of the sessions aggregated.  mean_wait_s is the mean
+    gap, pooled over the served cells' sessions."""
+    gap_sum, gaps = tally
     return MetricsReport(
         seed=seed,
         reachability=reachability_fraction(grid),

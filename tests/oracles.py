@@ -27,6 +27,7 @@ from plcsim.simulator import (
     _step_count,
     aggregate_rate_series,
     compute_metrics,
+    gap_tally,
 )
 from plcsim.traffic import SessionSet, TrafficModel, generate_traffic, sample_data_volumes
 
@@ -297,7 +298,7 @@ def reference_replication_v2(config: SimulationConfig, seed: int) -> MetricsRepo
     sessions = reference_traffic_v2(rng, model, served.size, config.horizon_s)
     sessions.cell_id = served[sessions.cell_id]
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
-    return compute_metrics(series, grid, sessions, seed=seed)
+    return compute_metrics(series, grid, gap_tally(sessions, grid.served), seed=seed)
 
 
 class CountingRng:
@@ -337,7 +338,7 @@ def reference_replication(config: SimulationConfig, seed: int) -> MetricsReport:
     model = TrafficModel.from_config(config)
     sessions = generate_traffic(rng, model, len(deployment.xy), config.horizon_s)
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
-    return compute_metrics(series, grid, sessions, seed=seed)
+    return compute_metrics(series, grid, gap_tally(sessions, grid.served), seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ from oracles import (
     segments_intersect,
 )
 from plcsim import chain, nearest
+from plcsim.chain import crosses_any
 from plcsim.config import SimulationConfig
 from plcsim.deployment import CellDeployment, assign_sectors, deploy, place_cells
 from plcsim.errors import GeometryError
 from plcsim.gridgen import (
     PowerGrid,
-    _crosses_any,
     build_bus,
     build_grid,
     build_grids,
@@ -140,7 +140,7 @@ def test_crosses_any_matches_scalar_on_random_layouts():
         if len(segs) < 2:
             continue
         rows.append((segs[0], segs[1:]))
-    got = _crosses_any(*_padded_rows(rows))
+    got = crosses_any(*_padded_rows(rows))
     for (query, edges), hit in zip(rows, got):
         assert hit == any(segments_intersect(*query, a, b) for a, b in edges)
     assert len(rows) > 300
@@ -158,9 +158,32 @@ _row = st.tuples(_segment, st.lists(_segment, max_size=8))
 def test_crosses_any_rows_match_scalar_property(rows):
     """Small integer grids give many collinear and shared-endpoint cases;
     rows have unequal edge counts, so the NaN padding is exercised too."""
-    got = _crosses_any(*_padded_rows(rows))
+    got = crosses_any(*_padded_rows(rows))
     for (query, edges), hit in zip(rows, got):
         assert hit == any(segments_intersect(*query, a, b) for a, b in edges)
+
+
+_point = st.tuples(_coord, _coord)
+
+
+@given(st.lists(st.tuples(_point, _point, _point, st.booleans()), min_size=1, max_size=12))
+@example([((0, 0), (2, 0), (1, 0), True), ((0, 0), (2, 0), (3, 0), False)])  # collinear overlaps
+@example([((0, 0), (2, 0), (-1, 0), True), ((1, 1), (0, 0), (2, 2), False)])
+@settings(max_examples=300, deadline=None)
+def test_hits_with_a_shared_start_match_scalar_property(pairs):
+    """Wire s-t against a wire that starts (head) or ends (tail) at s: the
+    head and tail masks skip the endpoint rules only where they find no
+    contact.  Small integer grids give many collinear overlaps."""
+    pairs = [(s, t, x, head) for s, t, x, head in pairs if s != t and s != x]
+    if not pairs:
+        return
+    s, t, x = (np.array([p[i] for p in pairs], dtype=float) for i in range(3))
+    head = np.array([p[3] for p in pairs])
+    ea, eb = np.where(head[:, None], s, x), np.where(head[:, None], x, s)
+    sg = chain._orient(s, t, ea, eb)
+    got = chain._hits(sg, s, t, ea, eb, (head, ~head))
+    want = [segments_intersect(*map(tuple, w)) for w in zip(s, t, ea, eb)]
+    assert got.tolist() == want == chain._hits(sg, s, t, ea, eb).tolist()
 
 
 def _contact(p, q, a, b):
@@ -600,9 +623,41 @@ def test_relaid_hop_no_longer_blocks_later_hops():
     _assert_matches_reference(_deployment(_RELAID, n_branches=1), "chain", n_branches=1)
 
 
-def test_chains_do_not_depend_on_the_band_or_chunk_size(monkeypatch):
-    """The crossing counts come in bands of _BAND pairs and the repairs test
-    and recount _PAIRS hop pairs at a time; neither size changes a grid."""
+# one-sector integer layouts whose repair rounds defer hops: a new wire,
+# not the first of its row, that crosses a wire still laid after the round
+# (14 cells), and one that crosses an earlier new wire of its round (25)
+_DEFERRING = [
+    [(-1, -4), (-3, 3), (-3, 2), (-2, 2), (-4, 4), (4, 4), (0, 1), (-3, 3), (2, -1), (4, 3),
+     (-1, -4), (-3, 1), (0, 1), (-1, 3)],
+    [(-2, 2), (4, -1), (4, 1), (-2, 4), (1, 1), (-2, 4), (-1, -3), (2, 0), (-2, -2), (-3, 0),
+     (0, 1), (1, -3), (-2, 4), (1, 3), (4, -4), (3, -3), (1, 3), (-2, -4), (-2, 2), (-2, 0),
+     (-1, -4), (2, 1), (4, 3), (-1, 0), (3, -4)],
+]
+
+
+def test_repair_rounds_defer_hops_for_each_reason(monkeypatch):
+    """A round keeps a row's blocked hops up to the first that waits: one at
+    or before which a kept re-lay changes a count, whose new wire crosses an
+    earlier new wire of the round, or, not the row's first, whose new wire
+    crosses a wire laid so far.  Each reason fires, and the chains still
+    match the cell-by-cell growth."""
+    fired = collections.Counter()
+    kept = chain._kept
+
+    def spy(first, changed, met, crossed):
+        fired.update(changed=changed.any(), met=met.any(), crossed=(crossed & ~first).any())
+        return kept(first, changed, met, crossed)
+
+    monkeypatch.setattr(chain, "_kept", spy)
+    for points in (_RELAID, *_DEFERRING):
+        _assert_matches_reference(_deployment(points, n_branches=1), "chain", n_branches=1)
+    assert fired["changed"] and fired["met"] and fired["crossed"], fired
+
+
+def test_chains_do_not_depend_on_the_chunk_sizes(monkeypatch):
+    """The crossing joins take rows in groups of _WIRES wires and test
+    _PAIRS candidate pairs at a time, and the repairs search the nearest
+    nodes of _HOPS blocked hops at a time; no size changes a grid."""
     rng = np.random.default_rng(29)
     deployments = [
         deploy(SimulationConfig(density=d), np.random.default_rng(derive_seed(5, i, 2, 0)))
@@ -618,9 +673,10 @@ def test_chains_do_not_depend_on_the_band_or_chunk_size(monkeypatch):
         ]
 
     expected = digest()
-    for band, pairs in ((1, 1), (7, 3), (10**9, 10**9)):
-        monkeypatch.setattr("plcsim.chain._BAND", band)
+    for wires, pairs, hops in ((1, 1, 1), (40, 7, 3), (10**9, 10**9, 10**9)):
+        monkeypatch.setattr("plcsim.chain._WIRES", wires)
         monkeypatch.setattr("plcsim.chain._PAIRS", pairs)
+        monkeypatch.setattr("plcsim.chain._HOPS", hops)
         assert digest() == expected
 
 
@@ -717,16 +773,20 @@ def _touch(p, q, a, b):
 
 
 def _crossings_and_count(tours):
-    """chain._tour_crossings of the tours, longest first and NaN-padded, and
-    the pairwise count of the same."""
-    tours = sorted(tours, key=len, reverse=True)
-    slots = len(tours[0]) - 1
-    P = np.full((len(tours), slots + 2, 2), np.nan)
+    """Per tour and hop, the earlier hops its wire crosses: by
+    chain._crossings over the hops of all tours, tour point i as node i of
+    its tour's row, and pairwise."""
+    width = max(map(len, tours))
+    xy = np.full((len(tours), width, 2), np.inf)
     for r, tour in enumerate(tours):
-        P[r, : len(tour)] = tour
-    lives = [sum(len(t) > k + 1 for t in tours) for k in range(slots)]
-    count = [c + [0] * (slots - len(c)) for c in _count_crossings(tours)]
-    return chain._tour_crossings(P, lives).tolist(), count
+        xy[r, : len(tour)] = tour
+    r, k = np.array([(r, k) for r, tour in enumerate(tours) for k in range(len(tour) - 1)]).T
+    e, w = chain._crossings(xy, r, k, k + 1, k)
+    assert (r[e] == r[w]).all() and (k[e] < k[w]).all()
+    got = np.zeros((len(tours), width - 1), dtype=int)
+    np.add.at(got, (r[w], k[w]), 1)
+    count = [c + [0] * (width - 1 - len(c)) for c in _count_crossings(tours)]
+    return got.tolist(), count
 
 
 def _boxes_touch(p, q, a, b):
@@ -738,7 +798,7 @@ def _boxes_touch(p, q, a, b):
 
 def test_tour_crossings_pass_touching_boxes_to_the_exact_test(monkeypatch):
     """Hops that touch on a box edge, overlap collinearly or have no length
-    reach the orientation test; NaN padding never does."""
+    reach the orientation test; no other pair of hops does."""
     tours = [
         [(0, 0), (2, 0), (2, 2), (1, 0), (1, -1)],  # a T-contact on a flat box
         [(0, 0), (4, 0), (4, 1), (2, 0), (6, 0)],  # collinear overlap

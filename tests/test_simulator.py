@@ -133,7 +133,7 @@ def test_single_session_metrics():
     sessions = _sessions((0, "voice", 0.0, 100.0, 128000.0))
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 3600.0)
-    report = compute_metrics(series, grid, sessions)
+    report = compute_metrics(series, grid, gap_tally(sessions, grid.served))
     assert report.avg_rate_bps == pytest.approx(128000.0 * 100.0 / 3600.0)
     assert report.max_rate_bps == pytest.approx(128000.0)
 
@@ -183,7 +183,7 @@ def test_disjoint_sessions_hub_is_branch_sum():
 def test_empty_sessions_all_zeros():
     grid = _all_served_grid(1)
     series = aggregate_rate_series(empty_sessions(), grid, 1.0, 10.0)
-    report = compute_metrics(series, grid, empty_sessions())
+    report = compute_metrics(series, grid, gap_tally(empty_sessions(), grid.served))
     assert report.avg_rate_bps == 0.0
     assert report.max_rate_bps == 0.0
     assert report.mean_wait_s is None
@@ -458,7 +458,7 @@ def test_mean_wait_pooled_gaps():
     )
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 40.0)
-    report = compute_metrics(series, grid, sessions)
+    report = compute_metrics(series, grid, gap_tally(sessions, grid.served))
     assert report.mean_wait_s == pytest.approx(15.0)
 
 
@@ -471,7 +471,7 @@ def test_mean_wait_ignores_unserved_cells():
     )
     grid = _grid([0, 1], [True, False])
     series = aggregate_rate_series(sessions, grid, 1.0, 20.0)
-    report = compute_metrics(series, grid, sessions)
+    report = compute_metrics(series, grid, gap_tally(sessions, grid.served))
     assert report.mean_wait_s == pytest.approx(10.0)
 
 
@@ -483,7 +483,7 @@ def test_mean_wait_statistical():
     grid = _all_served_grid(n_cells)
     sessions = generate_traffic(rng, model, n_cells, cfg.horizon_s)
     series = aggregate_rate_series(sessions, grid, 1.0, cfg.horizon_s)
-    report = compute_metrics(series, grid, sessions)
+    report = compute_metrics(series, grid, gap_tally(sessions, grid.served))
     assert report.mean_wait_s == pytest.approx(10.0, abs=0.05)
 
 
@@ -571,7 +571,7 @@ def test_replication_equals_hand_built_pipeline():
     sessions = generate_traffic(rng, model, served.size, cfg.horizon_s)
     sessions.cell_id = served[sessions.cell_id]
     series = aggregate_rate_series(sessions, grid, cfg.dt_s, cfg.horizon_s)
-    expected = compute_metrics(series, grid, sessions, seed=8)
+    expected = compute_metrics(series, grid, gap_tally(sessions, grid.served), seed=8)
     assert dataclasses.asdict(run_replication(cfg, 8)) == dataclasses.asdict(expected)
 
 
