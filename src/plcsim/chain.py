@@ -32,9 +32,10 @@ row per sector, in three phases:
    row's first, that crosses a wire laid so far.  A kept hop is still
    blocked, the hops between are not, and its new wire crosses none of the
    wires laid before it; the row's first blocked hop has an exact count and
-   is always decided, its branch point searched if its new wire crosses
-   (and laid next round).  By induction over the rounds, every decision is
-   the one the cell-by-cell growth makes.
+   is always decided: if its new wire crosses, the next round tries its
+   next-nearest start, and with none left it takes the nearest node, tip
+   included, over a forced crossing.  By induction over the rounds, every
+   decision is the one the cell-by-cell growth makes.
 
 So each chain is bit-identical to one grown alone, cell by cell, whatever
 the batch, the block or the chunk sizes, given that unused cell slots
@@ -130,7 +131,8 @@ def crosses_any(s, t, ea, eb) -> np.ndarray:
 def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
     """Serpentine chains: keep extending from the last-wired cell to the
     nearest unconnected cell; when that hop would cross an existing wire,
-    branch from the candidate's nearest crossing-free node instead.
+    branch from the candidate's nearest crossing-free node instead, the
+    repair rounds trying one start per round in (distance, node id) order.
 
     If every attachment would cross (possible only in pathological
     layouts), the nearest node is used anyway and the row's forced
@@ -154,7 +156,7 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
     old_e, old_w = hop[e], hop[w]  # tour hops that cross, old_e's first
     crossings = np.bincount(old_w, minlength=rows * slots)
     relaid = np.zeros(rows * slots, dtype=bool)
-    branch = np.full(rows * slots, -1)  # a blocked first hop's branch point
+    tried = np.full(rows * slots, -1)  # a blocked first hop's last start that crossed
     forced = np.zeros(rows, dtype=np.intp)
 
     # Each round re-lays every blocked hop at once and keeps, per row, the
@@ -167,10 +169,12 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
         first = np.diff(r, prepend=-1) != 0
         c = nid[r, j + 1]
         c_xy = node_xy[r, c]
-        a = branch[f]
-        new = a < 0
-        a[new] = _nearest_but_tip(node_xy, pos, r[new], j[new], c_xy[new])
-        long = (node_xy[r, a] != c_xy).any(axis=1)
+        a = _nearest_but_tip(node_xy, pos, r, j, c_xy, tried[f])
+        # with no start left (-1), a first hop takes the nearest node, tip included
+        stuck = a < 0
+        a[stuck] = _nearest_but_tip(node_xy, pos, r[stuck], j[stuck] + 1, c_xy[stuck], a[stuck])
+        np.add.at(forced, r[stuck], 1)
+        long = (node_xy[r, a] != c_xy).any(axis=1) & ~stuck
         # the new wires (index n0 on) against their rows' wires as laid now
         h = np.flatnonzero(np.bincount(r, minlength=rows)[hr])
         n0 = h.size
@@ -179,7 +183,7 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
         e, w = _crossings(node_xy, *wires, n0)
         del wires
         later = w >= n0  # the new wire is the later one
-        crossed = (np.bincount(w[later & (e < n0)] - n0, minlength=f.size) > 0) & long & new
+        crossed = (np.bincount(w[later & (e < n0)] - n0, minlength=f.size) > 0) & long
         met = (np.bincount(w[later & (e >= n0)] - n0, minlength=f.size) > 0) & long
         # count changes on later hops: +1 where the new wire crosses, -1
         # where the tip's did
@@ -196,15 +200,9 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
         relaid[f[ok]] = True
         src.ravel()[f[ok]] = a[ok]
         np.add.at(crossings, dk[ok[dj]], dv[ok[dj]])
-        # a first blocked hop whose new wire crosses is laid next round, from
-        # the branch point it searches now
-        for i in np.flatnonzero(crossed & first).tolist():
-            ri, ji = r[i], j[i]
-            wired = nid[ri, 1 : ji + 1]
-            branch[f[i]], was_forced = _branch_point(
-                node_xy[ri], wired, nid[ri, ji], c_xy[i], node_xy[ri, src[ri, :ji]], node_xy[ri, wired]
-            )
-            forced[ri] += was_forced
+        # a first blocked hop whose new wire crosses tries its next start
+        # next round
+        tried[f[crossed & first]] = a[crossed & first]
 
     hops = node_xy[hr, nid[hr, hk + 1]] - node_xy[hr, src[hr, hk]]
     length = np.zeros((rows, slots))
@@ -212,15 +210,25 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
     return src, nid[:, 1:], length, forced
 
 
-def _nearest_but_tip(node_xy, pos, r, j, c_xy) -> np.ndarray:
-    """Per blocked hop j of row r, to c_xy: the nearest node wired before its
-    tip, ties to the lower node id, _HOPS hops at a time."""
+def _nearest_but_tip(node_xy, pos, r, j, c_xy, past) -> np.ndarray:
+    """Per blocked hop j of row r, to c_xy: the first node wired before its
+    tip in (``np.hypot`` distance, node id) order, after node ``past`` unless
+    that is -1, or -1 if none is left; _HOPS hops at a time."""
     attach = np.empty(r.size, dtype=np.intp)
     for lo in range(0, r.size, _HOPS):
         i = slice(lo, lo + _HOPS)
         x, y = (node_xy[..., k].take(r[i], axis=0) - c_xy[i, k, None] for k in (0, 1))
         wired = pos.take(r[i], axis=0) < j[i, None]
-        attach[i] = np.hypot(x, y, out=np.full(x.shape, np.inf), where=wired).argmin(axis=1)
+        d = np.hypot(x, y, out=np.full(x.shape, np.inf), where=wired)
+        del x, y
+        attach[i] = d.argmin(axis=1)
+        b = np.flatnonzero(past[i] >= 0)
+        if b.size:
+            p, d = past[i][b, None], d[b]
+            dp = np.take_along_axis(d, p, axis=1)
+            left = wired[b] & ((d > dp) | ((d == dp) & (np.arange(d.shape[1]) > p)))
+            d[~left] = np.inf
+            attach[lo + b] = np.where(left.any(axis=1), d.argmin(axis=1), -1)
     return attach
 
 
@@ -299,31 +307,3 @@ def _meeting(xy, r, u, v, fixed):
             p, q = order[p[meet]], order[q[meet]]
             del meet
             yield p, q
-
-
-def _branch_point(
-    node_xy: np.ndarray,
-    wired: np.ndarray,
-    tip: int,
-    c_xy: np.ndarray,
-    ea: np.ndarray,
-    eb: np.ndarray,
-) -> tuple[int, bool]:
-    """Attachment node for a chain hop to c_xy that is blocked from the tip.
-
-    ``wired`` lists the cell nodes wired so far.  Returns the nearest of
-    them or the hub (ties: lower node id) whose wire to c_xy crosses none
-    of the wires ea-eb, or, failing that, the nearest node with a
-    forced-crossing flag.
-    """
-    ids = np.concatenate(([0], wired))
-    nd = np.hypot(node_xy[ids, 0] - c_xy[0], node_xy[ids, 1] - c_xy[1])
-    order = ids[np.lexsort((ids, nd))]
-    t, wires = c_xy[None], (ea[None], eb[None])
-    for nid in order.tolist():
-        if nid == tip:
-            continue  # already known to cross
-        s = node_xy[nid : nid + 1]
-        if (s == t).all() or not crosses_any(s, t, *wires)[0]:
-            return nid, False
-    return int(order[0]), True

@@ -351,11 +351,13 @@ def test_chain_branches_to_avoid_crossing():
     assert grid.wire_m[3] == pytest.approx(2.0 + math.hypot(1, 3))
 
 
+_FORCED = [(0, 2), (0, 3), (1, 0), (3, 0), (4, 3), (5, 3)]
+
+
 def test_chain_forced_crossing_counted():
     """A fallback wire built over a not-yet-connected cell leaves that cell
     with no crossing-free attachment at all; the forced counter records it."""
-    pts = [(0, 2), (0, 3), (1, 0), (3, 0), (4, 3), (5, 3)]
-    grid = _one_sector(pts, "chain")
+    grid = _one_sector(_FORCED, "chain")
     # chain walks hub->(1,0)->(3,0)->(4,3)->(5,3); reaching (0,3) from the
     # tip would run along the (4,3)-(5,3) wire, so it falls back to the hub
     # and that wire passes straight over the cell at (0,2)
@@ -456,14 +458,20 @@ def test_build_grid_requires_sector_labels():
 # ---------------------------------------------------------------------------
 # lockstep builders against the per-sector reference
 
+def _assert_grids_match_reference(deployments, grids, topology, n_branches=6):
+    """Each grid of one build_grids batch equals its deployment's
+    per-sector reference feeders, bit for bit."""
+    for deployment, grid in zip(deployments, grids, strict=True):
+        edges, wire, forced = reference_feeders(deployment, topology, n_branches)
+        assert _edge_list(grid) == edges
+        assert _wire(grid) == wire
+        assert grid.forced_crossings == forced
+
+
 def _assert_matches_reference(deployment, topology, n_branches=6):
     """build_grid must reproduce the per-sector builders bit for bit."""
-    cfg = SimulationConfig(topology=topology, n_branches=n_branches)
-    grid = build_grid(deployment, cfg)
-    edges, wire, forced = reference_feeders(deployment, topology, n_branches)
-    assert _edge_list(grid) == edges
-    assert _wire(grid) == wire
-    assert grid.forced_crossings == forced
+    grid = build_grid(deployment, SimulationConfig(topology=topology, n_branches=n_branches))
+    _assert_grids_match_reference([deployment], [grid], topology, n_branches)
 
 
 def test_lockstep_matches_reference_on_criterion_5_corpus():
@@ -506,11 +514,7 @@ def test_lockstep_matches_reference_on_edge_cases(topology):
     )
     _assert_matches_reference(_deployment(_uneven_sectors(rng)), topology)
     # the forced-crossing layout of test_chain_forced_crossing_counted
-    _assert_matches_reference(
-        _deployment([(0, 2), (0, 3), (1, 0), (3, 0), (4, 3), (5, 3)], n_branches=1),
-        topology,
-        n_branches=1,
-    )
+    _assert_matches_reference(_deployment(_FORCED, n_branches=1), topology, n_branches=1)
     # integer grids: collinear hops, shared endpoints, forced crossings
     for _ in range(20):
         points = rng.integers(-6, 7, size=(int(rng.integers(1, 150)), 2)).tolist()
@@ -579,11 +583,7 @@ def _integer_layouts(draw):
 def test_chains_match_reference_on_integer_layouts(case):
     n_branches, deployments = case
     grids = build_grids(deployments, SimulationConfig(topology="chain", n_branches=n_branches))
-    for deployment, grid in zip(deployments, grids):
-        edges, wire, forced = reference_feeders(deployment, "chain", n_branches)
-        assert _edge_list(grid) == edges
-        assert _wire(grid) == wire
-        assert grid.forced_crossings == forced
+    _assert_grids_match_reference(deployments, grids, "chain", n_branches)
 
 
 @st.composite
@@ -610,7 +610,7 @@ def test_chains_match_reference_where_hops_touch_the_last_wire(deployment):
 
 
 # one sector where a later tour hop crosses a blocked tour hop, but not the
-# wire that replaces it from a branch point
+# wire that replaces it from the blocked hop's nearest start but the tip
 _RELAID = [
     (4.9, 2.6), (4.1, 1.8), (0.8, 1.3), (0.0, 2.6), (7.2, 0.0), (6.1, 1.9), (4.9, 1.1),
     (6.6, 2.0), (3.4, 3.7), (1.1, 2.7), (7.6, 2.3), (1.6, 0.7), (2.1, 4.1), (7.1, 1.9),
@@ -654,6 +654,35 @@ def test_repair_rounds_defer_hops_for_each_reason(monkeypatch):
     assert fired["changed"] and fired["met"] and fired["crossed"], fired
 
 
+def _third_start():
+    """A deployment with one blocked hop whose wires from its nearest and
+    second-nearest starts both cross, so that it takes its third."""
+    cfg = SimulationConfig(density=0.5, n_branches=6, topology="chain")
+    return deploy(cfg, np.random.default_rng(derive_seed(11, 3, 2, 45)))
+
+
+def test_chain_search_reaches_a_third_start(monkeypatch):
+    """A row's first blocked hop whose new wire crosses tries its next start
+    in the next round, in (distance, node id) order, as often as it must."""
+    searched = collections.Counter()
+    nearest_but_tip = chain._nearest_but_tip
+
+    def spy(node_xy, pos, r, j, c_xy, past):
+        searched.update(zip(r[past >= 0].tolist(), j[past >= 0].tolist()))
+        return nearest_but_tip(node_xy, pos, r, j, c_xy, past)
+
+    monkeypatch.setattr(chain, "_nearest_but_tip", spy)
+    deployments = [
+        deploy(SimulationConfig(density=d), np.random.default_rng(derive_seed(1, i, 2, 0)))
+        for i, d in enumerate((0.1, 0.25, 0.5, 1.0))
+    ]
+    deployments.append(_third_start())
+    grids = build_grids(deployments, SimulationConfig(topology="chain"))
+    _assert_grids_match_reference(deployments, grids, "chain")
+    # the past-start searches of one hop: past its first start, then its second
+    assert max(searched.values(), default=0) >= 2, searched
+
+
 def test_chains_do_not_depend_on_the_chunk_sizes(monkeypatch):
     """The crossing joins take rows in groups of _WIRES wires and test
     _PAIRS candidate pairs at a time, and the repairs search the nearest
@@ -664,13 +693,13 @@ def test_chains_do_not_depend_on_the_chunk_sizes(monkeypatch):
         for i, d in enumerate((0.1, 0.5))
     ]
     deployments.append(_deployment(rng.integers(-4, 5, size=(60, 2)).tolist(), n_branches=6))
+    deployments += [_third_start(), _deployment(_FORCED, n_branches=1)]
     cfg = SimulationConfig(topology="chain")
 
     def digest():
-        return [
-            (_edge_list(g), g.wire_m.tobytes(), g.forced_crossings)
-            for g in build_grids(deployments, cfg)
-        ]
+        grids = build_grids(deployments, cfg)
+        assert [g.forced_crossings for g in grids] == [0, 0, 0, 0, 1]
+        return [(_edge_list(g), g.wire_m.tobytes()) for g in grids]
 
     expected = digest()
     for wires, pairs, hops in ((1, 1, 1), (40, 7, 3), (10**9, 10**9, 10**9)):
@@ -709,11 +738,7 @@ def _screened(monkeypatch, deployments, n_branches=6):
         cfg = SimulationConfig(topology=topology, n_branches=n_branches)
         grids = build_grids(deployments, cfg)
         monkeypatch.undo()
-        for deployment, grid in zip(deployments, grids):
-            edges, wire, forced = reference_feeders(deployment, topology, n_branches)
-            assert _edge_list(grid) == edges
-            assert _wire(grid) == wire
-            assert grid.forced_crossings == forced
+        _assert_grids_match_reference(deployments, grids, topology, n_branches)
     return {topology: c.by for topology, c in calls.items()}
 
 
