@@ -143,7 +143,7 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
     # wiring order, then the padding; hop k wires node nid[:, k + 1] from
     # node src[:, k], its tip nid[:, k] unless it branches
     nid = np.zeros((rows, slots + 1), dtype=np.intp)
-    nid[:, 1:] = grow_nearest(node_xy, filled, filled.sum(axis=0).tolist(), tree=False)
+    nid[:, 1:] = grow_nearest(node_xy, filled, tree=False)
     pos = np.empty_like(nid)
     pos[np.arange(rows)[:, None], nid] = np.arange(slots + 1)
     src = nid[:, :-1].copy()

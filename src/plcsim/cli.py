@@ -17,9 +17,11 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,6 +41,10 @@ TOPOLOGY_COLORS = {"bus": "blue", "tree": "red", "chain": "green"}
 SIMULATE_COLUMNS = ("seed", "topology", "density") + METRICS
 
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
+
+# records per chunk of layout.json text, so that writing holds one chunk's
+# pieces, not the whole file's
+_RECORDS = 512
 
 
 def run_manifest(config: SimulationConfig, timestamp: bool) -> dict:
@@ -109,11 +115,12 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a uniquely named temporary file in the target
-    directory, then rename it into place, so concurrent runs writing to
-    one directory never share a temporary file.  The file is created as
-    a plain open() creates it, so the umask sets its mode."""
+def _write_atomic(path: Path, pieces: Iterable[str]) -> None:
+    """Write the text pieces in order through a uniquely named temporary
+    file in the target directory, then rename it into place, so concurrent
+    runs writing to one directory never share a temporary file.  The file
+    is created as a plain open() creates it, so the umask sets its mode.
+    A str is an iterable of characters: pass one text as a one-piece list."""
     path.parent.mkdir(parents=True, exist_ok=True)
     while True:
         tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
@@ -124,7 +131,7 @@ def _write_atomic(path: Path, text: str) -> None:
             continue
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -132,7 +139,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _write_atomic(path, [json.dumps(payload, indent=2, allow_nan=False) + "\n"])
 
 
 def _csv_text(columns: tuple[str, ...], rows: list[list]) -> str:
@@ -159,68 +166,75 @@ def _texts(column: np.ndarray, text=json.dumps) -> list[str]:
     return np.array([text(v) for v in values.tolist()], dtype=object)[at].tolist()
 
 
-def _add_block(text: list[str], name: str, keys: str, *columns: list[str]) -> None:
-    """Append to text the pieces of the layout.json block `name`: an array
-    whose record j holds each of the space-separated keys with text j of
-    its column, laid out as json.dumps(indent=2) lays it out.  Each key and
-    each column fills one slice."""
-    width, rows, lo = 2 * len(columns), len(columns[0]), len(text)
+def _block(name: str, keys: str, *columns: list[str]) -> Iterator[str]:
+    """The text of the layout.json block `name` in chunks of at most
+    _RECORDS records: an array whose record j holds each of the
+    space-separated keys with text j of its column, laid out as
+    json.dumps(indent=2) lays it out.  Each key and each column fills one
+    slice of a chunk's pieces."""
+    width, rows = 2 * len(columns), len(columns[0])
     if not rows:
-        text.append(',\n  "%s": []' % name)
+        yield ',\n  "%s": []' % name
         return
-    text += [""] * (width * rows)
-    for i, (key, column) in enumerate(zip(keys.split(), columns)):
-        lead = ",\n      " if i else "\n    },\n    {\n      "
-        text[lo + 2 * i :: width] = [lead + '"%s": ' % key] * rows
-        text[lo + 2 * i + 1 :: width] = column
-    # record 0 opens the block rather than closing a record
-    text[lo] = text[lo].replace("\n    },", ',\n  "%s": [' % name)
-    text.append("\n    }\n  ]")
+    for lo in range(0, rows, _RECORDS):
+        n = min(rows - lo, _RECORDS)
+        text = [""] * (width * n)
+        for i, (key, column) in enumerate(zip(keys.split(), columns)):
+            lead = ",\n      " if i else "\n    },\n    {\n      "
+            text[2 * i :: width] = [lead + '"%s": ' % key] * n
+            text[2 * i + 1 :: width] = column[lo : lo + n]
+        if not lo:  # record 0 opens the block rather than closing a record
+            text[0] = text[0].replace("\n    },", ',\n  "%s": [' % name)
+        yield "".join(text)
+    yield "\n    }\n  ]"
 
 
-def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> str:
-    """The text of layout.json: the header through json.dumps, then the
-    cells, nodes and edges blocks pieced together from columns of text
-    with one join.  Each float is formatted once (a cell node reuses its
+def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> Iterator[str]:
+    """The text of layout.json as an iterator of chunks: the header through
+    json.dumps, then the cells, nodes and edges blocks, each chunk pieced
+    together from at most _RECORDS records of columns of text.  The columns
+    are formatted on the call, each float once (a cell node reuses its
     cell's text: its node_xy row is its cell's xy row), and ids come from
     one table of int text whose last entry, "null", is where -1 ids land.
-    The bytes are those of ``json.dumps(document, indent=2,
-    allow_nan=False) + "\n"``, and a non-finite float raises ValueError as
-    that call does."""
+    The joined chunks are the bytes of ``json.dumps(document, indent=2,
+    allow_nan=False) + "\n"``, and a non-finite float raises ValueError on
+    the call, as that call does."""
     floats = (deployment.xy, deployment.radius_m, grid.wire_m, grid.node_xy, grid.length_m)
     if not all(np.isfinite(column).all() for column in floats):
         raise ValueError("Out of range float values are not JSON compliant")
     n, node_cell, m = len(deployment.xy), grid.node_cell, len(grid.node_cell)
     # coordinate text of the cells, then of the hub and junctions (`own`);
-    # node i's is row at[i]
+    # node i's is row at[i]; the floats' list dies once the map is drained
     own = np.flatnonzero(node_cell < 0)
     at = node_cell.copy()
     at[own] = n + np.arange(own.size)
-    xy = np.concatenate((deployment.xy, grid.node_xy[own])).ravel().tolist()
-    x, y = np.array(list(map(repr, xy)), dtype=object).reshape(-1, 2).T
+    xy = map(repr, np.concatenate((deployment.xy, grid.node_xy[own])).ravel().tolist())
+    x, y = np.array(list(xy), dtype=object).reshape(-1, 2).T
     ints = np.array([*map(str, range(max(n, m))), "null"], dtype=object)
     # a sector is bounded by n_branches, not by the node count
     sectors = np.concatenate((deployment.sector, grid.node_sector))
     sector = _texts(sectors, lambda k: json.dumps(k if k >= 0 else None))
     hub = {"x_m": deployment.hub[0], "y_m": deployment.hub[1]}
     header = {"manifest": manifest, "hub": hub, "forced_crossings": grid.forced_crossings}
-    text = [json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]]
-    _add_block(
-        text, "cells", "id x_m y_m radius_m sector wire_distance_m served",
-        ints[:n].tolist(), x[:n].tolist(), y[:n].tolist(), [repr(float(deployment.radius_m))] * n,
-        sector[:n], list(map(repr, grid.wire_m.tolist())), _texts(grid.served),
+    return itertools.chain(
+        [json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]],
+        _block(
+            "cells", "id x_m y_m radius_m sector wire_distance_m served",
+            ints[:n].tolist(), x[:n].tolist(), y[:n].tolist(),
+            [repr(float(deployment.radius_m))] * n, sector[:n],
+            list(map(repr, grid.wire_m.tolist())), _texts(grid.served),
+        ),
+        _block(
+            "nodes", "id x_m y_m kind cell_id sector",
+            ints[:m].tolist(), x[at].tolist(), y[at].tolist(), _texts(grid.node_kind),
+            ints[node_cell].tolist(), sector[n:],
+        ),
+        _block(
+            "edges", "a b length_m", ints[grid.edges[:, 0]].tolist(),
+            ints[grid.edges[:, 1]].tolist(), list(map(repr, grid.length_m.tolist())),
+        ),
+        ["\n}\n"],
     )
-    _add_block(
-        text, "nodes", "id x_m y_m kind cell_id sector",
-        ints[:m].tolist(), x[at].tolist(), y[at].tolist(), _texts(grid.node_kind),
-        ints[node_cell].tolist(), sector[n:],
-    )
-    _add_block(
-        text, "edges", "a b length_m", ints[grid.edges[:, 0]].tolist(),
-        ints[grid.edges[:, 1]].tolist(), list(map(repr, grid.length_m.tolist())),
-    )
-    text.append("\n}\n")
-    return "".join(text)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for report in reports
     ]
     out = Path(args.out) / "metrics.csv"
-    _write_atomic(out, _csv_text(SIMULATE_COLUMNS, rows))
+    _write_atomic(out, [_csv_text(SIMULATE_COLUMNS, rows)])
     _write_json(Path(args.out) / "metrics.manifest.json", run_manifest(config, timestamp=True))
     print("wrote %s" % out)
     return 0
@@ -275,7 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = [[_num(getattr(r, c)) for c in SWEEP_COLUMNS] for r in result.rows]
     out_dir = Path(args.out)
     out = out_dir / "sweep.csv"
-    _write_atomic(out, _csv_text(SWEEP_COLUMNS, rows))
+    _write_atomic(out, [_csv_text(SWEEP_COLUMNS, rows)])
     _write_json(out_dir / "sweep.manifest.json", run_manifest(config, timestamp=True))
     written = [str(out)]
 
@@ -312,7 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ),
         }
         for name, svg in plots.items():
-            _write_atomic(out_dir / name, svg)
+            _write_atomic(out_dir / name, [svg])
             written.append(str(out_dir / name))
 
     for path in written:

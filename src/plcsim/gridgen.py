@@ -280,7 +280,7 @@ def _grow_trees(node_xy: np.ndarray, filled: np.ndarray):
     already-connected node (ties: lower cell id; equidistant targets:
     earliest-connected node), each hop as long as the ``np.hypot``
     distance that chose it."""
-    child, parent = grow_nearest(node_xy, filled, filled.sum(axis=0).tolist(), tree=True)
+    child, parent = grow_nearest(node_xy, filled, tree=True)
     rows = np.arange(len(filled))[:, None]
     hop = node_xy[rows, child] - node_xy[rows, parent]  # +inf past a row's end
     return parent, child, np.hypot(hop[..., 0], hop[..., 1]), np.zeros(len(filled), dtype=np.intp)

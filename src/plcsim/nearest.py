@@ -22,13 +22,13 @@ _MARGIN = 2.0**-40
 _SAFE = (2.0**-400, 2.0**400)
 
 
-def grow_nearest(node_xy: np.ndarray, filled: np.ndarray, lives: list[int], tree: bool):
+def grow_nearest(node_xy: np.ndarray, filled: np.ndarray, tree: bool):
     """The node wired at each (row, step), past a row's end its padding in
-    order, and for a tree also the node each attaches to.  Each step, every
-    live row (``lives[k]`` at step k) wires its free cell of least key (ties:
-    lower slot); a tree keeps each cell's key to its nearest wired node (a
-    later node takes over only if strictly closer), a tour replaces every
-    key with the one to the new tip.  The arguments are a grower's
+    order, and for a tree also the node each attaches to.  At step k, every
+    row with a cell in slot k wires its free cell of least key (ties: lower
+    slot); a tree keeps each cell's key to its nearest wired node (a later
+    node takes over only if strictly closer), a tour replaces every key
+    with the one to the new tip.  The arguments are a grower's
     (`plcsim.gridgen`)."""
     rows, slots = filled.shape
     a = np.abs(node_xy[np.isfinite(node_xy) & (node_xy != 0)])
@@ -56,7 +56,7 @@ def grow_nearest(node_xy: np.ndarray, filled: np.ndarray, lives: list[int], tree
     order = np.tile(np.arange(slots), (rows, 1))
     base = np.arange(rows) * slots  # flat index of each row's slot 0
 
-    for k, live in enumerate(lives):
+    for k, live in enumerate(filled.sum(axis=0).tolist()):
         K = key[:live]
         c = K.argmin(axis=1)
         f = base[:live] + c

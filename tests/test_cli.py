@@ -464,7 +464,7 @@ def _layout(config):
 def _assert_layout_matches_oracle(config):
     dep, grid, manifest = _layout(config)
     document = layout_dict(dep, grid, manifest)
-    text = layout_json(dep, grid, manifest)
+    text = "".join(layout_json(dep, grid, manifest))
     assert text == json.dumps(document, indent=2, allow_nan=False) + "\n"
     assert json.loads(text) == document
 
@@ -545,7 +545,7 @@ def _hand_layout(points, topology, n_branches=6, anchor=0.0, hub=(350.0, 350.0))
 
 
 def _assert_matches_oracle(dep, grid, manifest):
-    text = layout_json(dep, grid, manifest)
+    text = "".join(layout_json(dep, grid, manifest))
     assert text == json.dumps(layout_dict(dep, grid, manifest), indent=2, allow_nan=False) + "\n"
 
 
@@ -574,6 +574,44 @@ def test_layout_json_pitfalls_match_dict_oracle(topology):
     _assert_matches_oracle(dep, grid, manifest)
 
 
+@pytest.mark.parametrize("topology", ["bus", "tree", "chain"])
+def test_layout_json_does_not_depend_on_the_chunk_size(topology, monkeypatch):
+    """Chunks of 1, 7 and more records than any block holds give
+    json.dumps' bytes for the dict document, on an empty, a one-cell and a
+    many-cell layout; a block of r records comes in ceil(r / size) chunks
+    plus its closing one."""
+    configs = [
+        SimulationConfig(topology=topology, density=d, master_seed=4) for d in (0.0, 0.25)
+    ]
+    layouts = (_layout(configs[-1]), _hand_layout([[450.0, 349.0]], topology))
+    for records in (1, 7, 10**9):
+        monkeypatch.setattr(cli, "_RECORDS", records)
+        for config in configs:
+            _assert_layout_matches_oracle(config)
+        _assert_matches_oracle(*layouts[1])
+        for dep, grid, manifest in layouts:
+            blocks = (len(dep.xy), len(grid.node_xy), len(grid.edges))
+            chunks = sum(-(-r // records) + 1 if r else 1 for r in blocks)
+            assert len(list(layout_json(dep, grid, manifest))) == 2 + chunks
+
+
+def test_writing_a_large_layout_holds_chunks_not_the_file(tmp_path):
+    """A density-20 bus layout (24,500 cells, 15 MB of text) is
+    formatted and written through _write_atomic a chunk at a time.  Bound:
+    the traced peak stays under 24 MB; the writer that joined the whole
+    text first peaked at about 40 MB."""
+    dep, grid, manifest = _layout(SimulationConfig(topology="bus", density=20.0, master_seed=1))
+    out = tmp_path / "layout.json"
+    tracemalloc.start()
+    try:
+        cli._write_atomic(out, layout_json(dep, grid, manifest))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+    assert len(json.loads(out.read_text())["cells"]) == len(dep.xy)
+
+
 def test_layout_json_int_text_grows_with_ids_not_branches():
     """n_branches = 2**21, which validate() allows, with a few cells: the
     writer's int text grows with the ids present, not with n_branches.
@@ -586,7 +624,7 @@ def test_layout_json_int_text_grows_with_ids_not_branches():
     assert 0 < len(dep.xy) < 10 and dep.sector.max() > 1000 * len(grid.node_xy)
     tracemalloc.start()
     try:
-        text = layout_json(dep, grid, manifest)
+        text = "".join(layout_json(dep, grid, manifest))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -606,7 +644,7 @@ def test_write_atomic_leaves_the_umask_alone(tmp_path, monkeypatch):
     os.umask(umask)
     monkeypatch.setattr(os, "umask", _refuse)
     monkeypatch.setattr(os, "chmod", _refuse)
-    cli._write_atomic(tmp_path / "out.txt", "text\n")
+    cli._write_atomic(tmp_path / "out.txt", ["text\n"])
     monkeypatch.undo()
     assert (tmp_path / "out.txt").read_text() == "text\n"
     assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o666 & ~umask
@@ -618,7 +656,7 @@ def test_write_atomic_retries_a_taken_name_and_cleans_up_on_failure(tmp_path, mo
     real = os.urandom
     tokens = iter([bytes(6), bytes(6), b"\x01" * 6])
     monkeypatch.setattr(os, "urandom", lambda k: next(tokens, None) or real(k))
-    cli._write_atomic(tmp_path / "out.txt", "ours")
+    cli._write_atomic(tmp_path / "out.txt", ["ours"])
     assert taken.read_text() == "not ours"
     assert (tmp_path / "out.txt").read_text() == "ours"
 
@@ -627,8 +665,15 @@ def test_write_atomic_retries_a_taken_name_and_cleans_up_on_failure(tmp_path, mo
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="rename failed"):
-        cli._write_atomic(tmp_path / "other.txt", "lost")
+        cli._write_atomic(tmp_path / "other.txt", ["lost"])
     monkeypatch.undo()
+
+    def chunks():  # fails after its first piece is written
+        yield "first"
+        raise ValueError("chunk failed")
+
+    with pytest.raises(ValueError, match="chunk failed"):
+        cli._write_atomic(tmp_path / "third.txt", chunks())
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([taken.name, "out.txt"])
 
 
