@@ -33,6 +33,11 @@ _MAX_ROW_BYTES = 2**24
 # a replication's scenario, report and CSV row, kept to the end of its run
 _REPLICATION_BYTES = 2**11
 _MAX_RUN_BYTES = 2**28
+# tree and chain growth takes about 4-18 ns per pair of cells that share a
+# sector, cells**2 / n_branches pairs in all; at this bound a chain grid
+# grows in 2.7 s on 6 branches (39,200 cells) and 4.7 s on one (16,292),
+# a tree in 1.4 s and 1.2 s (2-core machine, Python 3.11, numpy 2.4)
+_MAX_GROWTH_PAIRS = 2**28
 
 
 @dataclass
@@ -111,6 +116,9 @@ class SimulationConfig:
              " (session count)", cells * arrivals, _MAX_SESSIONS),
             ("8 * density * side_m**2 / cell_area_m2 (bytes of a per-cell array)",
              8 * cells, _MAX_CELL_BYTES),
+            ("(density * side_m**2 / cell_area_m2)**2 / n_branches (cell pairs a %r grid"
+             " grows through)" % self.topology,
+             cells * cells / self.n_branches if self.topology != "bus" else 0, _MAX_GROWTH_PAIRS),
             ("8 * n_branches (bytes of a per-branch array)",
              8 * self.n_branches, _MAX_BRANCH_BYTES),
             ("8 * horizon_s / mean_interarrival_s (bytes of one cell's session starts)",

@@ -44,6 +44,8 @@ ever the nearest cell.  Trees and tours compare squared distances, and
 ``np.hypot`` within a margin (`plcsim.nearest`), so each choice is the one
 ``np.hypot`` makes.  Bus spine lengths come from ``math.hypot`` on scalars,
 which defines them (``np.hypot`` can differ from it in the last ulp).
+The tree and chain code (`plcsim.nearest`, `plcsim.chain`) loads with the
+first tree or chain build, so a bus run never loads it.
 """
 
 from __future__ import annotations
@@ -53,12 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import crosses_any as _crosses_any  # noqa: F401  (test_acceptance.py imports it from here)
-from .chain import grow_chains as _grow_chains
 from .config import SimulationConfig
 from .deployment import CellDeployment
 from .errors import GeometryError
-from .nearest import grow_nearest
 
 
 @dataclass
@@ -280,10 +279,19 @@ def _grow_trees(node_xy: np.ndarray, filled: np.ndarray):
     already-connected node (ties: lower cell id; equidistant targets:
     earliest-connected node), each hop as long as the ``np.hypot``
     distance that chose it."""
+    from .nearest import grow_nearest
+
     child, parent = grow_nearest(node_xy, filled, tree=True)
     rows = np.arange(len(filled))[:, None]
     hop = node_xy[rows, child] - node_xy[rows, parent]  # +inf past a row's end
     return parent, child, np.hypot(hop[..., 0], hop[..., 1]), np.zeros(len(filled), dtype=np.intp)
+
+
+def _grow_chains(node_xy: np.ndarray, filled: np.ndarray):
+    """Chain feeders: `plcsim.chain.grow_chains`."""
+    from .chain import grow_chains
+
+    return grow_chains(node_xy, filled)
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +349,13 @@ def reachability_fraction(grid: PowerGrid) -> float | None:
     if n == 0:
         return None
     return int(np.count_nonzero(grid.served)) / n
+
+
+def __getattr__(name: str):
+    # test_acceptance.py imports chain.crosses_any from here; loading it on
+    # first use keeps the chain code out of bus runs
+    if name == "_crosses_any":
+        from .chain import crosses_any
+
+        return crosses_any
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

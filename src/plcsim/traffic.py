@@ -8,19 +8,19 @@ of all bytes.  Data session durations follow a lognormal law pinned by its
 fixed codec rate with exponentially distributed holding times.
 
 The four fitted facts are fixed; a config only rescales the 10 kb
-threshold through ``kb_bits``.  The data fraction, voice rate, voice
-holding time, mean arrival gap and volume cap are config fields.  The
-fitted model is immutable.  session_blocks draws the sessions of
-consecutive whole cells in blocks that start every BLOCK_SESSIONS
-sessions, and generate_traffic joins the same blocks into one SessionSet.
+threshold through ``kb_bits``.  The Pareto exponent is solved once at
+import, and the lognormal's (mu, sigma) are stored as the two floats its
+quantile formula gives.  The data fraction, voice rate, voice holding
+time, mean arrival gap and volume cap are config fields.  The fitted
+model is immutable.  session_blocks draws the sessions of consecutive
+whole cells in blocks that start every BLOCK_SESSIONS sessions, and
+generate_traffic joins the same blocks into one SessionSet.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from statistics import NormalDist
 
 import numpy as np
 
@@ -110,11 +110,12 @@ def fit_size_distribution(small_bits: float = 10_000.0) -> tuple[float, float]:
 
 def fit_duration_distribution() -> tuple[float, float]:
     """Lognormal (mu, sigma) through P(D < 11 s) = 0.8 and
-    P(D > 200 s) = 0.001."""
-    z_short = NormalDist().inv_cdf(0.80)
-    z_long = NormalDist().inv_cdf(0.999)
-    sigma = (math.log(200.0) - math.log(11.0)) / (z_long - z_short)
-    return math.log(11.0) - z_short * sigma, sigma
+    P(D > 200 s) = 0.001: with z80 and z999 the standard normal 0.8 and
+    0.999 quantiles, sigma = (ln 200 - ln 11) / (z999 - z80) and
+    mu = ln 11 - z80 * sigma, written out as the floats that
+    ``statistics.NormalDist().inv_cdf`` gives them (a test re-derives
+    them), so that no run imports ``statistics``."""
+    return 1.3123109980546075, 1.2898727259234637
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import math
 import os
@@ -1002,6 +1003,60 @@ def test_import_loads_no_third_party_module_but_numpy():
     top = {name.partition(".")[0] for name in modules.split()}
     assert "numpy" in top
     assert top - set(sys.stdlib_module_names) - {"numpy", "plcsim"} == set()
+
+
+# the layers a call loads only when it uses them
+_LAZY_LAYERS = (
+    "plcsim.deployment", "plcsim.gridgen", "plcsim.chain", "plcsim.nearest",
+    "plcsim.simulator", "statistics",
+)
+
+
+def test_calls_load_only_the_layers_they_use(tmp_path):
+    """`import plcsim` and a TrafficModel (the start-up every command pays)
+    load no deployment, grid or simulation module and no `statistics`; a
+    bus `generate` loads no chain code.  Every public name is listed by
+    dir() before it is first used."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import json, sys; import plcsim; "
+        "undir = sorted(set(plcsim.__all__) - set(dir(plcsim))); "
+        "plcsim.TrafficModel.from_config(plcsim.SimulationConfig()); "
+        "start = sorted(set(sys.argv[2:]) & set(sys.modules)); "
+        "import plcsim.cli; "
+        "plcsim.cli.main(['generate', '--topology', 'bus', '--density', '0.05', '--out', sys.argv[1]]); "
+        "bus = sorted(set(sys.argv[2:]) & set(sys.modules)); "
+        "print(json.dumps([plcsim.__file__, undir, start, bus]))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *_LAZY_LAYERS],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    origin, undir, start, bus = json.loads(run.stdout.splitlines()[-1])
+    assert origin.startswith(src)
+    assert undir == []
+    assert start == []
+    assert not {"plcsim.chain", "plcsim.nearest"} & set(bus)
+
+
+def test_lazy_names_are_their_home_modules_own():
+    """Each public name of the package is the object of the module that
+    defines it; `gridgen._crosses_any` is `chain.crosses_any`; an unknown
+    name raises AttributeError."""
+    import plcsim
+    from plcsim import chain
+    from plcsim.gridgen import _crosses_any
+
+    for name in set(plcsim.__all__) - {"__version__"}:
+        value = getattr(plcsim, name)
+        assert value.__module__.startswith("plcsim.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    assert _crosses_any is chain.crosses_any
+    with pytest.raises(AttributeError, match="no_such_name"):
+        plcsim.no_such_name
+    with pytest.raises(AttributeError, match="_no_such_name"):
+        plcsim.gridgen._no_such_name
 
 
 def test_no_private_name_imported_across_modules():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from plcsim.config import (
     _MAX_BRANCH_BYTES,
     _MAX_CELL_BYTES,
+    _MAX_GROWTH_PAIRS,
     _MAX_POISSON_LAM,
     _MAX_ROW_BYTES,
     _MAX_RUN_BYTES,
@@ -95,6 +98,22 @@ def test_memory_budget_at_its_limit(field, at_limit, over, base):
     setattr(cfg, field, float(over))
     with pytest.raises(ConfigError, match=field):
         cfg.validate()
+
+
+@pytest.mark.parametrize("topology", ["tree", "chain"])
+def test_growth_pairs_within_bound(topology):
+    """Tree and chain growth time is quadratic in the cells per branch:
+    validate() admits cells**2 / n_branches at its bound and rejects a
+    density just over it, naming density and the topology.  A bus is not
+    bounded by it, and the paper's largest density is far inside it."""
+    base = {"side_m": 1.0, "cell_area_m2": 1.0, "n_branches": 1}
+    at_limit = math.sqrt(_MAX_GROWTH_PAIRS)  # cells on one branch, exactly
+    over = np.nextafter(at_limit, math.inf)
+    SimulationConfig(**base, density=at_limit, topology=topology).validate()
+    SimulationConfig(**base, density=over, topology="bus").validate()
+    SimulationConfig(density=1.0, topology=topology, n_branches=1).validate()
+    with pytest.raises(ConfigError, match=r"density.*%r" % topology):
+        SimulationConfig(**base, density=over, topology=topology).validate()
 
 
 def test_replications_within_byte_budget():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ def test_fit_constants_bit_for_bit():
         model = TrafficModel.from_config(SimulationConfig(kb_bits=kb_bits))
         fit = (model.pareto_alpha, model.pareto_xm_bits, model.lognorm_mu, model.lognorm_sigma)
         assert fit == (1.0479516371164197, xm, mu, sigma)
+
+
+def test_duration_fit_literals_are_the_normaldist_formula():
+    """fit_duration_distribution() returns two literals; they are, bit for
+    bit, what its quantile formula gives through statistics.NormalDist."""
+    z_short = NormalDist().inv_cdf(0.80)
+    z_long = NormalDist().inv_cdf(0.999)
+    sigma = (math.log(200.0) - math.log(11.0)) / (z_long - z_short)
+    assert fit_duration_distribution() == (math.log(11.0) - z_short * sigma, sigma)
 
 
 # ---------------------------------------------------------------------------
