@@ -160,10 +160,10 @@ def _num(value) -> str:
     return repr(float(value))
 
 
-def _texts(column: np.ndarray, text=json.dumps) -> list[str]:
+def _texts(column: np.ndarray, text=json.dumps) -> np.ndarray:
     """text(v) for every entry v of a column, called once per distinct v."""
     values, at = np.unique(column, return_inverse=True)
-    return np.array([text(v) for v in values.tolist()], dtype=object)[at].tolist()
+    return np.array([text(v) for v in values.tolist()], dtype=object)[at]
 
 
 def _block(name: str, keys: str, *columns: list[str]) -> Iterator[str]:
@@ -194,26 +194,26 @@ def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> 
     json.dumps, then the cells, nodes and edges blocks, each chunk pieced
     together from at most _RECORDS records of columns of text.  The columns
     are formatted on the call, each float once (a cell node reuses its
-    cell's text: its node_xy row is its cell's xy row), and ids come from
-    one table of int text whose last entry, "null", is where -1 ids land.
-    The joined chunks are the bytes of ``json.dumps(document, indent=2,
-    allow_nan=False) + "\n"``, and a non-finite float raises ValueError on
-    the call, as that call does."""
-    floats = (deployment.xy, deployment.radius_m, grid.wire_m, grid.node_xy, grid.length_m)
+    cell's text), and ids come from one table of int text whose last
+    entry, "null", is where -1 ids land.  The joined chunks are the bytes
+    of ``json.dumps(document, indent=2, allow_nan=False) + "\n"``, and a
+    non-finite float raises ValueError on the call, as that call does."""
+    floats = (deployment.xy, deployment.radius_m, grid.wire_m, grid.junction_xy, grid.length_m)
     if not all(np.isfinite(column).all() for column in floats):
         raise ValueError("Out of range float values are not JSON compliant")
     n, node_cell, m = len(deployment.xy), grid.node_cell, len(grid.node_cell)
-    # coordinate text of the cells, then of the hub and junctions (`own`);
+    # coordinate and sector text of the cells, the hub and the junctions;
     # node i's is row at[i]; the floats' list dies once the map is drained
-    own = np.flatnonzero(node_cell < 0)
-    at = node_cell.copy()
-    at[own] = n + np.arange(own.size)
-    xy = map(repr, np.concatenate((deployment.xy, grid.node_xy[own])).ravel().tolist())
+    at = grid.node_rows()
+    xy = np.concatenate((deployment.xy, [deployment.hub], grid.junction_xy))
+    xy = map(repr, xy.ravel().tolist())
     x, y = np.array(list(xy), dtype=object).reshape(-1, 2).T
     ints = np.array([*map(str, range(max(n, m))), "null"], dtype=object)
     # a sector is bounded by n_branches, not by the node count
-    sectors = np.concatenate((deployment.sector, grid.node_sector))
+    sectors = np.concatenate((deployment.sector, [-1], grid.junction_sector))
     sector = _texts(sectors, lambda k: json.dumps(k if k >= 0 else None))
+    kind = np.array(['"junction"', '"cell"'], dtype=object)[(node_cell >= 0).view(np.int8)].tolist()
+    kind[0] = '"hub"'
     hub = {"x_m": deployment.hub[0], "y_m": deployment.hub[1]}
     header = {"manifest": manifest, "hub": hub, "forced_crossings": grid.forced_crossings}
     return itertools.chain(
@@ -221,13 +221,12 @@ def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> 
         _block(
             "cells", "id x_m y_m radius_m sector wire_distance_m served",
             ints[:n].tolist(), x[:n].tolist(), y[:n].tolist(),
-            [repr(float(deployment.radius_m))] * n, sector[:n],
-            list(map(repr, grid.wire_m.tolist())), _texts(grid.served),
+            [repr(float(deployment.radius_m))] * n, sector[:n].tolist(),
+            list(map(repr, grid.wire_m.tolist())), _texts(grid.served).tolist(),
         ),
         _block(
-            "nodes", "id x_m y_m kind cell_id sector",
-            ints[:m].tolist(), x[at].tolist(), y[at].tolist(), _texts(grid.node_kind),
-            ints[node_cell].tolist(), sector[n:],
+            "nodes", "id x_m y_m kind cell_id sector", ints[:m].tolist(),
+            x[at].tolist(), y[at].tolist(), kind, ints[node_cell].tolist(), sector[at].tolist(),
         ),
         _block(
             "edges", "a b length_m", ints[grid.edges[:, 0]].tolist(),

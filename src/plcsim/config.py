@@ -22,7 +22,7 @@ _MAX_POISSON_LAM = int(_MAX_ARRAY_SIZE - 10.0 * math.sqrt(_MAX_ARRAY_SIZE))
 # deviations from its mean, cannot wrap the int64 sum of the cell counts
 _MAX_SESSIONS = _MAX_ARRAY_SIZE // 2
 # byte budgets (README, "Library"): a grid build holds about a dozen arrays
-# with 8 bytes per branch at once, and a run about 1.2 KB per cell, the
+# with 8 bytes per branch at once, and a run about 1.1 KB per cell, the
 # layout.json column text included (the file itself is written in chunks);
 # a load half holds one rate series and one block of sessions, at least one
 # cell's, at about 100 bytes per session

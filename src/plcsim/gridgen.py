@@ -13,14 +13,13 @@ under one of three wiring disciplines:
 Wire distance to the hub, not Euclidean distance, decides whether a cell
 can be served.
 
-A grid is a set of arrays.  Node ``i`` has position ``node_xy[i]``, kind
-``node_kind[i]`` (``"hub"``, ``"cell"`` or ``"junction"``), cell id
-``node_cell[i]`` (-1 for the hub and junctions) and sector
-``node_sector[i]`` (-1 for the hub).  Node 0 is the hub; then come, sector
-by sector, the sector's cells in id order and then its bus junctions.  A
-cell node's position is its cell's, bit for bit: ``node_xy[i]`` equals
-``xy[node_cell[i]]`` wherever ``node_cell[i] >= 0``, which lets the
-layout.json writer reuse a cell's coordinate text for its node.
+A grid keeps its ``deployment`` and stores only what it adds.  Node ``i``
+is cell ``node_cell[i]``, or the hub or a junction where that is -1: node
+0 is the hub, then come, sector by sector, the sector's cells in id order
+and its bus junctions, whose positions and sectors are ``junction_xy`` and
+``junction_sector`` in node order.  So a cell node's position and sector
+are its cell's by construction; ``node_xy``, ``node_kind`` (``"hub"``,
+``"cell"``, ``"junction"``) and ``node_sector`` (-1 at the hub) are derived.
 A bus groups a sector's cells into runs of equal spine projection; a run
 gets a new junction unless one of its cells lies on the spine, and the
 junctions are numbered, and the runs laid, in increasing projection.
@@ -28,8 +27,8 @@ Edge ``e`` wires node ``edges[e, 0]`` to node ``edges[e, 1]`` with
 ``length_m[e]`` of cable, edges listed sector by sector in the order they
 were laid (for a bus: each run's spine edge, then its drops).  Per cell
 (indexed by cell id) the grid holds ``wire_m``, the hub-to-cell path
-length, ``branch``, the cell's sector, and ``served``, set by
-`mark_served`.
+length, and ``served``, set by `mark_served`; a cell's branch is its
+deployment sector.
 
 The ``tree`` and ``chain`` feeders of all sectors of all deployments
 given to `build_grids` are grown in lockstep: each occupied (deployment,
@@ -62,20 +61,41 @@ from .errors import GeometryError
 
 @dataclass
 class PowerGrid:
-    """Feeder grid as node, edge and per-cell arrays (see the module
-    docstring)."""
+    """Feeder grid over its deployment (see the module docstring)."""
 
-    node_xy: np.ndarray
-    node_kind: np.ndarray
+    deployment: CellDeployment
     node_cell: np.ndarray
-    node_sector: np.ndarray
+    junction_xy: np.ndarray
+    junction_sector: np.ndarray
     edges: np.ndarray
     length_m: np.ndarray
     wire_m: np.ndarray
-    branch: np.ndarray
     served: np.ndarray
     n_branches: int
     forced_crossings: int = 0
+
+    @property
+    def node_xy(self) -> np.ndarray:
+        d = self.deployment
+        return np.concatenate((d.xy, [d.hub], self.junction_xy))[self.node_rows()]
+
+    @property
+    def node_kind(self) -> np.ndarray:
+        kind = np.where(self.node_cell >= 0, "cell", "junction")
+        kind[0] = "hub"
+        return kind
+
+    @property
+    def node_sector(self) -> np.ndarray:
+        d = self.deployment
+        return np.concatenate((d.sector, [-1], self.junction_sector))[self.node_rows()]
+
+    def node_rows(self) -> np.ndarray:
+        """Each node's row in the rows of the cells, the hub, the junctions."""
+        rows = self.node_cell.copy()
+        own = np.flatnonzero(rows < 0)
+        rows[own] = len(self.deployment.xy) + np.arange(own.size)
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +169,16 @@ def build_bus(deployment: CellDeployment, config: SimulationConfig) -> PowerGrid
     b = np.concatenate((jnode[sp], cell_node[dropped]))
     length = np.concatenate((list(map(math.hypot, *gap)), drop[order][dropped]))
 
-    node_count = 1 + n + new.size
-    node_xy = np.empty((node_count, 2))
-    node_xy[0], node_xy[jnode[new]], node_xy[node_of] = hub, jxy[new], xy
-    node_cell = np.full(node_count, -1, dtype=np.intp)
+    node_cell = np.full(1 + n + new.size, -1, dtype=np.intp)
     node_cell[node_of] = np.arange(n)
-    node_sector = np.concatenate(([-1], np.repeat(np.arange(nb), sizes + n_new)))
     return PowerGrid(
-        node_xy=node_xy,
-        node_kind=_node_kinds(node_cell),
+        deployment=deployment,
         node_cell=node_cell,
-        node_sector=node_sector,
+        junction_xy=jxy[new],  # new runs are in node order
+        junction_sector=run_k[new],
         edges=np.column_stack((a, b))[laid],
         length_m=length[laid],
         wire_m=t + drop,
-        branch=sector,
         served=np.zeros(n, dtype=bool),
         n_branches=nb,
     )
@@ -173,12 +188,6 @@ def _by_sector(sector: np.ndarray, nb: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell ids sector by sector (id order within a sector), and the number
     of cells in each sector."""
     return np.argsort(sector, kind="stable"), np.bincount(sector, minlength=nb)
-
-
-def _node_kinds(node_cell: np.ndarray) -> np.ndarray:
-    kind = np.where(node_cell >= 0, "cell", "junction")
-    kind[0] = "hub"
-    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +253,15 @@ def _build_feeders(deployments: list[CellDeployment], nb: int, grow) -> list[Pow
     ):
         wire_m = np.empty(hi - lo)
         wire_m[ids] = wire[lo:hi]
-        node_cell = np.concatenate(([-1], ids))
         grids.append(
             PowerGrid(
-                node_xy=np.concatenate(([d.hub], flat_xy[lo:hi])),
-                node_kind=_node_kinds(node_cell),
-                node_cell=node_cell,
-                node_sector=np.concatenate(([-1], d.sector[ids])),
+                deployment=d,
+                node_cell=np.concatenate(([-1], ids)),
+                junction_xy=np.empty((0, 2)),
+                junction_sector=np.empty(0, dtype=np.intp),
                 edges=np.column_stack((parent[lo:hi], child[lo:hi])),
                 length_m=length[lo:hi],
                 wire_m=wire_m,
-                branch=d.sector,
                 served=np.zeros(hi - lo, dtype=bool),
                 n_branches=nb,
                 forced_crossings=f,
@@ -334,9 +341,9 @@ def mark_served(
     """Flag the served cells: wire distance within reach, and within the
     per-branch fan-out cap (nearest first, ties by cell id)."""
     # lexsort is stable, so equal (branch, wire) keys stay in cell id order
-    ranked = np.lexsort((grid.wire_m, grid.branch))
+    ranked = np.lexsort((grid.wire_m, grid.deployment.sector))
     ranked = ranked[grid.wire_m[ranked] <= max_wire_m]
-    branch = grid.branch[ranked]
+    branch = grid.deployment.sector[ranked]
     rank = np.arange(ranked.size) - np.searchsorted(branch, branch)
     grid.served = np.zeros(grid.wire_m.size, dtype=bool)
     grid.served[ranked[rank < max_cells_per_branch]] = True

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimulationConfig, check_replications
-from .deployment import deploy
+from .deployment import cell_count, deploy
 from .gridgen import (
     PowerGrid,
     build_grid,  # noqa: F401  (only for the build_grid site in perfbench/tracing.py)
@@ -69,21 +69,13 @@ class MetricsReport:
 METRICS = tuple(f.name for f in dataclasses.fields(MetricsReport))[1:]
 
 
-@dataclass
-class SweepRow:
-    density: float
-    topology: str
-    replications: int
-    reachability_mean: float | None
-    reachability_stderr: float | None
-    avg_rate_bps_mean: float | None
-    avg_rate_bps_stderr: float | None
-    max_rate_bps_mean: float | None
-    max_rate_bps_stderr: float | None
-    mean_wait_s_mean: float | None
-    mean_wait_s_stderr: float | None
-    forced_crossings_mean: float | None
-    forced_crossings_stderr: float | None
+# a sweep cell, a column of sweep.csv per field, a pair per metric (METRICS)
+SweepRow = dataclasses.make_dataclass(
+    "SweepRow",
+    [("density", float), ("topology", str), ("replications", int)]
+    + [(name + stat, float | None) for name in METRICS for stat in ("_mean", "_stderr")],
+    namespace={"__module__": __name__},  # so that rows pickle
+)
 
 
 @dataclass
@@ -147,7 +139,7 @@ def aggregate_rate_series(
     width = steps + 2
     # row 0: the hub's step differences; row 1 + k: those of branch k
     diff = np.zeros((grid.n_branches + 1, width))
-    offset = grid.branch * width  # a cell's first index in branches
+    offset = grid.deployment.sector * width  # a cell's first index in branches
     blocks = [sessions] if isinstance(sessions, SessionSet) else sessions
     for block in blocks:
         _add_block(diff, offset, block, grid.served, dt_s, horizon_s)
@@ -277,20 +269,24 @@ def _load(
 
 
 # replications whose layouts are built together: their tree or chain
-# feeders grow in one lockstep, and their grids are held at once
+# feeders grow in one lockstep, and their layouts are held at once
 _LAYOUT_BATCH = 32
+_BATCH_BYTES = 2**27
+_LAYOUT_CELL_BYTES = 128  # measured per cell: bus 101 (121 at most), tree or chain 65
 
 
 def _replicate(scenarios: list[tuple[SimulationConfig, int]]) -> list[MetricsReport]:
     """Replications of validated (config, seed) scenarios that differ in
-    density at most, _LAYOUT_BATCH at a time.  The layout halves of a batch
-    come first: each scenario deploys on its own seed's generator, then
-    build_grids grows every tree or chain feeder in one lockstep.  Grid
-    building draws no random numbers, so each generator goes on into its
-    load half just as in a replication run alone."""
+    density at most, _LAYOUT_BATCH at a time, or fewer if their layouts,
+    at _LAYOUT_CELL_BYTES per cell of the densest, would pass _BATCH_BYTES.
+    The layout halves of a batch come first: each scenario deploys on its
+    own seed's generator, then build_grids grows every tree or chain feeder
+    in one lockstep (see the module docstring)."""
+    cells = max((cell_count(c.density, c.side_m, c.cell_area_m2) for c, _ in scenarios), default=0)
+    size = max(1, min(_LAYOUT_BATCH, _BATCH_BYTES // (_LAYOUT_CELL_BYTES * max(cells, 1))))
     reports = []
-    for lo in range(0, len(scenarios), _LAYOUT_BATCH):
-        batch = scenarios[lo : lo + _LAYOUT_BATCH]
+    for lo in range(0, len(scenarios), size):
+        batch = scenarios[lo : lo + size]
         # the traffic model reads no density, so one serves the batch
         model = TrafficModel.from_config(batch[0][0])
         rngs = [np.random.default_rng(seed) for _, seed in batch]
@@ -300,6 +296,7 @@ def _replicate(scenarios: list[tuple[SimulationConfig, int]]) -> list[MetricsRep
             _load(config, model, seed, rng, grid)
             for (config, seed), rng, grid in zip(batch, rngs, grids)
         ]
+        del deployments, grids  # so that the next batch is built with this one gone
     return reports
 
 
@@ -319,14 +316,9 @@ def _mean_stderr(values: list[float | None]) -> tuple[float | None, float | None
     return mean, float(np.std(present, ddof=1) / math.sqrt(len(present)))
 
 
-def _summarize(
-    density: float, topology: str, reports: list[MetricsReport]
-) -> SweepRow:
-    stats = {}
-    for name in METRICS:
-        mean, stderr = _mean_stderr([getattr(r, name) for r in reports])
-        stats[name + "_mean"], stats[name + "_stderr"] = mean, stderr
-    return SweepRow(density, topology, len(reports), **stats)
+def _summarize(density: float, topology: str, reports: list[MetricsReport]) -> SweepRow:
+    stats = [v for name in METRICS for v in _mean_stderr([getattr(r, name) for r in reports])]
+    return SweepRow(density, topology, len(reports), *stats)
 
 
 def run_cell(

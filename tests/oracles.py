@@ -748,17 +748,16 @@ def reference_bus(deployment, config: SimulationConfig) -> PowerGrid:
         node_sector += [k] * (len(node_xy) - len(node_sector))
 
     node_cell = np.array(node_cell, dtype=np.intp)
-    kind = np.where(node_cell >= 0, "cell", "junction")
-    kind[0] = "hub"
+    junction = node_cell < 0
+    junction[0] = False  # the hub
     return PowerGrid(
-        node_xy=np.array(node_xy),
-        node_kind=kind,
+        deployment=deployment,
         node_cell=node_cell,
-        node_sector=np.array(node_sector, dtype=np.intp),
+        junction_xy=np.array(node_xy)[junction],
+        junction_sector=np.array(node_sector, dtype=np.intp)[junction],
         edges=np.array(edges, dtype=np.intp).reshape(-1, 2),
         length_m=np.array(length),
         wire_m=t + drop,
-        branch=sector,
         served=np.zeros(len(xy), dtype=bool),
         n_branches=nb,
     )
@@ -789,7 +788,7 @@ def reference_aggregate(sessions: SessionSet, grid, dt_s: float, horizon_s: floa
     val = np.concatenate([w * (1.0 - fa), w * fa, -w * (1.0 - fb), -w * fb])
     hub = np.cumsum(np.bincount(idx, weights=val, minlength=width))[:steps]
 
-    branch = grid.branch[kept.cell_id]
+    branch = grid.deployment.sector[kept.cell_id]
     flat = np.concatenate([branch, branch, branch, branch]) * width + idx
     branch_diff = np.bincount(flat, weights=val, minlength=nb * width)
     return hub, np.cumsum(branch_diff.reshape(nb, width), axis=1)[:, :steps]

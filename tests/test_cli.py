@@ -305,6 +305,24 @@ def test_exit_one_on_replications_over_budget(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_cell_limit_replications_fit_in_memory(tmp_path):
+    """Under a 600 MB address-space limit, twelve bus replications at the
+    cell limit (262,137 cells) run: a batch holds the layouts that fit its
+    byte budget, not all twelve.  Holding all twelve, at 46 MB each with
+    the grid's node tables stored, exited 3 with a MemoryError."""
+    limit = (600_000_000, 600_000_000)
+    # one BLAS thread, so that numpy's start-up fits the limit on any core count
+    env = dict(_fresh_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    argv = ["simulate", "--reps", "12", "--density", "213", "--horizon", "1", "--topology", "bus"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "plcsim.cli", *argv, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "out" / "metrics.csv").read_text().splitlines()) == 1 + 12
+
+
 def test_huge_data_volumes_warn_nothing(tmp_path, capsys):
     """A 10 kb threshold near the largest float overflows some drawn
     volumes to inf before the cap clips them; the run says nothing of it."""
@@ -508,7 +526,8 @@ def test_layout_json_matches_dict_oracle_property(
 
 
 def _poison(grid, column, value):
-    getattr(grid, column)[1] = value
+    # the node positions a grid holds itself are its junctions'
+    getattr(grid, "junction_xy" if column == "node_xy" else column)[1] = value
     return grid
 
 

@@ -255,10 +255,13 @@ def test_bus_on_spine_cell_becomes_junction():
 
 def _assert_bus_matches_reference(deployment, cfg):
     """build_bus equals the per-sector loop of tests/oracles.py:reference_bus
-    field for field: every array with its dtype and shape, n_branches and
-    forced_crossings."""
+    field for field: the same deployment, every stored array and node view
+    with its dtype and shape, n_branches and forced_crossings."""
     got, want = build_bus(deployment, cfg), reference_bus(deployment, cfg)
-    for name, value in vars(want).items():
+    assert got.deployment is want.deployment
+    stored = [name for name in vars(want) if name != "deployment"]
+    for name in (*stored, "node_xy", "node_kind", "node_sector"):
+        value = getattr(want, name)
         if isinstance(value, np.ndarray):
             other = getattr(got, name)
             assert other.dtype == value.dtype and other.shape == value.shape, name
@@ -420,6 +423,27 @@ def test_cell_node_position_is_its_cell_position(topology, density):
     assert grid.node_xy[is_cell].tobytes() == dep.xy[grid.node_cell[is_cell]].tobytes()
 
 
+def test_grid_holds_no_copy_of_its_deployment():
+    """A density-20 bus grid (24,500 cells) keeps its deployment and derives
+    the cell rows of its node views from it.  Bound: the grid's own arrays
+    take at most 56 bytes per node; with node_xy, node_kind and node_sector
+    stored it took about 93."""
+    cfg = SimulationConfig(topology="bus", density=20.0, master_seed=2)
+    dep = deploy(cfg, np.random.default_rng(2))
+    grid = build_grid(dep, cfg)
+    assert grid.deployment is dep
+    is_cell = grid.node_cell >= 0
+    assert grid.node_xy[is_cell].tobytes() == dep.xy[grid.node_cell[is_cell]].tobytes()
+    want = reference_bus(dep, cfg)
+    assert grid.node_kind.tolist() == want.node_kind.tolist()
+    assert grid.node_sector.tolist() == want.node_sector.tolist()
+    with pytest.raises(AttributeError):
+        grid.node_xy = np.zeros((len(grid.node_cell), 2))
+    own = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+    assert all(not np.shares_memory(v, a) for v in own for a in (dep.xy, dep.sector))
+    assert sum(v.nbytes for v in own) <= 56 * len(grid.node_cell)
+
+
 def test_build_grid_wire_at_least_euclidean():
     cfg = SimulationConfig(topology="tree", density=0.1, master_seed=6)
     dep = deploy(cfg, np.random.default_rng(6))
@@ -433,7 +457,6 @@ def test_build_grid_branch_labels_follow_sectors():
     cfg = SimulationConfig(topology="tree", density=0.05, master_seed=1)
     dep = deploy(cfg, np.random.default_rng(1))
     grid = build_grid(dep, cfg)
-    assert grid.branch.tolist() == dep.sector.tolist()
     cell_nodes = grid.node_kind == "cell"
     node_cells = grid.node_cell[cell_nodes]
     assert grid.node_sector[cell_nodes].tolist() == dep.sector[node_cells].tolist()
@@ -540,7 +563,7 @@ def test_single_sector_builders_match_reference():
 def _visit_order(grid):
     """Per sector, the cell ids in the order the grid's hops wire them."""
     child = grid.node_cell[grid.edges[:, 1]]
-    return [child[grid.branch[child] == k].tolist() for k in range(grid.n_branches)]
+    return [child[grid.deployment.sector[child] == k].tolist() for k in range(grid.n_branches)]
 
 
 def test_chain_visits_cells_in_greedy_tour_order():
@@ -918,18 +941,17 @@ def test_tree_is_minimum_spanning_tree():
 
 def _bare_grid(wire, branch=None):
     """Grid with per-cell wire distances and branches and no nodes."""
-    branch = [0] * len(wire) if branch is None else branch
+    branch = np.array([0] * len(wire) if branch is None else branch, dtype=np.intp)
     return PowerGrid(
-        node_xy=np.zeros((1, 2)),
-        node_kind=np.array(["hub"]),
+        deployment=CellDeployment((0.0, 0.0), np.zeros((branch.size, 2)), branch, 1.0),
         node_cell=np.array([-1]),
-        node_sector=np.array([-1]),
+        junction_xy=np.empty((0, 2)),
+        junction_sector=np.empty(0, dtype=np.intp),
         edges=np.empty((0, 2), dtype=np.intp),
         length_m=np.empty(0),
         wire_m=np.array(wire, dtype=float),
-        branch=np.array(branch, dtype=np.intp),
         served=np.zeros(len(wire), dtype=bool),
-        n_branches=max(branch, default=0) + 1,
+        n_branches=max(branch.tolist(), default=0) + 1,
     )
 
 

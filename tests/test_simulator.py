@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,10 +17,11 @@ from oracles import (
 )
 from plcsim import gridgen, simulator
 from plcsim.config import SimulationConfig
-from plcsim.deployment import cell_count, deploy
+from plcsim.deployment import CellDeployment, cell_count, deploy
 from plcsim.errors import ConfigError
 from plcsim.gridgen import PowerGrid, build_grid, mark_served
 from plcsim.simulator import (
+    METRICS,
     SessionSet,
     _step_count,
     aggregate_rate_series,
@@ -35,15 +37,15 @@ from plcsim.traffic import BLOCK_SESSIONS, TrafficModel, session_blocks
 
 def _grid(branch, served, n_branches=2):
     """Grid with per-cell branches and served flags and no nodes."""
+    branch = np.array(branch, dtype=np.intp)
     return PowerGrid(
-        node_xy=np.zeros((1, 2)),
-        node_kind=np.array(["hub"]),
+        deployment=CellDeployment((0.0, 0.0), np.zeros((branch.size, 2)), branch, 1.0),
         node_cell=np.array([-1]),
-        node_sector=np.array([-1]),
+        junction_xy=np.empty((0, 2)),
+        junction_sector=np.empty(0, dtype=np.intp),
         edges=np.empty((0, 2), dtype=np.intp),
         length_m=np.empty(0),
-        wire_m=np.ones(len(branch)),
-        branch=np.array(branch, dtype=np.intp),
+        wire_m=np.ones(branch.size),
         served=np.array(served, dtype=bool),
         n_branches=n_branches,
     )
@@ -784,17 +786,36 @@ def test_sweep_validates_every_scenario_before_running(
     assert calls == []
 
 
+def test_sweep_row_fields_come_from_metrics():
+    """A SweepRow holds the density, topology and replication count, then a
+    mean and a standard error per metric of METRICS, in order; rows pickle."""
+    pairs = [name + stat for name in METRICS for stat in ("_mean", "_stderr")]
+    fields = [f.name for f in dataclasses.fields(simulator.SweepRow)]
+    assert fields == ["density", "topology", "replications", *pairs]
+    row = run_sweep(SimulationConfig(horizon_s=1.0), [0.05], ["bus"], 2).rows[0]
+    assert pickle.loads(pickle.dumps(row)) == row
+
+
 def test_sweep_rows_do_not_depend_on_the_row_block(monkeypatch):
     """Growing the feeders one row, seven rows or every row at a time, with
-    layouts built one, five or all replications at a time, gives the same
-    sweep, and every row is the summary of its replications run alone."""
+    layouts built one, two (the byte budget's share of a batch of five) or
+    all replications at a time, gives the same sweep, and every row is the
+    summary of its replications run alone."""
     cfg = SimulationConfig(horizon_s=1.0, dt_s=1.0, master_seed=17)
     densities, topologies = [0.1, 0.25], ["tree", "chain"]
-    results = []
-    for block, batch in ((1, 1), (7, 5), (10**9, 10**9)):
+    # a density-0.25 layout is budgeted at 306 cells * _LAYOUT_CELL_BYTES
+    two = 2 * 306 * simulator._LAYOUT_CELL_BYTES
+    real, results = simulator.build_grids, []
+    for block, batch, budget, size in ((1, 1, 2**27, 1), (7, 5, two, 2), (10**9, 10**9, 10**12, 6)):
         monkeypatch.setattr(gridgen, "_ROW_BLOCK", block)
         monkeypatch.setattr(simulator, "_LAYOUT_BATCH", batch)
+        monkeypatch.setattr(simulator, "_BATCH_BYTES", budget)
+        sizes = []
+        monkeypatch.setattr(
+            simulator, "build_grids", lambda d, c: sizes.append(len(d)) or real(d, c)
+        )
         results.append(run_sweep(cfg, densities, topologies, 3))
+        assert max(sizes) == size
     assert results[0] == results[1] == results[2]
     cells = [(i, j) for i in range(len(densities)) for j in range(len(topologies))]
     for row, (i, j) in zip(results[0].rows, cells, strict=True):
