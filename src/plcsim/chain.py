@@ -52,64 +52,47 @@ import numpy as np
 from .nearest import grow_nearest
 
 
-def _in_box(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
-    """Point p within the bounding box of segment ab."""
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-
-
-def _hits(sg, s, t, ea, eb, ends=None) -> np.ndarray:
-    """Per pair: does wire s-t cross wire ea-eb, given the signs ``sg`` of
-    their orientations (`_orient`; a NaN sign never crosses)?  The points
-    broadcast to the pair shape (plus an axis of 2); ``ends``, if given, is
-    a (head, tail) pair of masks of the pairs whose ``ea``, respectively
+def _hits(s, t, ea, eb, ends=None) -> np.ndarray:
+    """Per pair: does wire s-t cross wire ea-eb?  The points are ``(..., 2)``
+    arrays that broadcast to one pair shape; ``ends``, if given, is a
+    (head, tail) pair of masks of the pairs whose ``ea``, respectively
     ``eb``, is ``s``.  Wires cross when they share a point that is not an
-    endpoint of both: a proper crossing, T-contact or collinear overlap.
+    endpoint of both: a proper crossing, T-contact or collinear overlap; a
+    NaN orientation never crosses.
     """
-    sg1, sg2, sg3, sg4 = sg
-    p12, p34 = sg1 * sg2, sg3 * sg4
+    sg = _orient(ea, eb, s), _orient(ea, eb, t), _orient(s, t, ea), _orient(s, t, eb)
+    p12, p34 = sg[0] * sg[1], sg[2] * sg[3]
     hit = (p12 < 0) & (p34 < 0)
-    # Every contact other than a proper crossing has a zero orientation.
-    # Those pairs are rare apart from wires sharing an endpoint, so the
-    # endpoint rules run on them one by one.  The shared endpoint s makes
-    # d1 = 0 and, on a head pair, d3 = 0, on a tail pair d4 = 0, all
-    # excused by it: only the other two can make a contact.
+    # Every contact other than a proper crossing has a zero orientation, and
+    # the endpoint rules decide those pairs.  The shared endpoint s makes
+    # d1 = 0 and, on a head pair, d3 = 0, on a tail pair d4 = 0, all excused
+    # by it: only the other two can make a contact.
     p12 *= p34
     if ends is not None:
-        np.copyto(p12, sg2 * sg4, where=ends[0])
-        np.copyto(p12, sg2 * sg3, where=ends[1])
-    zero = p12 == 0
-    idx = np.nonzero(zero)
-    if not idx[0].size:
-        return hit
-    shape = zero.shape
-    pts = [np.broadcast_to(p, shape + (2,))[idx].tolist() for p in (s, t, ea, eb)]
-    flat = [(np.broadcast_to(x, shape)[idx] == 0).tolist() for x in sg]
-    found = []
-    for (px, py), (qx, qy), (ax, ay), (bx, by), z1, z2, z3, z4 in zip(*pts, *flat):
-        p_is_a = px == ax and py == ay
-        p_is_b = px == bx and py == by
-        q_is_a = qx == ax and qy == ay
-        q_is_b = qx == bx and qy == by
-        found.append(
-            (p_is_a and q_is_b)
-            or (p_is_b and q_is_a)
-            or (z1 and not (p_is_a or p_is_b) and _in_box(px, py, ax, ay, bx, by))
-            or (z2 and not (q_is_a or q_is_b) and _in_box(qx, qy, ax, ay, bx, by))
-            or (z3 and not (p_is_a or q_is_a) and _in_box(ax, ay, px, py, qx, qy))
-            or (z4 and not (p_is_b or q_is_b) and _in_box(bx, by, px, py, qx, qy))
+        np.copyto(p12, sg[1] * sg[3], where=ends[0])
+        np.copyto(p12, sg[1] * sg[2], where=ends[1])
+    idx = np.nonzero(p12 == 0)
+    if idx[0].size:
+        p, q, a, b = (np.broadcast_to(x, hit.shape + (2,))[idx] for x in (s, t, ea, eb))
+        z1, z2, z3, z4 = (d[idx] == 0 for d in sg)
+        pa, pb, qa, qb = ((m == e).all(axis=1) for m in (p, q) for e in (a, b))
+        hit[idx] = (
+            (pa & qb)
+            | (pb & qa)
+            | (z1 & ~(pa | pb) & _in_box(p, a, b))
+            | (z2 & ~(qa | qb) & _in_box(q, a, b))
+            | (z3 & ~(pa | qa) & _in_box(a, p, q))
+            | (z4 & ~(pb | qb) & _in_box(b, p, q))
         )
-    hit[idx] = found
     return hit
 
 
-def _orient(s, t, ea, eb) -> tuple[np.ndarray, ...]:
-    """Signs of the four orientations of wire s-t against wire ea-eb: of s
-    (d1) and t (d2) against ea-eb, and of ea (d3) and eb (d4) against s-t.
-    The points are ``(..., 2)`` arrays that broadcast to one pair shape."""
-    return _orient_points(ea, eb, s), _orient_points(ea, eb, t), _orient_points(s, t, ea), _orient_points(s, t, eb)
+def _in_box(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row: point m within the bounding box of segment a-b."""
+    return ((np.minimum(a, b) <= m) & (m <= np.maximum(a, b))).all(axis=1)
 
 
-def _orient_points(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _orient(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
     """sign(M) of points m against hops a-b, all broadcast to one shape, as
     float32, which holds a sign or NaN exactly."""
     dy = m[..., 1] - a[..., 1]
@@ -125,7 +108,7 @@ def crosses_any(s, t, ea, eb) -> np.ndarray:
     `_hits`?  ``s`` and ``t`` are ``(rows, 2)``, ``ea`` and ``eb``
     ``(rows, edges, 2)``; NaN edges never cross."""
     s, t = s[:, None], t[:, None]
-    return _hits(_orient(s, t, ea, eb), s, t, ea, eb).any(axis=1)
+    return _hits(s, t, ea, eb).any(axis=1)
 
 
 def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
@@ -258,7 +241,7 @@ def _crossings(xy, r, u, v, hop, fixed=0):
         e, w = np.where(hop[p] < hop[q], (p, q), (q, p))
         e, w = e[hop[e] != hop[w]], w[hop[e] != hop[w]]
         s, t, ea, eb = (xy.take(i, axis=0) for i in (u[w], v[w], u[e], v[e]))
-        hit = _hits(_orient(s, t, ea, eb), s, t, ea, eb, (u[w] == u[e], u[w] == v[e]))
+        hit = _hits(s, t, ea, eb, (u[w] == u[e], u[w] == v[e]))
         found.append((e[hit], w[hit]))
     return tuple(map(np.concatenate, zip(*found)))
 

@@ -21,7 +21,7 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -166,12 +166,14 @@ def _texts(column: np.ndarray, text=json.dumps) -> np.ndarray:
     return np.array([text(v) for v in values.tolist()], dtype=object)[at]
 
 
-def _block(name: str, keys: str, *columns: list[str]) -> Iterator[str]:
+def _block(name: str, keys: str, texts: Callable[[], tuple[list[str], ...]]) -> Iterator[str]:
     """The text of the layout.json block `name` in chunks of at most
     _RECORDS records: an array whose record j holds each of the
     space-separated keys with text j of its column, laid out as
     json.dumps(indent=2) lays it out.  Each key and each column fills one
-    slice of a chunk's pieces."""
+    slice of a chunk's pieces.  ``texts()`` gives the columns when the first
+    chunk is asked for, so they live only while the block is written."""
+    columns = texts()
     width, rows = 2 * len(columns), len(columns[0])
     if not rows:
         yield ',\n  "%s": []' % name
@@ -192,11 +194,12 @@ def _block(name: str, keys: str, *columns: list[str]) -> Iterator[str]:
 def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> Iterator[str]:
     """The text of layout.json as an iterator of chunks: the header through
     json.dumps, then the cells, nodes and edges blocks, each chunk pieced
-    together from at most _RECORDS records of columns of text.  The columns
+    together from at most _RECORDS records of columns of text.  Coordinates
     are formatted on the call, each float once (a cell node reuses its
-    cell's text), and ids come from one table of int text whose last
-    entry, "null", is where -1 ids land.  The joined chunks are the bytes
-    of ``json.dumps(document, indent=2, allow_nan=False) + "\n"``, and a
+    cell's text), a block's other columns as it is written, and ids come
+    from one table of int text whose last entry, "null", is where -1 ids
+    land.  The joined chunks are the bytes of ``json.dumps(document,
+    indent=2, allow_nan=False) + "\n"``, and a
     non-finite float raises ValueError on the call, as that call does."""
     floats = (deployment.xy, deployment.radius_m, grid.wire_m, grid.junction_xy, grid.length_m)
     if not all(np.isfinite(column).all() for column in floats):
@@ -212,26 +215,25 @@ def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> 
     # a sector is bounded by n_branches, not by the node count
     sectors = np.concatenate((deployment.sector, [-1], grid.junction_sector))
     sector = _texts(sectors, lambda k: json.dumps(k if k >= 0 else None))
-    kind = np.array(['"junction"', '"cell"'], dtype=object)[(node_cell >= 0).view(np.int8)].tolist()
+    kind = np.array(['"junction"', '"cell"'], dtype=object)[(node_cell >= 0).view(np.int8)]
     kind[0] = '"hub"'
     hub = {"x_m": deployment.hub[0], "y_m": deployment.hub[1]}
     header = {"manifest": manifest, "hub": hub, "forced_crossings": grid.forced_crossings}
     return itertools.chain(
         [json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]],
-        _block(
-            "cells", "id x_m y_m radius_m sector wire_distance_m served",
+        _block("cells", "id x_m y_m radius_m sector wire_distance_m served", lambda: (
             ints[:n].tolist(), x[:n].tolist(), y[:n].tolist(),
             [repr(float(deployment.radius_m))] * n, sector[:n].tolist(),
             list(map(repr, grid.wire_m.tolist())), _texts(grid.served).tolist(),
-        ),
-        _block(
-            "nodes", "id x_m y_m kind cell_id sector", ints[:m].tolist(),
-            x[at].tolist(), y[at].tolist(), kind, ints[node_cell].tolist(), sector[at].tolist(),
-        ),
-        _block(
-            "edges", "a b length_m", ints[grid.edges[:, 0]].tolist(),
-            ints[grid.edges[:, 1]].tolist(), list(map(repr, grid.length_m.tolist())),
-        ),
+        )),
+        _block("nodes", "id x_m y_m kind cell_id sector", lambda: (
+            ints[:m].tolist(), x[at].tolist(), y[at].tolist(), kind.tolist(),
+            ints[node_cell].tolist(), sector[at].tolist(),
+        )),
+        _block("edges", "a b length_m", lambda: (
+            ints[grid.edges[:, 0]].tolist(), ints[grid.edges[:, 1]].tolist(),
+            list(map(repr, grid.length_m.tolist())),
+        )),
         ["\n}\n"],
     )
 

@@ -38,6 +38,10 @@ _MAX_RUN_BYTES = 2**28
 # grows in 2.7 s on 6 branches (39,200 cells) and 4.7 s on one (16,292),
 # a tree in 1.4 s and 1.2 s (2-core machine, Python 3.11, numpy 2.4)
 _MAX_GROWTH_PAIRS = 2**28
+# a load half draws and aggregates a session in about 110-180 ns (bus,
+# density 2, 6 or 60 branches, 3,600 s or 36,000 s; 2-core machine, Python
+# 3.11, numpy 2.4), so a run's load halves at this bound take 31-52 minutes
+_MAX_RUN_SESSIONS = 2**34
 
 
 @dataclass
@@ -130,6 +134,7 @@ class SimulationConfig:
         ):
             _require(size <= limit, fields, "<= %r" % limit, size)
         check_replications(self.replications)
+        check_sessions([self], self.replications)
         return self
 
     def as_dict(self) -> dict:
@@ -141,6 +146,19 @@ def check_replications(count: int, fields: str = "replications") -> None:
     size = count * _REPLICATION_BYTES
     fields += " * %d (bytes of its reports and CSV rows)" % _REPLICATION_BYTES
     _require(size <= _MAX_RUN_BYTES, fields, "<= %r" % _MAX_RUN_BYTES, size)
+
+
+def check_sessions(configs: list[SimulationConfig], count: int, fields: str = "replications") -> None:
+    """Bound the sessions that `count` replications of each validated
+    config draw on average, every cell its branches can serve loaded;
+    `fields` name `count`."""
+    size = count * sum(
+        min(c.density * c.side_m * c.side_m / c.cell_area_m2, c.n_branches * c.max_cells_per_branch)
+        * c.horizon_s / c.mean_interarrival_s for c in configs
+    )
+    cells = "min(density * side_m**2 / cell_area_m2, n_branches * max_cells_per_branch)"
+    fields = "%s * horizon_s / mean_interarrival_s * %s (expected sessions)" % (cells, fields)
+    _require(size <= _MAX_RUN_SESSIONS, fields, "<= %r" % _MAX_RUN_SESSIONS, size)
 
 
 _TYPE_NOUNS = {int: "an integer", float: "a number", str: "a string"}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimulationConfig, check_replications
+from .config import SimulationConfig, check_replications, check_sessions
 from .deployment import cell_count, deploy
 from .gridgen import (
     PowerGrid,
@@ -249,15 +249,11 @@ def _load(
     and tallied for the mean wait before the next is drawn, and
     summarise."""
     mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
-    # only served cells load the link, so only they get sessions
-    served = np.flatnonzero(grid.served)
     tally = [0.0, 0]
 
     def blocks():
-        for block in session_blocks(rng, model, served.size, config.horizon_s):
-            # row i of the draw is served cell i; every row is in range, so
-            # the ids map in place with no bounds-checking buffer
-            np.take(served, block.cell_id, out=block.cell_id, mode="clip")
+        # only served cells load the link, so only they get sessions
+        for block in session_blocks(rng, model, np.flatnonzero(grid.served), config.horizon_s):
             gap_sum, gaps = gap_tally(block, grid.served)
             tally[0] += gap_sum
             tally[1] += gaps
@@ -364,6 +360,7 @@ def run_sweep(
         ]
         for density in densities
     ]
+    check_sessions(sum(scenarios, []), replications, "replications, summed over densities and topologies")
     n = replications
     # one batch per topology, density-major: cell (i, j) is the slice
     # [i * n, (i + 1) * n) of batch j

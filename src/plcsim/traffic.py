@@ -152,18 +152,18 @@ def sample_voice_durations(
 def session_blocks(
     rng: np.random.Generator,
     model: TrafficModel,
-    n_cells: int,
+    cells: np.ndarray,
     horizon_s: float,
 ) -> Iterator[SessionSet]:
-    """Sessions for every cell 0..n_cells-1 starting inside [0, horizon), as
-    consecutive blocks of whole cells, each sorted by (cell id, start).
+    """Sessions for the cells of ascending ids ``cells`` starting inside
+    [0, horizon), as consecutive blocks of whole cells, sorted by (id, start).
 
     One Poisson(horizon / mean gap) draw gives every cell's session count.
-    Cell i goes to block floor(S_i / BLOCK_SESSIONS), where S_i counts the
-    sessions of cells 0..i-1, so no cell is split.  Each block then draws,
-    in this order and for its own sessions only: every start uniform on
-    [0, horizon), each session's class, the data volumes, the data
-    durations and the voice durations.  Given its count, a Poisson
+    The i-th cell goes to block floor(S_i / BLOCK_SESSIONS), S_i counting
+    the sessions of the cells before it, so no cell is split.  Each block
+    then draws, in this order and for its own sessions only: every start
+    uniform on [0, horizon), each session's class, the data volumes, the
+    data durations and the voice durations.  Given its count, a Poisson
     process's arrivals are sorted uniforms (the order-statistic property),
     so each cell's starts are sorted as a row of a table padded with +inf.
     Data sessions carry a Pareto volume over a lognormal duration; voice
@@ -172,23 +172,23 @@ def session_blocks(
     block is drawn when it is asked for, so a consumer that drops each
     block before asking for the next holds one at a time.
     """
-    counts = rng.poisson(horizon_s / model.mean_interarrival_s, n_cells)
+    counts = rng.poisson(horizon_s / model.mean_interarrival_s, cells.size)
     key = (np.cumsum(counts) - counts) // BLOCK_SESSIONS
-    edges = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), n_cells]
+    edges = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), cells.size]
     del key
     for lo, hi in zip(edges[:-1], edges[1:]):
-        yield _draw_block(rng, model, lo, counts[lo:hi], horizon_s)
+        yield _draw_block(rng, model, cells[lo:hi], counts[lo:hi], horizon_s)
 
 
 def _draw_block(
     rng: np.random.Generator,
     model: TrafficModel,
-    first_cell: int,
+    cells: np.ndarray,
     counts: np.ndarray,
     horizon_s: float,
 ) -> SessionSet:
-    """The sessions of cells first_cell, first_cell + 1, ... with the given
-    counts: the five draws of one block of session_blocks."""
+    """The sessions of the given cells with the given counts: the five
+    draws of one block of session_blocks."""
     total = int(counts.sum())
     slots = np.arange(counts.max(initial=0)) < counts[:, None]
     table = np.full(slots.shape, np.inf)
@@ -210,8 +210,7 @@ def _draw_block(
     rates[data] = volumes
     durations[voice] = sample_voice_durations(rng, model, voice.size)
     rates[voice] = model.voice_rate_bps
-    cell_id = np.repeat(np.arange(first_cell, first_cell + counts.size), counts)
-    return SessionSet(cell_id, is_data, starts, durations, rates)
+    return SessionSet(np.repeat(cells, counts), is_data, starts, durations, rates)
 
 
 def generate_traffic(
@@ -222,7 +221,7 @@ def generate_traffic(
 ) -> SessionSet:
     """The blocks of session_blocks joined into one SessionSet, sorted by
     (cell id, start)."""
-    blocks = list(session_blocks(rng, model, n_cells, horizon_s))
+    blocks = list(session_blocks(rng, model, np.arange(n_cells), horizon_s))
     return SessionSet(
         *(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(SessionSet))
     )

@@ -305,6 +305,23 @@ def test_exit_one_on_replications_over_budget(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_one_on_load_work_over_bound(tmp_path):
+    """Density 213 on 7,490 branches at a 2e6 s horizon and a 1 s gap
+    expects 5.2e11 sessions, about a day of drawing: it fails as a config
+    error naming the fields of the work bound before anything runs."""
+    argv = ["simulate", "--density", "213", "--branches", "7490", "--horizon", "2e6",
+            "--interarrival", "1", "--dt", "1e4", "--out", str(tmp_path / "out")]
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "plcsim.cli", *argv], env=_fresh_env(), capture_output=True, text=True, timeout=60
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 1, proc.stderr
+    assert "horizon_s / mean_interarrival_s * replications (expected sessions)" in proc.stderr
+    assert elapsed < 5.0  # about 0.2 s: interpreter and numpy start-up
+    assert not (tmp_path / "out").exists()
+
+
 def test_cell_limit_replications_fit_in_memory(tmp_path):
     """Under a 600 MB address-space limit, twelve bus replications at the
     cell limit (262,137 cells) run: a batch holds the layouts that fit its
@@ -617,9 +634,11 @@ def test_layout_json_does_not_depend_on_the_chunk_size(topology, monkeypatch):
 
 def test_writing_a_large_layout_holds_chunks_not_the_file(tmp_path):
     """A density-20 bus layout (24,500 cells, 15 MB of text) is
-    formatted and written through _write_atomic a chunk at a time.  Bound:
-    the traced peak stays under 24 MB; the writer that joined the whole
-    text first peaked at about 40 MB."""
+    formatted and written through _write_atomic a chunk at a time, each
+    block's columns built when it is written.  Bound: the traced peak stays
+    under 16 MB (about 13 MB); building all three blocks' columns before
+    the first chunk peaked at about 19 MB, and joining the whole text first
+    at about 40 MB."""
     dep, grid, manifest = _layout(SimulationConfig(topology="bus", density=20.0, master_seed=1))
     out = tmp_path / "layout.json"
     tracemalloc.start()
@@ -628,7 +647,7 @@ def test_writing_a_large_layout_holds_chunks_not_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6
+    assert peak < 16e6
     assert len(json.loads(out.read_text())["cells"]) == len(dep.xy)
 
 

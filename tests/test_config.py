@@ -10,10 +10,13 @@ from plcsim.config import (
     _MAX_POISSON_LAM,
     _MAX_ROW_BYTES,
     _MAX_RUN_BYTES,
+    _MAX_RUN_SESSIONS,
     _MAX_SERIES_BYTES,
     _REPLICATION_BYTES,
+    TOPOLOGIES,
     SimulationConfig,
     check_replications,
+    check_sessions,
 )
 from plcsim.errors import ConfigError
 from plcsim.traffic import TrafficModel, generate_traffic
@@ -129,6 +132,35 @@ def test_replications_within_byte_budget():
     check_replications(at_limit, "replications * densities * topologies")
     with pytest.raises(ConfigError, match=r"replications \* densities \* topologies"):
         check_replications(at_limit + 1, "replications * densities * topologies")
+
+
+def test_expected_sessions_within_work_bound():
+    """A load half takes time per session: validate() admits the last
+    replication count whose expected sessions stay within the bound and
+    rejects one more, naming the fields.  At density 1.0 the 6 x 35
+    servable cells each expect 3,600 arrivals, 756,000 sessions per
+    replication."""
+    per_replication = 6 * 35 * 36_000.0 / 10.0
+    under = int(_MAX_RUN_SESSIONS // per_replication)
+    cfg = SimulationConfig(density=1.0, horizon_s=36_000.0, replications=under).validate()
+    cfg.replications = under + 1
+    with pytest.raises(ConfigError, match=r"n_branches \* max_cells_per_branch.*replications \(expected"):
+        cfg.validate()
+
+
+def test_sweep_sessions_summed_within_work_bound():
+    """run_sweep bounds the expected sessions summed over its densities and
+    topologies before it runs anything; a paper-scale sweep (4 densities x
+    3 topologies x 200 replications at 3,600 s, about 1.6e8 sessions) is
+    far inside the bound."""
+    from plcsim.simulator import run_sweep
+
+    paper = [SimulationConfig(density=d, topology=t).validate() for d in (0.1, 0.25, 0.5, 1.0) for t in TOPOLOGIES]
+    check_sessions(paper, 200)
+    cfg = SimulationConfig(density=1.0, horizon_s=36_000.0)
+    over = int(_MAX_RUN_SESSIONS // (12 * 6 * 35 * 3_600.0)) + 1
+    with pytest.raises(ConfigError, match="summed over densities and topologies"):
+        run_sweep(cfg, [1.0, 2.0, 3.0, 4.0], list(TOPOLOGIES), over)
 
 
 def test_defaults_and_one_day_run_fit_the_budget():

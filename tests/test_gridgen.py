@@ -180,10 +180,9 @@ def test_hits_with_a_shared_start_match_scalar_property(pairs):
     s, t, x = (np.array([p[i] for p in pairs], dtype=float) for i in range(3))
     head = np.array([p[3] for p in pairs])
     ea, eb = np.where(head[:, None], s, x), np.where(head[:, None], x, s)
-    sg = chain._orient(s, t, ea, eb)
-    got = chain._hits(sg, s, t, ea, eb, (head, ~head))
+    got = chain._hits(s, t, ea, eb, (head, ~head))
     want = [segments_intersect(*map(tuple, w)) for w in zip(s, t, ea, eb)]
-    assert got.tolist() == want == chain._hits(sg, s, t, ea, eb).tolist()
+    assert got.tolist() == want == chain._hits(s, t, ea, eb).tolist()
 
 
 def _contact(p, q, a, b):
@@ -856,7 +855,7 @@ def test_tour_crossings_pass_touching_boxes_to_the_exact_test(monkeypatch):
     ]
     tested = []
     hits = chain._hits
-    monkeypatch.setattr(chain, "_hits", lambda sg, *a: tested.append(sg[0].size) or hits(sg, *a))
+    monkeypatch.setattr(chain, "_hits", lambda s, *a: tested.append(len(s)) or hits(s, *a))
     got, count = _crossings_and_count(tours)
     assert got == count
     hops = [list(zip(t, t[1:])) for t in tours]

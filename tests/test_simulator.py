@@ -586,12 +586,9 @@ def test_replication_equals_hand_built_block_route():
     rng = np.random.default_rng(8)
     grid = build_grid(deploy(cfg, rng), cfg)
     mark_served(grid, cfg.max_wire_m, cfg.max_cells_per_branch)
-    served = np.flatnonzero(grid.served)
     model = TrafficModel.from_config(cfg)
-    blocks = list(session_blocks(rng, model, served.size, cfg.horizon_s))
+    blocks = list(session_blocks(rng, model, np.flatnonzero(grid.served), cfg.horizon_s))
     assert len(blocks) >= 2
-    for block in blocks:
-        block.cell_id = served[block.cell_id]
     series = aggregate_rate_series(iter(blocks), grid, cfg.dt_s, cfg.horizon_s)
     tallies = [gap_tally(block, grid.served) for block in blocks]
     tally = (sum(t for t, _ in tallies), sum(n for _, n in tallies))

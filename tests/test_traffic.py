@@ -259,14 +259,14 @@ def test_one_block_equals_the_one_pass_reference():
     shapes = [(0, 100.0), (1, 1000.0), (30, 600.0), (200, 300.0)]
     corpus = [(seed, n, h) for seed in range(8) for n, h in shapes] + [(143, 820, 100.0)]
     for seed, n_cells, horizon in corpus:
-        blocks = list(session_blocks(np.random.default_rng(seed), model, n_cells, horizon))
+        blocks = list(session_blocks(np.random.default_rng(seed), model, np.arange(n_cells), horizon))
         assert len(blocks) == 1
         new = generate_traffic(np.random.default_rng(seed), model, n_cells, horizon)
         _assert_same_table(new, reference_traffic_v2(np.random.default_rng(seed), model, n_cells, horizon))
     for seed, first_of_last in ((143, 8191), (68, 8192)):
         counts = np.random.default_rng(seed).poisson(10.0, 820)
         assert counts[:-1].sum() == first_of_last
-    blocks = list(session_blocks(np.random.default_rng(68), model, 820, 100.0))
+    blocks = list(session_blocks(np.random.default_rng(68), model, np.arange(820), 100.0))
     assert [np.unique(b.cell_id).tolist() for b in blocks][1:] == [[819]]
 
 
