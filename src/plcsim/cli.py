@@ -80,31 +80,36 @@ def parse_config(
         except ValueError:
             raise ConfigError("SIM_SEED must be an integer, got %r" % sim_seed) from None
 
-    if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError("config file %s is not valid UTF-8: %s" % (path, exc)) from None
-        if text.strip():
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("config file %s is not valid JSON: %s" % (path, exc))
-        else:
-            data = {}
-        if not isinstance(data, dict):
-            raise ConfigError("config file %s must hold a JSON object" % path)
-        valid = config_fields()
-        unknown = sorted(set(data) - set(valid))
-        if unknown:
-            raise ConfigError(
-                "unknown config key(s): %s; valid keys: %s"
-                % (", ".join(unknown), ", ".join(valid))
-            )
-        values.update(data)
-
+    values.update(_file_values(path))
     values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return SimulationConfig(**values).validate()
+
+
+def _file_values(path: str | None) -> dict:
+    """The keys and values of the JSON config file at path, {} for none."""
+    if path is None:
+        return {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config file %s is not valid UTF-8: %s" % (path, exc)) from None
+    if text.strip():
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("config file %s is not valid JSON: %s" % (path, exc))
+    else:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigError("config file %s must hold a JSON object" % path)
+    valid = config_fields()
+    unknown = sorted(set(data) - set(valid))
+    if unknown:
+        raise ConfigError(
+            "unknown config key(s): %s; valid keys: %s"
+            % (", ".join(unknown), ", ".join(valid))
+        )
+    return data
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
@@ -284,7 +289,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     densities = (
         [config.density] if args.densities is None else _parse_densities(args.densities)
     )
-    topologies = [args.topology] if args.topology else list(TOPOLOGIES)
+    named = args.topology or "topology" in _file_values(args.config)
+    topologies = [config.topology] if named else list(TOPOLOGIES)
     result = run_sweep(config, densities, topologies, config.replications)
 
     rows = [[_num(getattr(r, c)) for c in SWEEP_COLUMNS] for r in result.rows]

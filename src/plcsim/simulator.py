@@ -3,10 +3,11 @@
 A replication is one random scenario end to end: drop cells, synthesize
 the feeder grid, flag served cells, generate the served cells' sessions,
 then accumulate per-step aggregate rates at the hub and per branch.  Session
-rate contributions are prorated exactly over the time steps they overlap.
-Sessions are drawn, aggregated and tallied for the mean wait one block of
-cells at a time (traffic.session_blocks), so a replication holds one
-block and its rate series, whatever its session count.
+rate contributions are prorated exactly over the time steps they overlap,
+and the mean wait is pooled in the same pass.  Sessions are drawn and
+aggregated one block of cells at a time (traffic.session_blocks), and
+each block is added whole, so a replication holds one block and its
+rate series, whatever its session count.
 
 All randomness flows from one integer seed per replication; sweep
 replications derive their seeds positionally from (master seed, density
@@ -37,7 +38,6 @@ from .gridgen import (
     reachability_fraction,
 )
 from .traffic import (
-    BLOCK_SESSIONS,
     SessionSet,
     TrafficModel,
     generate_traffic,  # noqa: F401  (the acceptance and simulator tests import it from here)
@@ -51,6 +51,7 @@ _MASK64 = (1 << 64) - 1
 class RateSeries:
     hub: np.ndarray  # (steps,) aggregate bps at the hub
     branches: np.ndarray  # (n_branches, steps)
+    mean_wait_s: float | None  # the mean start gap, pooled over served cells
 
 
 @dataclass
@@ -116,36 +117,41 @@ def _step_count(horizon_s: float, dt_s: float) -> int:
     return max(int(math.ceil(ratio)), 1)
 
 
-# sessions per np.add.at call: the window of a drawn block
-_CHUNK = BLOCK_SESSIONS
-
-
 def aggregate_rate_series(
     sessions: SessionSet | Iterable[SessionSet],
     grid: PowerGrid,
     dt_s: float,
     horizon_s: float,
 ) -> RateSeries:
-    """Accumulate aggregate rate per time step at the hub and per branch.
+    """Accumulate aggregate rate per time step at the hub and per branch,
+    and pool the mean wait.
 
     A session holding rate r over [start, start+duration), clipped at the
     horizon, adds r weighted by its fractional overlap with each step.
-    Sessions of unserved cells contribute nothing.  sessions is one
-    SessionSet, or an iterable of them (the blocks of session_blocks),
-    added one after another; each is read once, in order, and dropped
-    before the next is asked for.
+    Sessions of unserved cells contribute nothing.  The mean wait is the
+    mean start gap between consecutive sessions of one served cell.
+    sessions is one SessionSet, or an iterable of them (the blocks of
+    session_blocks), added one after another; each is read once, in order,
+    and dropped before the next is asked for.
     """
     steps = _step_count(horizon_s, dt_s)
     width = steps + 2
     # row 0: the hub's step differences; row 1 + k: those of branch k
     diff = np.zeros((grid.n_branches + 1, width))
     offset = grid.deployment.sector * width  # a cell's first index in branches
+    gap_sum, gaps = 0.0, 0
     blocks = [sessions] if isinstance(sessions, SessionSet) else sessions
     for block in blocks:
         _add_block(diff, offset, block, grid.served, dt_s, horizon_s)
-        del block  # so that the next block is drawn with this one gone
+        # blocks never split a cell, so the gaps of a stream pool to those
+        # of its blocks joined
+        ids, start = block.cell_id, block.start_s
+        gap = (start[1:] - start[:-1])[(ids[1:] == ids[:-1]) & grid.served[ids[1:]]]
+        gap_sum += float(gap.sum())
+        gaps += gap.size
+        del block, ids, start, gap  # so that the next block is drawn with this one gone
     np.cumsum(diff, axis=1, out=diff)
-    return RateSeries(diff[0, :steps], diff[1:, :steps])
+    return RateSeries(diff[0, :steps], diff[1:, :steps], gap_sum / gaps if gaps else None)
 
 
 def _add_block(
@@ -156,23 +162,17 @@ def _add_block(
     dt_s: float,
     horizon_s: float,
 ) -> None:
-    """Add one SessionSet's step differences into diff, _CHUNK sessions per
-    np.add.at call: besides the table it reads, this holds a few arrays of
-    that length, whatever the session count."""
+    """Add one SessionSet's step differences into diff.  A table that drops
+    some session is read through one copy of its kept columns."""
     hub, branches = diff[0], diff[1:].reshape(-1)
     columns = (sessions.cell_id, sessions.start_s, sessions.duration_s, sessions.rate_bps)
-    chunks = range(0, sessions.cell_id.size, _CHUNK)
-
-    def kept(cell, start):
-        # sessions must start inside the observation window, at a served cell
-        return (start >= 0.0) & (start < horizon_s) & served[cell]
-
-    # a table drawn for the served cells keeps every session, and then no
-    # chunk builds a mask
-    masked = not all(
-        kept(sessions.cell_id[lo : lo + _CHUNK], sessions.start_s[lo : lo + _CHUNK]).all()
-        for lo in chunks
-    )
+    cell, start, duration, w = columns
+    # sessions must start inside the observation window, at a served cell
+    keep = (start >= 0.0) & (start < horizon_s) & served[cell]
+    if not keep.all():
+        cell, start, duration, w = (c[keep] for c in columns)
+    if not (duration >= 0.0).all():
+        raise ValueError("session durations must be non-negative")
 
     # terms 0 and 1 add w (1 - f) and w f at steps floor(a) and floor(a) + 1,
     # for a = start / dt_s and f its fraction; terms 2 and 3 the same at the
@@ -180,56 +180,35 @@ def _add_block(
     # bincount, so adding term by term, and within a term in session order,
     # gives every step the sums of one bincount over the (4, n) term table.
     for term in range(4):
-        for lo in chunks:
-            cell, start, duration, w = (c[lo : lo + _CHUNK] for c in columns)
-            if masked:
-                keep = kept(cell, start)
-                cell, start, duration, w = (c[keep] for c in (cell, start, duration, w))
-            if term == 2 and not (duration >= 0.0).all():
-                raise ValueError("session durations must be non-negative")
-            x = (start if term < 2 else np.minimum(start + duration, horizon_s)) / dt_s
-            floor = np.floor(x)
-            at = floor.astype(np.int64)
-            x -= floor  # the fraction f
-            if term % 2:
-                at += 1
-            else:
-                np.subtract(1.0, x, out=x)
-            x *= w if term < 2 else -w
-            np.add.at(hub, at, x)
-            at += offset[cell]
-            np.add.at(branches, at, x)
+        x = (start if term < 2 else np.minimum(start + duration, horizon_s)) / dt_s
+        floor = np.floor(x)
+        at = floor.astype(np.int64)
+        x -= floor  # the fraction f
+        if term % 2:
+            at += 1
+        else:
+            np.subtract(1.0, x, out=x)
+        x *= w if term < 2 else -w
+        np.add.at(hub, at, x)
+        at += offset[cell]
+        np.add.at(branches, at, x)
 
 
 # ---------------------------------------------------------------------------
 # metrics
 
-def gap_tally(sessions: SessionSet, served: np.ndarray) -> tuple[float, int]:
-    """Sum and count of the start gaps between consecutive sessions of one
-    served cell.  Blocks never split a cell, so the tallies of a block
-    stream add up to that of the blocks joined."""
-    ids = sessions.cell_id
-    same = (ids[1:] == ids[:-1]) & served[ids[1:]]
-    gaps = (sessions.start_s[1:] - sessions.start_s[:-1])[same]
-    return float(gaps.sum()), gaps.size
-
-
 def compute_metrics(
     series: RateSeries,
     grid: PowerGrid,
-    tally: tuple[float, int],
     seed: int | None = None,
 ) -> MetricsReport:
-    """One replication's metrics from its series, its grid and the
-    gap_tally sums of the sessions aggregated.  mean_wait_s is the mean
-    gap, pooled over the served cells' sessions."""
-    gap_sum, gaps = tally
+    """One replication's metrics from its series and its grid."""
     return MetricsReport(
         seed=seed,
         reachability=reachability_fraction(grid),
         avg_rate_bps=float(series.hub.mean()),
         max_rate_bps=float(series.hub.max()),
-        mean_wait_s=gap_sum / gaps if gaps else None,
+        mean_wait_s=series.mean_wait_s,
         forced_crossings=grid.forced_crossings,
     )
 
@@ -246,22 +225,12 @@ def _load(
 ) -> MetricsReport:
     """The load half of a replication: flag the served cells, then draw
     their sessions from model on rng one block at a time, each aggregated
-    and tallied for the mean wait before the next is drawn, and
-    summarise."""
+    before the next is drawn, and summarise."""
     mark_served(grid, config.max_wire_m, config.max_cells_per_branch)
-    tally = [0.0, 0]
-
-    def blocks():
-        # only served cells load the link, so only they get sessions
-        for block in session_blocks(rng, model, np.flatnonzero(grid.served), config.horizon_s):
-            gap_sum, gaps = gap_tally(block, grid.served)
-            tally[0] += gap_sum
-            tally[1] += gaps
-            yield block
-            del block  # before the next block is drawn
-
-    series = aggregate_rate_series(blocks(), grid, config.dt_s, config.horizon_s)
-    return compute_metrics(series, grid, tuple(tally), seed=seed)
+    # only served cells load the link, so only they get sessions
+    blocks = session_blocks(rng, model, np.flatnonzero(grid.served), config.horizon_s)
+    series = aggregate_rate_series(blocks, grid, config.dt_s, config.horizon_s)
+    return compute_metrics(series, grid, seed=seed)
 
 
 # replications whose layouts are built together: their tree or chain

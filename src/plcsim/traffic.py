@@ -8,13 +8,13 @@ of all bytes.  Data session durations follow a lognormal law pinned by its
 fixed codec rate with exponentially distributed holding times.
 
 The four fitted facts are fixed; a config only rescales the 10 kb
-threshold through ``kb_bits``.  The Pareto exponent is solved once at
-import, and the lognormal's (mu, sigma) are stored as the two floats its
-quantile formula gives.  The data fraction, voice rate, voice holding
-time, mean arrival gap and volume cap are config fields.  The fitted
-model is immutable.  session_blocks draws the sessions of consecutive
-whole cells in blocks that start every BLOCK_SESSIONS sessions, and
-generate_traffic joins the same blocks into one SessionSet.
+threshold through ``kb_bits``.  The Pareto exponent is stored as the
+float its bisection gives, and the lognormal's (mu, sigma) as the two
+floats its quantile formula gives.  The data fraction, voice rate,
+voice holding time, mean arrival gap and volume cap are config fields.
+The fitted model is immutable.  session_blocks draws the sessions of
+consecutive whole cells in blocks that start every BLOCK_SESSIONS
+sessions, and generate_traffic joins the same blocks into one SessionSet.
 """
 
 from __future__ import annotations
@@ -82,24 +82,10 @@ class SessionSet:
         )
 
 
-def _pareto_alpha() -> float:
-    """The Pareto exponent for which the top decile of transfers carries
-    90% of the bits: alpha solves 0.1**(1 - 1/alpha) = 0.9, by bisection
-    to a residual below 1e-10."""
-    lo, hi = 1.0 + 1e-12, 1e6
-    while True:
-        alpha = 0.5 * (lo + hi)
-        r = 0.10 ** (1.0 - 1.0 / alpha) - 0.90
-        if abs(r) <= 1e-10:
-            return alpha
-        if r > 0.0:
-            lo = alpha
-        else:
-            hi = alpha
-
-
-# independent of the size threshold, so solved once per process
-_PARETO_ALPHA = _pareto_alpha()
+# the Pareto exponent for which the top decile of transfers carries 90% of
+# the bits: alpha solves 0.1**(1 - 1/alpha) = 0.9, written out as the float
+# that bisection to a residual below 1e-10 gives it (a test re-derives it)
+_PARETO_ALPHA = 1.0479516371164197
 
 
 def fit_size_distribution(small_bits: float = 10_000.0) -> tuple[float, float]:

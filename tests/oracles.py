@@ -27,7 +27,6 @@ from plcsim.simulator import (
     _step_count,
     aggregate_rate_series,
     compute_metrics,
-    gap_tally,
 )
 from plcsim.traffic import SessionSet, TrafficModel, generate_traffic, sample_data_volumes
 
@@ -57,6 +56,22 @@ def dijkstra_from_hub(n_nodes: int, edges, hub: int = 0) -> dict[int, float]:
 def pareto_alpha_closed_form(top_q: float = 0.1, top_share: float = 0.9) -> float:
     """Shape for which the top q of a Pareto mass carries `top_share`."""
     return 1.0 / (1.0 - math.log(top_share) / math.log(top_q))
+
+
+def pareto_alpha_bisection() -> float:
+    """The bisection that plcsim's stored Pareto exponent comes from: alpha
+    solves 0.1**(1 - 1/alpha) = 0.9, by bisection to a residual
+    below 1e-10."""
+    lo, hi = 1.0 + 1e-12, 1e6
+    while True:
+        alpha = 0.5 * (lo + hi)
+        r = 0.10 ** (1.0 - 1.0 / alpha) - 0.90
+        if abs(r) <= 1e-10:
+            return alpha
+        if r > 0.0:
+            lo = alpha
+        else:
+            hi = alpha
 
 
 def pareto_alpha_brentq(top_q: float = 0.1, top_share: float = 0.9) -> float:
@@ -298,7 +313,7 @@ def reference_replication_v2(config: SimulationConfig, seed: int) -> MetricsRepo
     sessions = reference_traffic_v2(rng, model, served.size, config.horizon_s)
     sessions.cell_id = served[sessions.cell_id]
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
-    return compute_metrics(series, grid, gap_tally(sessions, grid.served), seed=seed)
+    return compute_metrics(series, grid, seed=seed)
 
 
 class CountingRng:
@@ -338,7 +353,7 @@ def reference_replication(config: SimulationConfig, seed: int) -> MetricsReport:
     model = TrafficModel.from_config(config)
     sessions = generate_traffic(rng, model, len(deployment.xy), config.horizon_s)
     series = aggregate_rate_series(sessions, grid, config.dt_s, config.horizon_s)
-    return compute_metrics(series, grid, gap_tally(sessions, grid.served), seed=seed)
+    return compute_metrics(series, grid, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -963,6 +963,20 @@ def test_sweep_topology_narrows(tmp_path, capsys):
     assert rows[0][1] == "tree"
 
 
+def test_sweep_config_file_topology_narrows(tmp_path, capsys):
+    """A config file's topology narrows a sweep as the flag does, and the
+    manifest records the topology that ran."""
+    config = tmp_path / "t.json"
+    config.write_text(json.dumps({"topology": "tree"}))
+    argv = ["sweep", "--config", str(config), "--densities", "0.02", "--reps", "1"]
+    assert main(argv + ["--horizon", "10", "--plots", "off", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[1] for row in rows] == ["tree"]
+    manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+    assert manifest["config"]["topology"] == "tree"
+
+
 def test_sweep_bad_densities_rejected(tmp_path, capsys):
     assert main(["sweep", "--densities", "a,b", "--out", str(tmp_path)]) == 1
     assert "densities" in capsys.readouterr().err

@@ -27,7 +27,6 @@ from plcsim.simulator import (
     aggregate_rate_series,
     compute_metrics,
     derive_seed,
-    gap_tally,
     generate_traffic,
     run_replication,
     run_sweep,
@@ -135,7 +134,7 @@ def test_single_session_metrics():
     sessions = _sessions((0, "voice", 0.0, 100.0, 128000.0))
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 3600.0)
-    report = compute_metrics(series, grid, gap_tally(sessions, grid.served))
+    report = compute_metrics(series, grid)
     assert report.avg_rate_bps == pytest.approx(128000.0 * 100.0 / 3600.0)
     assert report.max_rate_bps == pytest.approx(128000.0)
 
@@ -185,7 +184,7 @@ def test_disjoint_sessions_hub_is_branch_sum():
 def test_empty_sessions_all_zeros():
     grid = _all_served_grid(1)
     series = aggregate_rate_series(empty_sessions(), grid, 1.0, 10.0)
-    report = compute_metrics(series, grid, gap_tally(empty_sessions(), grid.served))
+    report = compute_metrics(series, grid)
     assert report.avg_rate_bps == 0.0
     assert report.max_rate_bps == 0.0
     assert report.mean_wait_s is None
@@ -344,7 +343,7 @@ def test_aggregation_matches_reference_on_masked_route(dt_s):
     _assert_aggregate_matches_reference(empty_sessions(), grid, cfg.dt_s, cfg.horizon_s)
 
 
-def _chunk_cases():
+def _route_cases():
     """(sessions, grid, dt_s, horizon_s) on every route aggregation takes."""
     cases = []
     for dt_s in (1.0, 0.7):
@@ -371,22 +370,18 @@ def _chunk_cases():
     return cases
 
 
-@pytest.mark.parametrize("chunk", [1, 7, simulator._CHUNK, 10**9])
-def test_aggregation_does_not_depend_on_the_chunk(monkeypatch, chunk):
-    """Whatever the chunk, the series equal tests/oracles.py:reference_aggregate
-    bit for bit: on the pipeline and masked routes at dt 1.0 and 0.7, on the
-    empty table and with a last index of width - 1.  No route copies the
-    table through SessionSet.subset."""
-    cases = _chunk_cases()
+def test_aggregation_matches_reference_on_every_route(monkeypatch):
+    """The series equal tests/oracles.py:reference_aggregate bit for bit: on
+    the pipeline and masked routes at dt 1.0 and 0.7, on the empty table and
+    with a last index of width - 1.  No route copies the table through
+    SessionSet.subset."""
+    cases = _route_cases()
     expected = [reference_aggregate(*case) for case in cases]
-    # every table but the empty one spans several chunks of 7
-    assert [case[0].cell_id.size > 7 for case in cases] == [True] * 4 + [False, True]
 
     def refuse(self, mask):
         raise AssertionError("SessionSet.subset called")
 
     monkeypatch.setattr(SessionSet, "subset", refuse)
-    monkeypatch.setattr(simulator, "_CHUNK", chunk)
     for case, (hub, branches) in zip(cases, expected):
         series = aggregate_rate_series(*case)
         assert np.array_equal(series.hub, hub)
@@ -406,14 +401,20 @@ def _traced_aggregation(sessions, grid, cfg):
 
 
 def test_aggregation_memory_is_bounded_by_the_chunk():
-    """On a density-1.0 bus pipeline table (~75k sessions) aggregation peaks
-    below 1 MB, and doubling the horizon, and so the session count, grows
-    the peak by no more than the series' own growth plus 16 KiB."""
+    """Fed the blocks of a density-1.0 bus pipeline (~75k sessions, ten
+    blocks) one at a time, aggregation peaks below 1 MB, and doubling the
+    horizon, and so the session count, grows the peak by no more than the
+    series' own growth plus 16 KiB: each block is added whole, and its
+    temporaries are gone before the next."""
     peaks = []
     for horizon_s in (3600.0, 7200.0):
         cfg = SimulationConfig(density=1.0, topology="bus", horizon_s=horizon_s)
-        sessions, grid = _pipeline_table(cfg, 7)
-        peaks.append((sessions.cell_id.size, *_traced_aggregation(sessions, grid, cfg)))
+        rng = np.random.default_rng(7)
+        grid = mark_served(build_grid(deploy(cfg, rng), cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
+        model = TrafficModel.from_config(cfg)
+        blocks = list(session_blocks(rng, model, np.flatnonzero(grid.served), cfg.horizon_s))
+        n = sum(block.cell_id.size for block in blocks)
+        peaks.append((n, *_traced_aggregation(iter(blocks), grid, cfg)))
     (n1, peak1, out1), (n2, peak2, out2) = peaks
     assert n1 > 70_000 and n2 > 1.9 * n1
     assert peak1 < 1_000_000
@@ -460,7 +461,7 @@ def test_mean_wait_pooled_gaps():
     )
     grid = _all_served_grid(1)
     series = aggregate_rate_series(sessions, grid, 1.0, 40.0)
-    report = compute_metrics(series, grid, gap_tally(sessions, grid.served))
+    report = compute_metrics(series, grid)
     assert report.mean_wait_s == pytest.approx(15.0)
 
 
@@ -473,7 +474,7 @@ def test_mean_wait_ignores_unserved_cells():
     )
     grid = _grid([0, 1], [True, False])
     series = aggregate_rate_series(sessions, grid, 1.0, 20.0)
-    report = compute_metrics(series, grid, gap_tally(sessions, grid.served))
+    report = compute_metrics(series, grid)
     assert report.mean_wait_s == pytest.approx(10.0)
 
 
@@ -485,8 +486,31 @@ def test_mean_wait_statistical():
     grid = _all_served_grid(n_cells)
     sessions = generate_traffic(rng, model, n_cells, cfg.horizon_s)
     series = aggregate_rate_series(sessions, grid, 1.0, cfg.horizon_s)
-    report = compute_metrics(series, grid, gap_tally(sessions, grid.served))
+    report = compute_metrics(series, grid)
     assert report.mean_wait_s == pytest.approx(10.0, abs=0.05)
+
+
+def test_mean_wait_on_the_masked_route():
+    """Over a table of every cell's sessions (criterion 6's shape) the
+    pooled mean wait equals, bit for bit, that of the served cells'
+    sessions copied out by subset, and within 1e-12 relative a per-cell
+    loop over the served cells' start gaps."""
+    for topology in ("bus", "tree", "chain"):
+        cfg = SimulationConfig(density=0.25, topology=topology, horizon_s=2000.0)
+        rng = np.random.default_rng(1)
+        dep = deploy(cfg, rng)
+        grid = mark_served(build_grid(dep, cfg), cfg.max_wire_m, cfg.max_cells_per_branch)
+        assert 0 < grid.served.sum() < grid.served.size
+        sessions = generate_traffic(rng, TrafficModel.from_config(cfg), len(dep.xy), cfg.horizon_s)
+        wait = aggregate_rate_series(sessions, grid, cfg.dt_s, cfg.horizon_s).mean_wait_s
+        kept = sessions.subset(grid.served[sessions.cell_id])
+        assert wait == aggregate_rate_series(kept, grid, cfg.dt_s, cfg.horizon_s).mean_wait_s
+        total, count = 0.0, 0
+        for cell in np.flatnonzero(grid.served).tolist():
+            starts = sessions.start_s[sessions.cell_id == cell].tolist()
+            total += sum(b - a for a, b in zip(starts, starts[1:]))
+            count += max(len(starts) - 1, 0)
+        assert wait == pytest.approx(total / count, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +597,14 @@ def test_replication_equals_hand_built_pipeline():
     sessions = generate_traffic(rng, model, served.size, cfg.horizon_s)
     sessions.cell_id = served[sessions.cell_id]
     series = aggregate_rate_series(sessions, grid, cfg.dt_s, cfg.horizon_s)
-    expected = compute_metrics(series, grid, gap_tally(sessions, grid.served), seed=8)
+    expected = compute_metrics(series, grid, seed=8)
     assert dataclasses.asdict(run_replication(cfg, 8)) == dataclasses.asdict(expected)
 
 
 def test_replication_equals_hand_built_block_route():
     """A replication that spans several blocks equals the library route fed
     with the block stream, bit for bit: session_blocks for the served
-    cells, aggregate_rate_series over the blocks and compute_metrics over
-    their summed gap tallies."""
+    cells, aggregate_rate_series over the blocks, then compute_metrics."""
     cfg = SimulationConfig(density=1.0, topology="bus", horizon_s=600.0)
     rng = np.random.default_rng(8)
     grid = build_grid(deploy(cfg, rng), cfg)
@@ -590,9 +613,7 @@ def test_replication_equals_hand_built_block_route():
     blocks = list(session_blocks(rng, model, np.flatnonzero(grid.served), cfg.horizon_s))
     assert len(blocks) >= 2
     series = aggregate_rate_series(iter(blocks), grid, cfg.dt_s, cfg.horizon_s)
-    tallies = [gap_tally(block, grid.served) for block in blocks]
-    tally = (sum(t for t, _ in tallies), sum(n for _, n in tallies))
-    expected = compute_metrics(series, grid, tally, seed=8)
+    expected = compute_metrics(series, grid, seed=8)
     assert dataclasses.asdict(run_replication(cfg, 8)) == dataclasses.asdict(expected)
 
 

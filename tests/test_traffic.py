@@ -15,6 +15,7 @@ from oracles import (
     expected_session_volume_bits,
     expected_session_volume_quad,
     lognorm_two_quantile,
+    pareto_alpha_bisection,
     pareto_alpha_brentq,
     pareto_alpha_closed_form,
     pareto_xm,
@@ -95,6 +96,12 @@ def test_fit_constants_bit_for_bit():
         model = TrafficModel.from_config(SimulationConfig(kb_bits=kb_bits))
         fit = (model.pareto_alpha, model.pareto_xm_bits, model.lognorm_mu, model.lognorm_sigma)
         assert fit == (1.0479516371164197, xm, mu, sigma)
+
+
+def test_pareto_alpha_literal_is_the_bisection():
+    """The stored Pareto exponent is, bit for bit, what bisection to a
+    residual below 1e-10 gives."""
+    assert fit_size_distribution()[0] == pareto_alpha_bisection()
 
 
 def test_duration_fit_literals_are_the_normaldist_formula():
