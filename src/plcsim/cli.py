@@ -112,9 +112,11 @@ def _file_values(path: str | None) -> dict:
     return data
 
 
-def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
-    overrides = {field: getattr(args, field, None) for field in config_fields()}
-    return parse_config(args.config, overrides)
+def _config_from_args(args: argparse.Namespace) -> tuple[SimulationConfig, dict]:
+    """The config, and the values that the config file, read once, and the flags name."""
+    named = _file_values(args.config)
+    named.update((f, v) for f in config_fields() if (v := getattr(args, f, None)) is not None)
+    return parse_config(None, named), named
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> 
 # commands
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config, _ = _config_from_args(args)
     rng = np.random.default_rng(config.master_seed)
     deployment = deploy(config, rng)
     grid = build_grid(deployment, config)
@@ -259,7 +261,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config, _ = _config_from_args(args)
     # the replications of sweep cell (0, 0)
     reports = run_cell(config, config.master_seed, 0, 0, config.replications)
     rows = [
@@ -285,12 +287,11 @@ def _parse_densities(text: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config, named = _config_from_args(args)
     densities = (
         [config.density] if args.densities is None else _parse_densities(args.densities)
     )
-    named = args.topology or "topology" in _file_values(args.config)
-    topologies = [config.topology] if named else list(TOPOLOGIES)
+    topologies = [config.topology] if "topology" in named else list(TOPOLOGIES)
     result = run_sweep(config, densities, topologies, config.replications)
 
     rows = [[_num(getattr(r, c)) for c in SWEEP_COLUMNS] for r in result.rows]

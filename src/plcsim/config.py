@@ -21,6 +21,12 @@ _MAX_POISSON_LAM = int(_MAX_ARRAY_SIZE - 10.0 * math.sqrt(_MAX_ARRAY_SIZE))
 # half the index range, so that a drawn session total, a few standard
 # deviations from its mean, cannot wrap the int64 sum of the cell counts
 _MAX_SESSIONS = _MAX_ARRAY_SIZE // 2
+# rates summed over the session bound stay below this, so that their squares
+# summed over 2**17 replications (the reports' bound) stay finite
+_MAX_RATE_SUM = 2.0**500
+# the shortest data duration numpy draws, exp(mu - 13.71 sigma): its normal's
+# ziggurat tail is r - ln(U) / r <= r + 53 ln 2 / r = 13.71, r = 3.654, U >= 2**-53
+_MIN_DATA_DURATION_S = 7.78e-8
 # byte budgets (README, "Library"): a grid build holds about a dozen arrays
 # with 8 bytes per branch at once, and a run about 1.1 KB per cell, the
 # layout.json column text included (the file itself is written in chunks);
@@ -128,9 +134,11 @@ class SimulationConfig:
             ("8 * horizon_s / mean_interarrival_s (bytes of one cell's session starts)",
              8 * arrivals if cells > 0 else 0, _MAX_ROW_BYTES),
             ("10 * kb_bits (10 kb in bits)", 10.0 * self.kb_bits, sys.float_info.max),
-            # so that no sum of voice rates over the sessions can reach inf
             ("voice_rate_bps * %d (voice rate summed over the session count bound)"
-             % _MAX_SESSIONS, self.voice_rate_bps * _MAX_SESSIONS, sys.float_info.max),
+             % _MAX_SESSIONS, self.voice_rate_bps * _MAX_SESSIONS, _MAX_RATE_SUM),
+            ("volume_cap_bits / %r * %d (data rate summed over the session count bound)"
+             % (_MIN_DATA_DURATION_S, _MAX_SESSIONS),
+             self.volume_cap_bits / _MIN_DATA_DURATION_S * _MAX_SESSIONS, _MAX_RATE_SUM),
         ):
             _require(size <= limit, fields, "<= %r" % limit, size)
         check_replications(self.replications)

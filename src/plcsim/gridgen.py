@@ -193,12 +193,13 @@ def _by_sector(sector: np.ndarray, nb: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # lockstep growth
 #
-# A grower takes node_xy, (rows, slots + 1, 2): the hub in slot 0, then the
-# row's cells in id order, then +inf padding, with rows sorted by cell count
-# (descending) so the rows still growing at step k are a prefix; and filled,
-# (rows, slots), true at the row's cells.  Node i is the hub for i == 0, else
-# cell slot i - 1.  Hop k of row r wires node child[r, k] to node parent[r, k]
-# with length[r, k] of wire; forced[r] counts the row's forced crossings.
+# A grower (`nearest.grow_tree`, `chain.grow_chains`) takes node_xy,
+# (rows, slots + 1, 2): the hub in slot 0, then the row's cells in id order,
+# then +inf padding, rows sorted by cell count (descending) so the rows still
+# growing at step k are a prefix; and filled, (rows, slots), true at the
+# row's cells.  Node i is the hub for i == 0, else cell slot i - 1.  It returns
+# (parent, child, length, forced): hop k of row r wires node child[r, k] to
+# node parent[r, k] with length[r, k] of wire; forced[r] counts its crossings.
 
 # rows per grower call, which bounds the (rows, slots) arrays of one call
 _ROW_BLOCK = 256
@@ -281,26 +282,6 @@ def _wire(parent, child, length, lives: list[int]) -> np.ndarray:
     return w.reshape(rows, slots + 1)
 
 
-def _grow_trees(node_xy: np.ndarray, filled: np.ndarray):
-    """Accretion trees: repeatedly wire the unconnected cell closest to any
-    already-connected node (ties: lower cell id; equidistant targets:
-    earliest-connected node), each hop as long as the ``np.hypot``
-    distance that chose it."""
-    from .nearest import grow_nearest
-
-    child, parent = grow_nearest(node_xy, filled, tree=True)
-    rows = np.arange(len(filled))[:, None]
-    hop = node_xy[rows, child] - node_xy[rows, parent]  # +inf past a row's end
-    return parent, child, np.hypot(hop[..., 0], hop[..., 1]), np.zeros(len(filled), dtype=np.intp)
-
-
-def _grow_chains(node_xy: np.ndarray, filled: np.ndarray):
-    """Chain feeders: `plcsim.chain.grow_chains`."""
-    from .chain import grow_chains
-
-    return grow_chains(node_xy, filled)
-
-
 # ---------------------------------------------------------------------------
 # whole-grid assembly
 
@@ -313,9 +294,7 @@ def build_grid(deployment: CellDeployment, config: SimulationConfig) -> PowerGri
     return build_grids([deployment], config)[0]
 
 
-def build_grids(
-    deployments: list[CellDeployment], config: SimulationConfig
-) -> list[PowerGrid]:
+def build_grids(deployments: list[CellDeployment], config: SimulationConfig) -> list[PowerGrid]:
     """build_grid of each deployment, the tree or chain feeders of all of
     them grown in one lockstep; each grid is the one build_grid gives."""
     nb = config.n_branches
@@ -331,7 +310,10 @@ def build_grids(
             )
     if config.topology == "bus":
         return [build_bus(deployment, config) for deployment in deployments]
-    grow = _grow_trees if config.topology == "tree" else _grow_chains
+    if config.topology == "tree":
+        from .nearest import grow_tree as grow
+    else:
+        from .chain import grow_chains as grow
     return _build_feeders(deployments, nb, grow)
 
 

@@ -1,4 +1,5 @@
-"""The lockstep nearest-neighbour loop of tree feeders and chain tours.
+"""The lockstep nearest-neighbour loop of tree feeders and chain tours, and
+`grow_tree`, the tree grower (`plcsim.gridgen` states a grower's contract).
 
 A distance is ``np.hypot(dx, dy)`` of dx, dy = cell - node, but the loop
 compares the squares ``dx*dx + dy*dy`` of the same dx, dy with a relative
@@ -60,27 +61,24 @@ def grow_nearest(node_xy: np.ndarray, filled: np.ndarray, tree: bool):
         K = key[:live]
         c = K.argmin(axis=1)
         f = base[:live] + c
-        best = key.take(f)
-        key.put(f, np.inf)
-        tie = key.take(base[:live] + K.argmin(axis=1)) <= best * up  # the runner-up
-        if np.logical_or.reduce(tie):
-            # rank the keys within the margin by np.hypot
-            t = np.flatnonzero(tie)
-            key.put(f[t], best[t])
-            i, j = np.nonzero(key[t] <= best[t, None] * up)
+        # keys within the margin of each row's least; np.hypot ranks two or more
+        within = K <= key.take(f)[:, None] * up
+        if np.count_nonzero(within) > live:
+            t = np.flatnonzero(np.count_nonzero(within, axis=1) > 1)
+            i, j = np.nonzero(within[t])
             g, ti = base[t[i]] + j, t[i]
             src = near.take(g) + 1 if tree else (order[ti, k - 1] + 1 if k else 0)
             d = np.full((t.size, slots), np.inf)
             d[i, j] = np.hypot(fx.take(g) - node_xy[ti, src, 0], F[1].take(g) - node_xy[ti, src, 1])
             c[t] = d.argmin(axis=1)
             f = base[:live] + c
-            key.put(f, np.inf)
         order[:live, k] = c
         C = flat.take(f, axis=1)[..., None]
         fx.put(f, np.inf)
         if not tree:
-            keys(C, K, live)
+            keys(C, K, live)  # the wired cell's key is +inf, from its x
             continue
+        key.put(f, np.inf)
         s = keys(C, D[0, :live], live)
         cand = (s < K).ravel().nonzero()[0]
         sq = s.take(cand) * up
@@ -100,3 +98,13 @@ def grow_nearest(node_xy: np.ndarray, filled: np.ndarray, tree: bool):
         return order + 1
     # a wired cell's nearest node is no longer updated: it is where it attached
     return order + 1, near.take(order + base[:, None]) + 1
+
+
+def grow_tree(node_xy: np.ndarray, filled: np.ndarray):
+    """Accretion trees: wire the free cell closest to any wired node (ties:
+    lower cell id; equidistant targets: the earliest wired), each hop as long
+    as the ``np.hypot`` distance that chose it.  Trees never cross: forced is 0."""
+    child, parent = grow_nearest(node_xy, filled, tree=True)
+    rows = np.arange(len(filled))[:, None]
+    hop = node_xy[rows, child] - node_xy[rows, parent]  # +inf past a row's end
+    return parent, child, np.hypot(hop[..., 0], hop[..., 1]), np.zeros(len(filled), dtype=np.intp)

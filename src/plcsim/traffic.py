@@ -27,9 +27,9 @@ import numpy as np
 from .config import SimulationConfig
 
 # a block of session_blocks holds the cells whose first sessions fall in one
-# window of this many sessions; a load half draws and aggregates one block
-# at a time, so it holds a few arrays of about this length whatever the
-# session count
+# window of this many sessions, so at most this many plus one cell's (about
+# 16,800 at a one-day horizon); a load half draws and aggregates one block at
+# a time, so it holds a few arrays of that length whatever the session count
 BLOCK_SESSIONS = 8192
 
 

@@ -29,7 +29,7 @@ from plcsim.cli import (
     parse_config,
     run_manifest,
 )
-from plcsim.config import SimulationConfig, config_fields
+from plcsim.config import _MIN_DATA_DURATION_S, SimulationConfig, config_fields
 from plcsim.deployment import CellDeployment, assign_sectors, deploy
 from plcsim.errors import ConfigError
 from plcsim.gridgen import build_grid, mark_served
@@ -216,6 +216,26 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
             {"voice_rate_bps": 1e308},
             ["voice_rate_bps"],
         ),
+        # a capped volume over the shortest duration numpy draws could
+        # overflow a data rate to inf: the sweep wrote nan rates, then its
+        # plot step failed
+        (
+            ["sweep", "--densities", "0.1", "--reps", "2", "--horizon", "200", "--topology", "bus"],
+            {"volume_cap_bits": 1.7e308, "kb_bits": 1.7e306},
+            ["volume_cap_bits"],
+        ),
+        # rates whose sums fit a float but whose squares do not: the sweep
+        # wrote inf rate standard errors, with numpy warnings on stderr
+        (
+            ["sweep", "--densities", "0.1", "--reps", "2", "--horizon", "200", "--topology", "bus"],
+            {"voice_rate_bps": 1e280, "data_fraction": 0.0},
+            ["voice_rate_bps"],
+        ),
+        (
+            ["sweep", "--densities", "0.1", "--reps", "2", "--horizon", "200", "--topology", "bus"],
+            {"volume_cap_bits": 1e160, "kb_bits": 1e158},
+            ["volume_cap_bits"],
+        ),
     ],
     ids=[
         "side",
@@ -229,6 +249,9 @@ def test_exit_one_on_non_finite_config_value(tmp_path, capsys, field):
         "kb-bits",
         "branch-bytes",
         "voice-rate",
+        "data-rate",
+        "voice-rate-square",
+        "data-rate-square",
     ],
 )
 def test_exit_one_on_unallocatable_size(tmp_path, capsys, argv, config, fields):
@@ -350,6 +373,22 @@ def test_huge_data_volumes_warn_nothing(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_rates_at_their_bound_warn_nothing(tmp_path, capsys):
+    """The largest voice rate, and a volume cap half the largest, that
+    validate() admits give a sweep with finite columns and plots, and the
+    run says nothing."""
+    cap = 2.0**437 * _MIN_DATA_DURATION_S
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"voice_rate_bps": 2.0**438, "volume_cap_bits": cap, "kb_bits": cap / 100}))
+    argv = ["sweep", "--densities", "0.1,1.0", "--reps", "3", "--horizon", "200", "--config", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert len(rows) == 6 and all(math.isfinite(float(v)) for row in rows for v in row[2:])
 
 
 def test_exit_two_on_missing_config_file(tmp_path, capsys):
@@ -975,6 +1014,27 @@ def test_sweep_config_file_topology_narrows(tmp_path, capsys):
     assert [row[1] for row in rows] == ["tree"]
     manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
     assert manifest["config"]["topology"] == "tree"
+
+
+def test_sweep_reads_its_config_file_once(tmp_path, capsys, monkeypatch):
+    """The sweep learns whether the file names a topology from the one read
+    that gives its values."""
+    config = tmp_path / "t.json"
+    config.write_text(json.dumps({"topology": "chain"}))
+    reads, read_text = [], Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    argv = ["sweep", "--config", str(config), "--densities", "0.02", "--reps", "1"]
+    assert main(argv + ["--horizon", "10", "--plots", "off", "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert reads.count(config) == 1
+    _, rows = _read_csv(tmp_path / "out" / "sweep.csv")
+    assert [row[1] for row in rows] == ["chain"]
 
 
 def test_sweep_bad_densities_rejected(tmp_path, capsys):

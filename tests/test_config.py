@@ -12,6 +12,7 @@ from plcsim.config import (
     _MAX_RUN_BYTES,
     _MAX_RUN_SESSIONS,
     _MAX_SERIES_BYTES,
+    _MIN_DATA_DURATION_S,
     _REPLICATION_BYTES,
     TOPOLOGIES,
     SimulationConfig,
@@ -19,7 +20,7 @@ from plcsim.config import (
     check_sessions,
 )
 from plcsim.errors import ConfigError
-from plcsim.traffic import TrafficModel, generate_traffic
+from plcsim.traffic import TrafficModel, fit_duration_distribution, generate_traffic
 
 
 @pytest.mark.parametrize(
@@ -166,3 +167,12 @@ def test_sweep_sessions_summed_within_work_bound():
 def test_defaults_and_one_day_run_fit_the_budget():
     for cfg in (SimulationConfig(), SimulationConfig(density=1.0, horizon_s=86_400.0)):
         cfg.validate()
+
+
+def test_shortest_data_duration_bounds_numpy_lognormal():
+    """_MIN_DATA_DURATION_S is at most exp(mu - z sigma) for the largest |z|
+    numpy's ziggurat normal can return: below its tail start r, or r - ln(U) / r
+    from its tail for a double U of at least 2**-53, so at most r + 53 ln 2 / r."""
+    r = 3.6541528853610088
+    mu, sigma = fit_duration_distribution()
+    assert _MIN_DATA_DURATION_S <= math.exp(mu - (r + 53 * math.log(2) / r) * sigma)

@@ -783,10 +783,24 @@ def test_screens_fall_back_on_one_decimal_coordinates(monkeypatch):
         assert by["grow_nearest"] > 0 and by["keys"] == 0
 
 
+def test_screens_fall_back_on_a_lone_near_tie(monkeypatch):
+    """From the hub (0.1, 0.3), the squares of (-1.6, 1.5) and (1.8, -0.9)
+    are both 4.33, but np.hypot puts the second one ulp nearer.  The tie is
+    the only one of its step, and it still falls back: both feeders wire
+    the second cell (node 2) first."""
+    deployments = [_deployment([(-1.6, 1.5), (1.8, -0.9)], hub=(0.1, 0.3), n_branches=1)]
+    calls = _screened(monkeypatch, deployments, 1)
+    for topology in ("tree", "chain"):
+        assert calls[topology]["grow_nearest"] > 0
+        grid = build_grids(deployments, SimulationConfig(topology=topology, n_branches=1))[0]
+        assert grid.edges[0].tolist() == [0, 2]
+
+
 def test_tree_update_falls_back_on_an_equidistant_node(monkeypatch):
-    """(1, 5) is as far from (2, 0) as from the hub: it stays on the hub."""
+    """(1, 5) is as far from (2, 0) as from the hub: it stays on the hub.
+    grow_tree's one np.hypot call gives the hop lengths."""
     calls = _screened(monkeypatch, [_deployment([(2, 0), (1, 5)], n_branches=1)], 1)
-    assert calls["tree"] == {"grow_nearest": 2}
+    assert calls["tree"] == {"grow_nearest": 2, "grow_tree": 1}
 
 
 def test_screens_step_aside_past_the_range_guard(monkeypatch):

@@ -15,7 +15,7 @@ from oracles import (
     reference_replication,
     reference_replication_v2,
 )
-from plcsim import gridgen, simulator
+from plcsim import chain, gridgen, nearest, simulator
 from plcsim.config import SimulationConfig
 from plcsim.deployment import CellDeployment, cell_count, deploy
 from plcsim.errors import ConfigError
@@ -847,17 +847,17 @@ def test_sweep_grows_each_topology_in_one_lockstep(monkeypatch):
     densities and replications in one grower call, not one per
     replication."""
     calls = []
-    for name in ("_grow_trees", "_grow_chains"):
-        real = getattr(gridgen, name)
+    for module, name in ((nearest, "grow_tree"), (chain, "grow_chains")):
+        real = getattr(module, name)
 
         def counting(node_xy, lives, real=real, name=name):
             calls.append(name)
             return real(node_xy, lives)
 
-        monkeypatch.setattr(gridgen, name, counting)
+        monkeypatch.setattr(module, name, counting)
     cfg = SimulationConfig(horizon_s=1.0, dt_s=1.0)
     run_sweep(cfg, [0.1, 0.25], ["bus", "tree", "chain"], 3)
-    assert calls == ["_grow_trees", "_grow_chains"]
+    assert calls == ["grow_tree", "grow_chains"]
 
 
 # ---------------------------------------------------------------------------
