@@ -3,24 +3,20 @@ branching only when the next hop would cross an existing wire, and the
 segment crossing test it rests on.
 
 `gridgen.build_grids` grows the chains of all its sectors in lockstep, one
-row per sector, in three phases:
+row per sector, on lattice coordinates, so every orientation is an exact
+integer (`plcsim.deployment`), in three phases:
 
 1. *Tour.*  The tip is always the cell wired last, and a cell is wired
    whether its hop from the tip is blocked or not, so the order in which a
    chain wires its cells does not depend on where any of them attaches: it
    is the greedy nearest-neighbour tour from the hub, grown by the tree's
-   loop (`plcsim.nearest`), whose every step picks the cell an ``argmin``
-   over ``np.hypot`` distances picks.
+   loop (`plcsim.nearest`).
 2. *Crossing counts.*  For each hop, the number of earlier tour hops its
    wire crosses.  One sorted join (`_meeting`) finds the pairs of wires of
    a row whose closed bounding boxes meet; wires whose boxes do not meet
-   share no point, and only rounding on four nearly collinear points could
-   make their orientations claim a crossing.  A pair's four orientations
-   are the scalar test's bit for bit whichever wire it takes as the query,
-   as swapping an IEEE product's factors keeps it, and a difference's
-   operands negates it.  Two wires share a node only as the later one's
-   start, so a pair that shares one by node id runs the endpoint rules only
-   if an orientation that node does not zero is zero.
+   share no point.  Two wires share a node only as the later one's start,
+   so a pair that shares one by node id runs the endpoint rules only if an
+   orientation that node does not zero is zero.
 3. *Repairs.*  A hop is blocked when it moves and its count is positive.
    Each round re-lays every blocked hop of every row from its nearest wired
    node but the tip, and one join tests the new wires against their rows'
@@ -35,17 +31,12 @@ row per sector, in three phases:
    is always decided: if its new wire crosses, the next round tries its
    next-nearest start, and with none left it takes the nearest node, tip
    included, over a forced crossing.  By induction over the rounds, every
-   decision is the one the cell-by-cell growth makes.
-
-So each chain is bit-identical to one grown alone, cell by cell, whatever
-the batch, the block or the chunk sizes, given that unused cell slots
-hold ``+inf`` (never nearest), that hop lengths come from ``math.hypot`` on
-scalars, and that wire distances are summed in hop order.
+   decision is the one the cell-by-cell growth makes, whatever the batch,
+   the block or the chunk sizes, given that unused cell slots hold ``+inf``
+   (never nearest).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -116,11 +107,8 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
     nearest unconnected cell; when that hop would cross an existing wire,
     branch from the candidate's nearest crossing-free node instead, the
     repair rounds trying one start per round in (distance, node id) order.
-
     If every attachment would cross (possible only in pathological
-    layouts), the nearest node is used anyway and the row's forced
-    crossing count is bumped.
-    """
+    layouts), the nearest node is used anyway and counts a forced crossing."""
     rows, slots = filled.shape
     # tour position p holds node nid[:, p]: the hub, then the cells in
     # wiring order, then the padding; hop k wires node nid[:, k + 1] from
@@ -187,22 +175,19 @@ def grow_chains(node_xy: np.ndarray, filled: np.ndarray):
         # next round
         tried[f[crossed & first]] = a[crossed & first]
 
-    hops = node_xy[hr, nid[hr, hk + 1]] - node_xy[hr, src[hr, hk]]
-    length = np.zeros((rows, slots))
-    length[hr, hk] = np.fromiter(map(math.hypot, *hops.T.tolist()), float, hr.size)
-    return src, nid[:, 1:], length, forced
+    return src, nid[:, 1:], forced
 
 
 def _nearest_but_tip(node_xy, pos, r, j, c_xy, past) -> np.ndarray:
     """Per blocked hop j of row r, to c_xy: the first node wired before its
-    tip in (``np.hypot`` distance, node id) order, after node ``past`` unless
+    tip in (squared distance, node id) order, after node ``past`` unless
     that is -1, or -1 if none is left; _HOPS hops at a time."""
     attach = np.empty(r.size, dtype=np.intp)
     for lo in range(0, r.size, _HOPS):
         i = slice(lo, lo + _HOPS)
         x, y = (node_xy[..., k].take(r[i], axis=0) - c_xy[i, k, None] for k in (0, 1))
         wired = pos.take(r[i], axis=0) < j[i, None]
-        d = np.hypot(x, y, out=np.full(x.shape, np.inf), where=wired)
+        d = np.add(x * x, y * y, out=np.full(x.shape, np.inf), where=wired)
         del x, y
         attach[i] = d.argmin(axis=1)
         b = np.flatnonzero(past[i] >= 0)

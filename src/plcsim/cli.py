@@ -208,14 +208,14 @@ def layout_json(deployment: CellDeployment, grid: PowerGrid, manifest: dict) -> 
     land.  The joined chunks are the bytes of ``json.dumps(document,
     indent=2, allow_nan=False) + "\n"``, and a
     non-finite float raises ValueError on the call, as that call does."""
-    floats = (deployment.xy, deployment.radius_m, grid.wire_m, grid.junction_xy, grid.length_m)
-    if not all(np.isfinite(column).all() for column in floats):
-        raise ValueError("Out of range float values are not JSON compliant")
-    n, node_cell, m = len(deployment.xy), grid.node_cell, len(grid.node_cell)
-    # coordinate and sector text of the cells, the hub and the junctions;
-    # node i's is row at[i]; the floats' list dies once the map is drained
-    at = grid.node_rows()
+    # coordinates of the cells, the hub and the junctions; node i's is row at[i]
     xy = np.concatenate((deployment.xy, [deployment.hub], grid.junction_xy))
+    if not all(np.isfinite(c).all() for c in (xy, deployment.radius_m, grid.wire_m, grid.length_m)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    n, node_cell, m = len(deployment.q), grid.node_cell, len(grid.node_cell)
+    # their text, and the sectors'; the floats' list dies once the map is
+    # drained
+    at = grid.node_rows()
     xy = map(repr, xy.ravel().tolist())
     x, y = np.array(list(xy), dtype=object).reshape(-1, 2).T
     ints = np.array([*map(str, range(max(n, m))), "null"], dtype=object)

@@ -39,10 +39,10 @@ _MAX_ROW_BYTES = 2**24
 # a replication's scenario, report and CSV row, kept to the end of its run
 _REPLICATION_BYTES = 2**11
 _MAX_RUN_BYTES = 2**28
-# tree and chain growth takes about 4-18 ns per pair of cells that share a
+# tree and chain growth takes about 4-11 ns per pair of cells that share a
 # sector, cells**2 / n_branches pairs in all; at this bound a chain grid
-# grows in 2.7 s on 6 branches (39,200 cells) and 4.7 s on one (16,292),
-# a tree in 1.4 s and 1.2 s (2-core machine, Python 3.11, numpy 2.4)
+# grows in 1.8 s on 6 branches (39,200 cells) and 2.8 s on one (16,292),
+# a tree in 1.2 s and 1.1 s (2-core machine, Python 3.11, numpy 2.4)
 _MAX_GROWTH_PAIRS = 2**28
 # a load half draws and aggregates a session in about 110-180 ns (bus,
 # density 2, 6 or 60 branches, 3,600 s or 36,000 s; 2-core machine, Python

@@ -30,21 +30,23 @@ were laid (for a bus: each run's spine edge, then its drops).  Per cell
 length, and ``served``, set by `mark_served`; a cell's branch is its
 deployment sector.
 
-The ``tree`` and ``chain`` feeders of all sectors of all deployments
-given to `build_grids` are grown in lockstep: each occupied (deployment,
-sector) pair is a row of ``(rows, max_cells)`` arrays, the rows are taken
-in blocks of at most ``_ROW_BLOCK``, and one numpy call serves every row
-of a block.  A tree wires one more cell per row at each step; a chain is
-grown in three phases (see `plcsim.chain`).  The rows do not interact, so
-the result is bit-identical to growing each sector alone, whatever the
-batch or the block, provided that unused cell slots hold ``+inf``
-coordinates, never NaN (``argmin`` would pick a NaN), so that no padding is
-ever the nearest cell.  Trees and tours compare squared distances, and
-``np.hypot`` within a margin (`plcsim.nearest`), so each choice is the one
-``np.hypot`` makes.  Bus spine lengths come from ``math.hypot`` on scalars,
-which defines them (``np.hypot`` can differ from it in the last ulp).
-The tree and chain code (`plcsim.nearest`, `plcsim.chain`) loads with the
-first tree or chain build, so a bus run never loads it.
+The ``tree`` and ``chain`` feeders of all sectors of all deployments given
+to `build_grids` are grown in lockstep: each occupied (deployment, sector)
+pair is a row of ``(rows, max_cells)`` arrays, the rows are taken in blocks
+of at most ``_ROW_BLOCK``, and one numpy call serves every row of a block.
+A tree wires one more cell per row at each step; a chain is grown in three
+phases (see `plcsim.chain`).  The rows do not interact, so the result is
+bit-identical to growing each sector alone, whatever the batch or the
+block, provided that unused cell slots hold ``+inf`` coordinates, never NaN
+(``argmin`` would pick a NaN), so that no padding is ever the nearest cell.
+Trees and chains grow on lattice coordinates, where every squared distance
+and orientation is an exact integer (`plcsim.deployment`): every choice is
+exact, ties included, at any scale.  A tree or chain hop is ``sqrt`` of its
+squared lattice length times the spacing; bus spine lengths come from
+``math.hypot`` on scalars, which defines them (``np.hypot`` can differ from
+it in the last ulp).  The tree and chain code (`plcsim.nearest`,
+`plcsim.chain`) loads with the first tree or chain build, so a bus run
+never loads it.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class PowerGrid:
         """Each node's row in the rows of the cells, the hub, the junctions."""
         rows = self.node_cell.copy()
         own = np.flatnonzero(rows < 0)
-        rows[own] = len(self.deployment.xy) + np.arange(own.size)
+        rows[own] = len(self.deployment.q) + np.arange(own.size)
         return rows
 
 
@@ -114,7 +116,7 @@ def build_bus(deployment: CellDeployment, config: SimulationConfig) -> PowerGrid
     first) and then its drops in id order.  A sector's new junctions are
     numbered after its cells, in run order.
     """
-    xy, sector, n = deployment.xy, deployment.sector, len(deployment.xy)
+    xy, sector, n = deployment.xy, deployment.sector, len(deployment.q)
     hub = np.array(deployment.hub, dtype=float)
     nb = config.n_branches
     by_sector, sizes = _by_sector(sector, nb)
@@ -196,10 +198,11 @@ def _by_sector(sector: np.ndarray, nb: int) -> tuple[np.ndarray, np.ndarray]:
 # A grower (`nearest.grow_tree`, `chain.grow_chains`) takes node_xy,
 # (rows, slots + 1, 2): the hub in slot 0, then the row's cells in id order,
 # then +inf padding, rows sorted by cell count (descending) so the rows still
-# growing at step k are a prefix; and filled, (rows, slots), true at the
-# row's cells.  Node i is the hub for i == 0, else cell slot i - 1.  It returns
-# (parent, child, length, forced): hop k of row r wires node child[r, k] to
-# node parent[r, k] with length[r, k] of wire; forced[r] counts its crossings.
+# growing at step k are a prefix, all as lattice coordinates; and filled,
+# (rows, slots), true at the row's cells.  Node i is the hub for i == 0,
+# else cell slot i - 1.  It returns (parent, child, forced): hop k of row r
+# wires node child[r, k] to node parent[r, k]; forced[r] counts its
+# crossings.
 
 # rows per grower call, which bounds the (rows, slots) arrays of one call
 _ROW_BLOCK = 256
@@ -217,11 +220,12 @@ def _build_feeders(deployments: list[CellDeployment], nb: int, grow) -> list[Pow
         sizes.append(per_sector[per_sector > 0])
     # cells in (deployment, sector, id) order, which is the order of their
     # nodes, and the rows as runs of that order
-    flat_xy = np.concatenate([d.xy[ids] for d, ids in zip(deployments, cells)])
+    flat_xy = np.concatenate([d.q[ids] for d, ids in zip(deployments, cells)])
     size = np.concatenate(sizes)
     dep_of = np.repeat(np.arange(len(deployments)), [s.size for s in sizes])
     start = np.cumsum(size) - size
-    hubs = np.array([d.hub for d in deployments], dtype=float)
+    hubs = np.array([d.hub_q for d in deployments], dtype=float)
+    spacing = np.array([d.spacing_m for d in deployments], dtype=float)
 
     parent = np.empty(len(flat_xy), dtype=np.intp)
     child = np.empty(len(flat_xy), dtype=np.intp)
@@ -237,8 +241,13 @@ def _build_feeders(deployments: list[CellDeployment], nb: int, grow) -> list[Pow
         node_xy = np.full((rows.size, slots + 1, 2), np.inf)
         node_xy[:, 0] = hubs[dep_of[rows]]
         node_xy[:, 1:][filled] = flat_xy[at]
-        p, c, h, f = grow(node_xy, filled)
-        parent[at], child[at], length[at] = p[filled], c[filled], h[filled]
+        p, c, f = grow(node_xy, filled)
+        parent[at], child[at] = p[filled], c[filled]
+        r = np.nonzero(filled)[0]
+        hop = np.square(node_xy[r, child[at]] - node_xy[r, parent[at]])
+        length[at] = np.sqrt(hop[:, 0] + hop[:, 1]) * spacing[dep_of[rows]][r]
+        h = np.zeros((rows.size, slots))
+        h[filled] = length[at]
         wire[at] = _wire(p, c, h, filled.sum(axis=0).tolist())[:, 1:][filled]
         np.add.at(forced, dep_of[rows], f)
 

@@ -237,7 +237,7 @@ def _load(
 # feeders grow in one lockstep, and their layouts are held at once
 _LAYOUT_BATCH = 32
 _BATCH_BYTES = 2**27
-_LAYOUT_CELL_BYTES = 128  # measured per cell: bus 101 (121 at most), tree or chain 65
+_LAYOUT_CELL_BYTES = 128  # measured per cell: bus 93 (113 at most), tree or chain 57
 
 
 def _replicate(scenarios: list[tuple[SimulationConfig, int]]) -> list[MetricsReport]:

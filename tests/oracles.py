@@ -424,169 +424,151 @@ def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
 
 
 def crosses_any_scalar(sx, sy, tx, ty, ea: np.ndarray, eb: np.ndarray) -> bool:
-    """segments_intersect of segment (s, t) against edge arrays, as one
-    vectorised test (zero-length edges allowed)."""
-    ax = ea[:, 0]
-    ay = ea[:, 1]
-    bx = eb[:, 0]
-    by = eb[:, 1]
-
-    abx = bx - ax
-    aby = by - ay
-    d1 = abx * (sy - ay) - aby * (sx - ax)
-    d2 = abx * (ty - ay) - aby * (tx - ax)
+    """segments_intersect of segment (s, t) against edge arrays, edge by
+    edge (zero-length edges allowed).  A shared point lies in both closed
+    bounding boxes, so an edge whose box misses the segment's is skipped
+    before any orientation is taken."""
+    st_lo_x, st_hi_x = min(sx, tx), max(sx, tx)
+    st_lo_y, st_hi_y = min(sy, ty), max(sy, ty)
     stx = tx - sx
     sty = ty - sy
-    d3 = stx * (ay - sy) - sty * (ax - sx)
-    d4 = stx * (by - sy) - sty * (bx - sx)
-
-    proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
-        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
-    )
-    if proper.any():
-        return True
-
-    s_is_a = (sx == ax) & (sy == ay)
-    s_is_b = (sx == bx) & (sy == by)
-    t_is_a = (tx == ax) & (ty == ay)
-    t_is_b = (tx == bx) & (ty == by)
-
-    lo_x = np.minimum(ax, bx)
-    hi_x = np.maximum(ax, bx)
-    lo_y = np.minimum(ay, by)
-    hi_y = np.maximum(ay, by)
-    touch = (d1 == 0) & (lo_x <= sx) & (sx <= hi_x) & (lo_y <= sy) & (sy <= hi_y) & ~(
-        s_is_a | s_is_b
-    )
-    touch |= (d2 == 0) & (lo_x <= tx) & (tx <= hi_x) & (lo_y <= ty) & (ty <= hi_y) & ~(
-        t_is_a | t_is_b
-    )
-
-    st_lo_x = min(sx, tx)
-    st_hi_x = max(sx, tx)
-    st_lo_y = min(sy, ty)
-    st_hi_y = max(sy, ty)
-    touch |= (d3 == 0) & (st_lo_x <= ax) & (ax <= st_hi_x) & (st_lo_y <= ay) & (
-        ay <= st_hi_y
-    ) & ~(s_is_a | t_is_a)
-    touch |= (d4 == 0) & (st_lo_x <= bx) & (bx <= st_hi_x) & (st_lo_y <= by) & (
-        by <= st_hi_y
-    ) & ~(s_is_b | t_is_b)
-
-    touch |= (s_is_a & t_is_b) | (s_is_b & t_is_a)
-    return bool(touch.any())
+    for (ax, ay), (bx, by) in zip(ea.tolist(), eb.tolist()):
+        lo_x, hi_x = min(ax, bx), max(ax, bx)
+        lo_y, hi_y = min(ay, by), max(ay, by)
+        if not (lo_x <= st_hi_x and st_lo_x <= hi_x and lo_y <= st_hi_y and st_lo_y <= hi_y):
+            continue  # also skips NaN edges, which never cross
+        abx = bx - ax
+        aby = by - ay
+        d1 = abx * (sy - ay) - aby * (sx - ax)
+        d2 = abx * (ty - ay) - aby * (tx - ax)
+        d3 = stx * (ay - sy) - sty * (ax - sx)
+        d4 = stx * (by - sy) - sty * (bx - sx)
+        if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+            (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+        ):
+            return True  # a proper crossing
+        s_is_a = sx == ax and sy == ay
+        s_is_b = sx == bx and sy == by
+        t_is_a = tx == ax and ty == ay
+        t_is_b = tx == bx and ty == by
+        if (s_is_a and t_is_b) or (s_is_b and t_is_a):
+            return True  # identical segments
+        # a contact at a point that is not an endpoint of both
+        if (
+            (d1 == 0 and lo_x <= sx <= hi_x and lo_y <= sy <= hi_y and not (s_is_a or s_is_b))
+            or (d2 == 0 and lo_x <= tx <= hi_x and lo_y <= ty <= hi_y and not (t_is_a or t_is_b))
+            or (d3 == 0 and st_lo_x <= ax <= st_hi_x and st_lo_y <= ay <= st_hi_y and not (s_is_a or t_is_a))
+            or (d4 == 0 and st_lo_x <= bx <= st_hi_x and st_lo_y <= by <= st_hi_y and not (s_is_b or t_is_b))
+        ):
+            return True
+    return False
 
 
-def _by_id(xy, ids):
-    """Cell ids in id order, and their positions as an (n, 2) array."""
+def _by_id(q, ids):
+    """Cell ids in id order, and their lattice points as tuples of Python
+    ints."""
     order = np.argsort(ids, kind="stable")
-    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-    return np.asarray(ids)[order].tolist(), xy[order]
+    q = np.asarray(q, dtype=float).reshape(-1, 2)[order]
+    return np.asarray(ids)[order].tolist(), [(int(x), int(y)) for x, y in q.tolist()]
 
 
-def reference_tree(xy, ids, hub: Point):
-    """Accretion tree over one sector's cells (positions xy, cell ids ids):
-    (edges (a, b, length_m), wire distance by cell id, forced crossings),
-    node 0 the hub and node i + 1 the i-th cell in id order."""
-    ids, xy = _by_id(xy, ids)
+def _sq(p, c) -> int:
+    """Squared distance of two lattice points, in exact integer arithmetic."""
+    return (p[0] - c[0]) ** 2 + (p[1] - c[1]) ** 2
+
+
+def reference_tree(q, ids, hub, spacing: float = 1.0):
+    """Accretion tree over one sector's cells (lattice points q, cell ids
+    ids, hub lattice point hub, metres per lattice unit spacing): (edges
+    (a, b, length_m), wire distance by cell id, forced crossings), node 0
+    the hub and node i + 1 the i-th cell in id order.  Squared distances
+    are Python ints; a hop is math.sqrt of its square times spacing."""
+    ids, pts = _by_id(q, ids)
+    hub = (int(hub[0]), int(hub[1]))
     edges: list[tuple[int, int, float]] = []
     wire: dict[int, float] = {}
-    if not ids:
-        return edges, wire, 0
-
-    n = len(ids)
-    dist = np.hypot(xy[:, 0] - hub[0], xy[:, 1] - hub[1])
-    nearest_node = np.zeros(n, dtype=int)
-    connected = np.zeros(n, dtype=bool)
-    wire_by_node = np.zeros(n + 1)
-
-    for _ in range(n):
-        c = int(np.argmin(np.where(connected, np.inf, dist)))
-        attach = int(nearest_node[c])
-        hop = float(dist[c])
+    dist = [_sq(p, hub) for p in pts]  # to the nearest connected node
+    nearest_node = [0] * len(pts)
+    wire_by_node = [0.0] * (len(pts) + 1)
+    free = list(range(len(pts)))
+    while free:
+        c = min(free, key=lambda i: (dist[i], i))
+        free.remove(c)
+        attach = nearest_node[c]
+        hop = math.sqrt(dist[c]) * spacing
         edges.append((attach, c + 1, hop))
         wire_by_node[c + 1] = wire_by_node[attach] + hop
-        wire[ids[c]] = float(wire_by_node[c + 1])
-        connected[c] = True
-        newd = np.hypot(xy[:, 0] - xy[c, 0], xy[:, 1] - xy[c, 1])
-        closer = ~connected & (newd < dist)
-        dist[closer] = newd[closer]
-        nearest_node[closer] = c + 1
-
+        wire[ids[c]] = wire_by_node[c + 1]
+        for i in free:
+            d = _sq(pts[i], pts[c])
+            if d < dist[i]:
+                dist[i], nearest_node[i] = d, c + 1
     return edges, wire, 0
 
 
-def reference_chain(xy, ids, hub: Point):
-    """Serpentine chain over one sector, in the format of reference_tree."""
-    ids, xy = _by_id(xy, ids)
+def reference_chain(q, ids, hub, spacing: float = 1.0):
+    """Serpentine chain over one sector, in the format of reference_tree;
+    crossings are tested on int64 lattice points, exactly."""
+    ids, pts = _by_id(q, ids)
     edges: list[tuple[int, int, float]] = []
     wire: dict[int, float] = {}
     forced = 0
-    if not ids:
-        return edges, wire, forced
-
     n = len(ids)
-    node_xy = np.vstack([np.array(hub, dtype=float)[None, :], xy])
-
-    edge_a = np.empty((n, 2))
-    edge_b = np.empty((n, 2))
-    n_edges = 0
-    connected = np.zeros(n, dtype=bool)
-    wire_by_node = np.zeros(n + 1)
+    node = [(int(hub[0]), int(hub[1])), *pts]
+    edge_a = np.empty((n, 2), dtype=np.int64)
+    edge_b = np.empty((n, 2), dtype=np.int64)
+    connected = [False] * n
+    wire_by_node = [0.0] * (n + 1)
     tip = 0
 
-    for _ in range(n):
-        d_tip = np.hypot(xy[:, 0] - node_xy[tip, 0], xy[:, 1] - node_xy[tip, 1])
-        c = int(np.argmin(np.where(connected, np.inf, d_tip)))
-        cx, cy = xy[c]
+    for n_edges in range(n):
+        c = min((i for i in range(n) if not connected[i]), key=lambda i: (_sq(pts[i], node[tip]), i))
+        cx, cy = pts[c]
 
         attach = tip
-        if d_tip[c] > 0.0 and n_edges and crosses_any_scalar(
-            node_xy[tip, 0], node_xy[tip, 1], cx, cy, edge_a[:n_edges], edge_b[:n_edges]
+        if pts[c] != node[tip] and n_edges and crosses_any_scalar(
+            *node[tip], cx, cy, edge_a[:n_edges], edge_b[:n_edges]
         ):
-            node_ids = np.concatenate(([0], np.flatnonzero(connected) + 1))
-            nd = np.hypot(node_xy[node_ids, 0] - cx, node_xy[node_ids, 1] - cy)
-            order = node_ids[np.lexsort((node_ids, nd))]
+            nodes = [0] + [i + 1 for i in range(n) if connected[i]]
+            order = sorted(nodes, key=lambda i: (_sq(node[i], pts[c]), i))
             attach = -1
             for nid in order:
                 if nid == tip:
                     continue  # already known to cross
-                nx, ny = node_xy[nid]
-                if (nx == cx and ny == cy) or not crosses_any_scalar(
-                    nx, ny, cx, cy, edge_a[:n_edges], edge_b[:n_edges]
+                if node[nid] == pts[c] or not crosses_any_scalar(
+                    *node[nid], cx, cy, edge_a[:n_edges], edge_b[:n_edges]
                 ):
-                    attach = int(nid)
+                    attach = nid
                     break
             if attach < 0:
-                attach = int(order[0])
+                attach = order[0]
                 forced += 1
 
-        hop = math.hypot(cx - node_xy[attach, 0], cy - node_xy[attach, 1])
+        hop = math.sqrt(_sq(pts[c], node[attach])) * spacing
         edges.append((attach, c + 1, hop))
         wire_by_node[c + 1] = wire_by_node[attach] + hop
-        wire[ids[c]] = float(wire_by_node[c + 1])
-        edge_a[n_edges] = node_xy[attach]
-        edge_b[n_edges] = xy[c]
-        n_edges += 1
+        wire[ids[c]] = wire_by_node[c + 1]
+        edge_a[n_edges] = node[attach]
+        edge_b[n_edges] = pts[c]
         connected[c] = True
         tip = c + 1
 
     return edges, wire, forced
 
 
-def reference_tour(xy, ids, hub: Point) -> list[int]:
+def reference_tour(q, ids, hub) -> list[int]:
     """Cell ids of one sector in the order a greedy walk from the hub visits
-    them: each step on to the nearest unvisited cell (np.hypot distance,
-    ties: lower id), whatever wire the chain lays to it."""
-    ids, xy = _by_id(xy, ids)
+    them: each step on to the nearest unvisited cell (exact squared
+    distance, ties: lower id), whatever wire the chain lays to it."""
+    ids, pts = _by_id(q, ids)
     left = list(range(len(ids)))
-    x, y = hub
+    at = (int(hub[0]), int(hub[1]))
     tour = []
     while left:
-        d = np.hypot(xy[left, 0] - x, xy[left, 1] - y)
-        c = left.pop(int(np.argmin(d)))
+        c = min(left, key=lambda i: (_sq(pts[i], at), i))
+        left.remove(c)
         tour.append(ids[c])
-        x, y = xy[c]
+        at = pts[c]
     return tour
 
 
@@ -600,7 +582,9 @@ def reference_feeders(deployment, topology: str, n_branches: int):
     n_nodes = 1
     for k in range(n_branches):
         ids = np.flatnonzero(deployment.sector == k)
-        sub_edges, sub_wire, sub_forced = build(deployment.xy[ids], ids, deployment.hub)
+        sub_edges, sub_wire, sub_forced = build(
+            deployment.q[ids], ids, deployment.hub_q, deployment.spacing_m
+        )
         offset = n_nodes - 1
         edges += [(a + offset if a else 0, b + offset, w) for a, b, w in sub_edges]
         wire.update(sub_wire)

@@ -39,54 +39,78 @@ def test_cell_count_monotone_in_density():
     assert counts == sorted(counts)
 
 
+# lattice points per axis, and the lattice units in one metre of the default
+# 700 m square
+_N = 2**26
+_PER_M = _N / 700.0
+
+
 def test_place_cells_empty():
-    xy = place_cells(0, 700.0, np.random.default_rng(0))
-    assert xy.shape == (0, 2)
+    q = place_cells(0, np.random.default_rng(0))
+    assert q.shape == (0, 2)
 
 
 def test_place_cells_within_square_and_mean():
     rng = np.random.default_rng(7)
-    xy = place_cells(100_000, 700.0, rng)
-    xs = xy[:, 0]
-    ys = xy[:, 1]
-    assert xs.min() >= 0.0 and xs.max() <= 700.0
-    assert ys.min() >= 0.0 and ys.max() <= 700.0
-    assert abs(xs.mean() - 350.0) < 1.0
-    assert abs(ys.mean() - 350.0) < 1.0
+    q = place_cells(100_000, rng)
+    assert np.array_equal(q, np.floor(q))
+    xs = q[:, 0]
+    ys = q[:, 1]
+    assert xs.min() >= 0.0 and xs.max() <= _N - 1
+    assert ys.min() >= 0.0 and ys.max() <= _N - 1
+    assert abs(xs.mean() - _N / 2) < _PER_M
+    assert abs(ys.mean() - _N / 2) < _PER_M
 
 
 def test_place_cells_deterministic():
-    a = place_cells(50, 700.0, np.random.default_rng(123))
-    b = place_cells(50, 700.0, np.random.default_rng(123))
+    a = place_cells(50, np.random.default_rng(123))
+    b = place_cells(50, np.random.default_rng(123))
     assert np.array_equal(a, b)
 
 
 def test_place_cells_ids_are_sequential():
     # cell i is row i, so ids 0..9 are the ten rows
-    xy = place_cells(10, 700.0, np.random.default_rng(1))
-    assert xy.shape == (10, 2)
+    q = place_cells(10, np.random.default_rng(1))
+    assert q.shape == (10, 2)
 
 
 def test_place_cells_draws_x_then_y():
     # all x coordinates come first, then all y: one (n, 2) draw would
-    # interleave them and change every layout
-    xy = place_cells(5, 700.0, np.random.default_rng(4))
-    flat = np.random.default_rng(4).uniform(0.0, 700.0, size=10)
-    assert xy[:, 0].tolist() == flat[:5].tolist()
-    assert xy[:, 1].tolist() == flat[5:].tolist()
+    # interleave them and change every layout; each is floor(U * 2^26) of
+    # the double U that uniform(0, side_m) scales
+    q = place_cells(5, np.random.default_rng(4))
+    flat = np.random.default_rng(4).uniform(0.0, 1.0, size=10)
+    assert q[:, 0].tolist() == np.floor(flat[:5] * _N).tolist()
+    assert q[:, 1].tolist() == np.floor(flat[5:] * _N).tolist()
+
+
+def test_deploy_draws_what_uniform_draws():
+    """deploy consumes the doubles that uniform(0, side_m) draws for the hub,
+    all x and all y, in that order, and snaps each coordinate down to the
+    lattice: a cell moves by less than one spacing, side_m / 2^26."""
+    cfg = SimulationConfig(density=0.5, hub_mode="uniform", side_m=500.0)
+    rng, old = np.random.default_rng(8), np.random.default_rng(8)
+    dep = deploy(cfg, rng)
+    n = len(dep.q)
+    hub = old.uniform(0.0, 500.0, size=2)  # two scalar draws, as one array
+    xy = np.column_stack((old.uniform(0.0, 500.0, size=n), old.uniform(0.0, 500.0, size=n)))
+    assert rng.bit_generator.state == old.bit_generator.state
+    assert dep.spacing_m == 500.0 / _N
+    for got, want in ((dep.xy, xy), (np.array([dep.hub]), hub[None])):
+        assert (got <= want).all() and (want - got < dep.spacing_m).all()
 
 
 def test_place_hub_center():
     cfg = SimulationConfig(hub_mode="center")
-    assert place_hub(cfg, np.random.default_rng(0)) == (350.0, 350.0)
+    assert place_hub(cfg, np.random.default_rng(0)) == (_N / 2, _N / 2)
 
 
 def test_place_hub_uniform_mean():
     cfg = SimulationConfig(hub_mode="uniform")
     rng = np.random.default_rng(1)
     pts = np.array([place_hub(cfg, rng) for _ in range(100_000)])
-    assert abs(pts[:, 0].mean() - 350.0) < 1.0
-    assert abs(pts[:, 1].mean() - 350.0) < 1.0
+    assert abs(pts[:, 0].mean() - _N / 2) < _PER_M
+    assert abs(pts[:, 1].mean() - _N / 2) < _PER_M
 
 
 def test_place_hub_uniform_reproducible():
@@ -128,8 +152,8 @@ def test_sector_hub_coincident_cell():
 @settings(max_examples=50, deadline=None)
 def test_sector_partition_property(n_branches, anchor, seed):
     """Per-sector counts always add back up to N, all labels valid."""
-    xy = place_cells(40, 700.0, np.random.default_rng(seed))
-    labels = assign_sectors(xy, (350.0, 350.0), n_branches, anchor_rad=anchor).tolist()
+    q = place_cells(40, np.random.default_rng(seed))
+    labels = assign_sectors(q, (_N / 2, _N / 2), n_branches, anchor_rad=anchor).tolist()
     assert all(0 <= s < n_branches for s in labels)
     assert sum(labels.count(k) for k in range(n_branches)) == 40
 
@@ -149,7 +173,7 @@ def test_sectors_match_scalar_reference_property(n_branches, anchor, hub, seed):
     ray = anchor + np.arange(n_branches)[:, None] * (2.0 * math.pi / n_branches)
     xy = np.concatenate(
         (
-            place_cells(40, 700.0, rng),
+            place_cells(40, rng) * (700.0 / _N),
             np.column_stack(
                 ((hub[0] + r * np.cos(ray)).ravel(), (hub[1] + r * np.sin(ray)).ravel())
             ),

@@ -9,7 +9,8 @@ timestamp, re-encoded the way the CLI writes them.
     PYTHONPATH=src python tests/test_golden.py
 
 prints the current digest of every file the calls write, in GOLDEN's
-format, for a deliberate re-record.
+format, for a deliberate re-record; a digest that differs from GOLDEN's is
+marked ``# moved``, one that GOLDEN lacks ``# new``.
 """
 
 import contextlib
@@ -33,10 +34,10 @@ CALLS = {
 }
 
 GOLDEN = {
-    "generate/layout.json": "f9c03ddb782d439ae6099f2951102f1c1553279e5506251878a44b8827000b22",
-    "generate-bus/layout.json": "8aee0816d2338f7b7f96841c01b520c2e0c89a354e5942fc38bcfdeebab0138f",
+    "generate/layout.json": "b3506a3becc15db6ba7712823e8c461d7b660f65234a3ca5b1f9e5a9c53ee529",
+    "generate-bus/layout.json": "32eb986a30c4ac25a37a40c8a4a6ae982f9483620be2cb73a689e08a68a4c266",
     "generate-empty/layout.json": "df7b60b167ea5206e4488f00f11dd86e09114b42a16191de8190b7420d9fb4c4",
-    "generate-tree/layout.json": "d232f9f95ce7453ada273b377dc99689f325d51acf7e9e074b428625e2bef847",
+    "generate-tree/layout.json": "681124b36faf976d3146b9ce9caa4f30e64830d09d8821be202f079d77c26a6d",
     "simulate/metrics.csv": "6c7fb98842605bff3a4d3422ea34e340810fd540a40744ece531fd4994e163a7",
     "simulate/metrics.manifest.json": "e0893d5c1fdb544e7bf5621b1c21785605a9fff7d1482352cf8c3472654605e3",
     "sweep/reachability_vs_density.svg": "b2229dfb71b69a40bd4333536e15060d7661d7b3db8be130c1d0164dd855e803",
@@ -85,4 +86,6 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(sys.stderr):
             _write_outputs(root)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
-            print('    "%s": "%s",' % (path.relative_to(root).as_posix(), _digest(path)))
+            name, digest = path.relative_to(root).as_posix(), _digest(path)
+            mark = "  # new" if name not in GOLDEN else "  # moved" if GOLDEN[name] != digest else ""
+            print('    "%s": "%s",%s' % (name, digest, mark))

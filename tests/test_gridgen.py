@@ -1,6 +1,6 @@
 import collections
+import dataclasses
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -20,7 +20,7 @@ from oracles import (
     reference_tree,
     segments_intersect,
 )
-from plcsim import chain, nearest
+from plcsim import chain
 from plcsim.chain import crosses_any
 from plcsim.config import SimulationConfig
 from plcsim.deployment import CellDeployment, assign_sectors, deploy, place_cells
@@ -36,16 +36,23 @@ from plcsim.gridgen import (
 from plcsim.simulator import derive_seed
 
 
-def _deployment(points, hub=(0.0, 0.0), n_branches=6, anchor_rad=0.0):
-    xy = np.array(points, dtype=float).reshape(-1, 2)
-    return CellDeployment(hub, xy, assign_sectors(xy, hub, n_branches, anchor_rad), 10.0)
+def _deployment(points, hub=(0.0, 0.0), n_branches=6, anchor_rad=0.0, spacing=1.0):
+    """Cells at lattice points, integers in units of ``spacing`` metres."""
+    q = np.array(points, dtype=float).reshape(-1, 2)
+    assert np.array_equal(q, np.rint(q)) and hub == tuple(map(round, hub))
+    return CellDeployment(hub, q, assign_sectors(q, hub, n_branches, anchor_rad), 10.0, spacing)
 
 
-def _one_sector(points, topology, hub=(0.0, 0.0)):
+def _one_sector(points, topology, hub=(0.0, 0.0), spacing=1.0):
     """Grid over a single sector with 300 m reach; its bisector (the bus
     spine) points along +x."""
     cfg = SimulationConfig(topology=topology, n_branches=1, sector_anchor_rad=-math.pi)
-    return build_grid(_deployment(points, hub, 1, cfg.sector_anchor_rad), cfg)
+    return build_grid(_deployment(points, hub, 1, cfg.sector_anchor_rad, spacing), cfg)
+
+
+def _tenths(points):
+    """One-decimal points as lattice points of spacing 0.1."""
+    return np.rint(np.array(points) * 10).tolist()
 
 
 def _edge_list(grid):
@@ -319,8 +326,8 @@ def test_tree_single_cell():
 
 
 def test_tree_edge_count_is_cell_count():
-    xy = place_cells(60, 700.0, np.random.default_rng(2))
-    grid = _one_sector(xy, "tree", hub=(350.0, 350.0))
+    q = place_cells(60, np.random.default_rng(2))
+    grid = _one_sector(q, "tree", hub=(2**25, 2**25), spacing=700.0 / 2**26)
     assert len(grid.edges) == 60
     assert len(grid.node_xy) == 61
 
@@ -386,8 +393,8 @@ def test_chain_single_cell_matches_tree():
 def test_chain_never_crosses_without_flag():
     rng = np.random.default_rng(8)
     for _ in range(30):
-        xy = place_cells(25, 200.0, rng)
-        grid = _one_sector(xy, "chain", hub=(100.0, 100.0))
+        q = place_cells(25, rng)
+        grid = _one_sector(q, "chain", hub=(2**25, 2**25), spacing=200.0 / 2**26)
         if grid.forced_crossings == 0:
             assert _crossing_pairs(grid) == []
 
@@ -463,16 +470,16 @@ def test_build_grid_branch_labels_follow_sectors():
 
 def test_build_grid_requires_hub():
     cfg = SimulationConfig()
-    xy = place_cells(3, 700.0, np.random.default_rng(0))
-    dep = CellDeployment((math.nan, math.nan), xy, np.zeros(3, dtype=np.intp), 10.0)
+    q = place_cells(3, np.random.default_rng(0))
+    dep = CellDeployment((math.nan, math.nan), q, np.zeros(3, dtype=np.intp), 10.0)
     with pytest.raises(GeometryError):
         build_grid(dep, cfg)
 
 
 def test_build_grid_requires_sector_labels():
     cfg = SimulationConfig()
-    xy = place_cells(3, 700.0, np.random.default_rng(0))
-    dep = CellDeployment((350.0, 350.0), xy, np.full(3, -1, dtype=np.intp), 10.0)
+    q = place_cells(3, np.random.default_rng(0))
+    dep = CellDeployment((2**25, 2**25), q, np.full(3, -1, dtype=np.intp), 10.0)
     with pytest.raises(GeometryError):
         build_grid(dep, cfg)
 
@@ -513,12 +520,13 @@ def test_lockstep_matches_reference_at_full_density(topology):
 
 
 def _uneven_sectors(rng):
-    """150 cells in sector 0, one in sector 3, 20 in sector 5, none elsewhere."""
+    """150 cells in sector 0, one in sector 3, 20 in sector 5, none elsewhere,
+    on a lattice of spacing 2^-16."""
     r = rng.uniform(1.0, 300.0, size=171)
     theta = np.concatenate(
         [rng.uniform(0.01, 1.0, 150), [math.pi + 0.5], rng.uniform(5.3, 6.2, 20)]
     )
-    return list(zip(r * np.cos(theta), r * np.sin(theta)))
+    return np.rint(np.column_stack((r * np.cos(theta), r * np.sin(theta))) * 2**16).tolist()
 
 
 @pytest.mark.parametrize("topology", ["tree", "chain"])
@@ -534,7 +542,7 @@ def test_lockstep_matches_reference_on_edge_cases(topology):
         _deployment([(3, 4), (3, 4), (0, 0), (0, 0), (5, 5), (3, 4), (-2, 7), (-2, 7)]),
         topology,
     )
-    _assert_matches_reference(_deployment(_uneven_sectors(rng)), topology)
+    _assert_matches_reference(_deployment(_uneven_sectors(rng), spacing=2**-16), topology)
     # the forced-crossing layout of test_chain_forced_crossing_counted
     _assert_matches_reference(_deployment(_FORCED, n_branches=1), topology, n_branches=1)
     # integer grids: collinear hops, shared endpoints, forced crossings
@@ -547,13 +555,13 @@ def test_lockstep_matches_reference_on_edge_cases(topology):
 def test_single_sector_builders_match_reference():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        for xy in (
-            place_cells(60, 200.0, rng),
-            rng.integers(0, 9, size=(60, 2)).astype(float),
+        for q, hub, spacing in (
+            (place_cells(60, rng), (2**26 // 50, 2**26 // 50), 200.0 / 2**26),
+            (rng.integers(0, 9, size=(60, 2)).astype(float), (4, 4), 1.0),
         ):
             for topology, reference in (("tree", reference_tree), ("chain", reference_chain)):
-                grid = _one_sector(xy, topology, hub=(4.0, 4.0))
-                edges, wire, forced = reference(xy, np.arange(60), (4.0, 4.0))
+                grid = _one_sector(q, topology, hub, spacing)
+                edges, wire, forced = reference(q, np.arange(60), hub, spacing)
                 assert _edge_list(grid) == edges
                 assert _wire(grid) == wire
                 assert grid.forced_crossings == forced
@@ -579,7 +587,7 @@ def test_chain_visits_cells_in_greedy_tour_order():
     for deployment, grid in zip(deployments, grids):
         for k, order in enumerate(_visit_order(grid)):
             ids = np.flatnonzero(deployment.sector == k)
-            assert order == reference_tour(deployment.xy[ids], ids, deployment.hub)
+            assert order == reference_tour(deployment.q[ids], ids, deployment.hub_q)
         # hops that do not start at the cell wired just before them
         hop_start = grid.node_cell[grid.edges[:, 0]]
         branched += int(np.count_nonzero(hop_start[1:] != grid.node_cell[grid.edges[:-1, 1]]))
@@ -642,7 +650,8 @@ _RELAID = [
 
 
 def test_relaid_hop_no_longer_blocks_later_hops():
-    _assert_matches_reference(_deployment(_RELAID, n_branches=1), "chain", n_branches=1)
+    deployment = _deployment(_tenths(_RELAID), n_branches=1, spacing=0.1)
+    _assert_matches_reference(deployment, "chain", n_branches=1)
 
 
 # one-sector integer layouts whose repair rounds defer hops: a new wire,
@@ -671,7 +680,7 @@ def test_repair_rounds_defer_hops_for_each_reason(monkeypatch):
         return kept(first, changed, met, crossed)
 
     monkeypatch.setattr(chain, "_kept", spy)
-    for points in (_RELAID, *_DEFERRING):
+    for points in (_tenths(_RELAID), *_DEFERRING):
         _assert_matches_reference(_deployment(points, n_branches=1), "chain", n_branches=1)
     assert fired["changed"] and fired["met"] and fired["crossed"], fired
 
@@ -705,6 +714,23 @@ def test_chain_search_reaches_a_third_start(monkeypatch):
     assert max(searched.values(), default=0) >= 2, searched
 
 
+def test_branch_starts_rank_by_exact_squares():
+    """From c = (0, 0), node 2 is one squared lattice unit nearer than node
+    1 (x^2 - 1 against x^2, x = 67,094,529), a gap that float32 or
+    np.hypot distances can round away; the hub is farther, and the tip
+    (node 3) is never a start.  Each search takes the first start after
+    the previous one in (squared distance, node id) order."""
+    x = 2 * 5792**2 + 1
+    node_xy = np.array([[[-14_000, -67_095_000], [x, 0], [x - 1, 11_584], [1, 1]]], dtype=float)
+    starts, past = [], -1
+    for _ in range(4):
+        past = chain._nearest_but_tip(
+            node_xy, np.arange(4)[None], np.array([0]), np.array([3]), np.zeros((1, 2)), np.array([past])
+        )[0]
+        starts.append(int(past))
+    assert starts == [2, 1, 0, -1]
+
+
 def test_chains_do_not_depend_on_the_chunk_sizes(monkeypatch):
     """The crossing joins take rows in groups of _WIRES wires and test
     _PAIRS candidate pairs at a time, and the repairs search the nearest
@@ -732,88 +758,90 @@ def test_chains_do_not_depend_on_the_chunk_sizes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the screens: squared distances before np.hypot, boxes before crossing tests
+# exact decisions on the lattice, and boxes before crossing tests
 
-class _HypotCalls:
-    """numpy as plcsim.nearest sees it, counting np.hypot calls by the
-    function that makes them: `grow_nearest` for the near-tie and update
-    fallbacks, `keys` for a batch past the range guard."""
-
-    def __init__(self):
-        self.by = collections.Counter()
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def hypot(self, *args, **kwargs):
-        self.by[sys._getframe(1).f_code.co_name] += 1
-        return np.hypot(*args, **kwargs)
-
-
-def _screened(monkeypatch, deployments, n_branches=6):
-    """Assert that build_grids' trees and chains of one batch match
-    reference_feeders; return plcsim.nearest's np.hypot calls per topology."""
-    calls = {}
+def _assert_batch_matches_reference(deployments, n_branches=6):
+    """build_grids' trees and chains of one batch match reference_feeders."""
     for topology in ("tree", "chain"):
-        calls[topology] = _HypotCalls()
-        monkeypatch.setattr(nearest, "np", calls[topology])
-        cfg = SimulationConfig(topology=topology, n_branches=n_branches)
-        grids = build_grids(deployments, cfg)
-        monkeypatch.undo()
+        grids = build_grids(deployments, SimulationConfig(topology=topology, n_branches=n_branches))
         _assert_grids_match_reference(deployments, grids, topology, n_branches)
-    return {topology: c.by for topology, c in calls.items()}
 
 
-def test_screens_fall_back_on_integer_lattice_ties(monkeypatch):
+def test_growers_break_integer_lattice_ties_by_slot():
+    """Small integer layouts hold many exactly equidistant cells and nodes."""
     rng = np.random.default_rng(41)
     layouts = [rng.integers(-4, 5, size=(40, 2)).tolist() for _ in range(4)]
     for n_branches in (1, 6):
-        calls = _screened(monkeypatch, [_deployment(p, n_branches=n_branches) for p in layouts])
-        for by in calls.values():
-            assert by["grow_nearest"] > 0 and by["keys"] == 0
+        _assert_batch_matches_reference([_deployment(p, n_branches=n_branches) for p in layouts], n_branches)
 
 
-def test_screens_fall_back_on_one_decimal_coordinates(monkeypatch):
-    """Squares of one-decimal differences round, so near ties whose squares
-    differ in the last bits fall back as well as exact ones."""
+def test_growers_match_reference_on_one_decimal_coordinates():
+    """One-decimal layouts around the hub (0.1, 0.3), as a lattice of
+    spacing 0.1."""
     rng = np.random.default_rng(43)
-    layouts = [(rng.integers(-40, 41, size=(60, 2)) / 10).tolist() for _ in range(4)]
-    calls = _screened(monkeypatch, [_deployment(p, hub=(0.1, 0.3)) for p in layouts])
-    for by in calls.values():
-        assert by["grow_nearest"] > 0 and by["keys"] == 0
+    layouts = [rng.integers(-40, 41, size=(60, 2)).tolist() for _ in range(4)]
+    _assert_batch_matches_reference([_deployment(p, hub=(1, 3), spacing=0.1) for p in layouts])
 
 
-def test_screens_fall_back_on_a_lone_near_tie(monkeypatch):
-    """From the hub (0.1, 0.3), the squares of (-1.6, 1.5) and (1.8, -0.9)
-    are both 4.33, but np.hypot puts the second one ulp nearer.  The tie is
-    the only one of its step, and it still falls back: both feeders wire
-    the second cell (node 2) first."""
-    deployments = [_deployment([(-1.6, 1.5), (1.8, -0.9)], hub=(0.1, 0.3), n_branches=1)]
-    calls = _screened(monkeypatch, deployments, 1)
+def test_a_lone_exact_tie_goes_to_the_lower_slot():
+    """From the hub (0.1, 0.3), the cells at (-1.6, 1.5) and (1.8, -0.9)
+    are equally far, 17^2 + 12^2 tenths squared each (np.hypot puts the
+    second one ulp nearer).  Both feeders wire the first cell (node 1)
+    first."""
+    deployments = [_deployment([(-16, 15), (18, -9)], hub=(1, 3), n_branches=1, spacing=0.1)]
+    _assert_batch_matches_reference(deployments, 1)
     for topology in ("tree", "chain"):
-        assert calls[topology]["grow_nearest"] > 0
         grid = build_grids(deployments, SimulationConfig(topology=topology, n_branches=1))[0]
-        assert grid.edges[0].tolist() == [0, 2]
+        assert grid.edges[0].tolist() == [0, 1]
 
 
-def test_tree_update_falls_back_on_an_equidistant_node(monkeypatch):
-    """(1, 5) is as far from (2, 0) as from the hub: it stays on the hub.
-    grow_tree's one np.hypot call gives the hop lengths."""
-    calls = _screened(monkeypatch, [_deployment([(2, 0), (1, 5)], n_branches=1)], 1)
-    assert calls["tree"] == {"grow_nearest": 2, "grow_tree": 1}
+def test_tree_keeps_an_equidistant_cell_on_its_earlier_node():
+    """(1, 5) is as far from (2, 0) as from the hub, 26 squared: it stays
+    on the hub."""
+    grid = _one_sector([(2, 0), (1, 5)], "tree")
+    assert grid.edges.tolist() == [[0, 1], [0, 2]]
+    assert grid.wire_m.tolist() == [2.0, math.sqrt(26)]
 
 
-def test_screens_step_aside_past_the_range_guard(monkeypatch):
-    """Squares of 1e300-scale differences overflow, and of 1e-310-scale ones
-    lose their precision: a batch holding either decides on np.hypot."""
-    rng = np.random.default_rng(47)
-    points = [rng.integers(-9, 10, size=(30, 2)) * 0.7 for _ in range(2)]
-    deployments = [_deployment(points[0] * 1e300), _deployment(points[1] * 1e-310)]
-    # the chains' crossing orientations of 1e300-scale wires overflow to inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        calls = _screened(monkeypatch, deployments)
-    for by in calls.values():
-        assert by["keys"] > 0
+def test_growers_decide_one_squared_unit_apart_at_full_scale():
+    """Squared lattice distances near 2^52 that differ by one, x^2 against
+    x^2 - 1 with x = 67,094,529, which float32 or np.hypot distances can
+    tie.  Cell 1 is one unit nearer the hub than cell 0 and is wired first;
+    or it is wired first as the nearest, and a tree then moves cell 0 from
+    the hub onto it, one unit nearer.  Both feeders hang cell 0 on cell 1."""
+    x = 2 * 5792**2 + 1
+    for points in ([(x, 0), (x - 1, 11_584)], [(x, 0), (1, 11_584)]):
+        for topology in ("tree", "chain"):
+            assert _one_sector(points, topology).edges.tolist() == [[0, 2], [2, 1]]
+            _assert_matches_reference(_deployment(points, n_branches=1), topology, n_branches=1)
+
+
+def test_tree_and_chain_grids_scale_exactly():
+    """Scaling side_m by 2^k, cell_area_m2 by 4^k and max_wire_m by 2^k
+    leaves every tree and chain edge and served mask as it is, and scales
+    every hop and wire distance by exactly 2^k, for k = -100 and 100 as for
+    k = 0: growth decides on lattice points, whatever the scale."""
+    for topology in ("tree", "chain"):
+        for density, hub_mode, seed in ((0.5, "center", 1), (1.0, "uniform", 2)):
+            base = SimulationConfig(topology=topology, density=density, hub_mode=hub_mode)
+            grids = {}
+            for k in (-100, 0, 100):
+                cfg = dataclasses.replace(
+                    base,
+                    side_m=base.side_m * 2.0**k,
+                    cell_area_m2=base.cell_area_m2 * 4.0**k,
+                    max_wire_m=base.max_wire_m * 2.0**k,
+                ).validate()
+                grid = build_grid(deploy(cfg, np.random.default_rng(seed)), cfg)
+                grids[k] = mark_served(grid, cfg.max_wire_m, cfg.max_cells_per_branch)
+            want = grids[0]
+            assert want.served.any() and not want.served.all()
+            for k in (-100, 100):
+                got = grids[k]
+                assert np.array_equal(got.edges, want.edges)
+                assert np.array_equal(got.served, want.served)
+                assert np.array_equal(got.length_m, want.length_m * 2.0**k)
+                assert np.array_equal(got.wire_m, want.wire_m * 2.0**k)
 
 
 def _count_crossings(tours):
